@@ -64,6 +64,8 @@ class BoardSpec:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError(f"board dimensions must be positive: {self.m}x{self.n}")
+        if self.m > 26:
+            raise ValueError(f"board has {self.m} columns; cell names reach only 26 (a-z)")
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {self.k}")
 
@@ -239,7 +241,7 @@ def parse_position(text: str) -> Position:
         m, n, k = (int(x) for x in header[:3])
         spec = BoardSpec(m, n, k)
     except ValueError as exc:
-        raise BoardFormatError(f"bad header line: {lines[0]!r}") from exc
+        raise BoardFormatError(f"bad header line: {lines[0]!r} ({exc})") from exc
     if header[3] not in ("B", "W"):
         raise BoardFormatError(f"bad side to move: {header[3]!r}")
     body = [ln for ln in lines[1:] if ln.strip()]

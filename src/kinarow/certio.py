@@ -20,6 +20,11 @@ class CertificateFormatError(ValueError):
     pass
 
 
+# What decoding a JSON value of the wrong type or shape raises, e.g. a cell
+# given as a number or a matching set given as a string.
+_WRONG_SHAPE = (AttributeError, KeyError, TypeError, ValueError)
+
+
 def _cells(names: Any) -> tuple:
     return tuple(parse_cell(s) for s in names)
 
@@ -58,7 +63,7 @@ def _matching_from_obj(obj: dict) -> MatchingSet:
             {parse_cell(a): parse_cell(b) for a, b in p.items()}
             for p in obj.get("symmetry", [])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _WRONG_SHAPE as exc:
         raise CertificateFormatError(f"bad matching set object: {exc}") from exc
     return MatchingSet(markers, groups, coverings, symmetry)
 
@@ -97,14 +102,16 @@ def certificate_from_json(text: str) -> DrawCertificate:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "board" not in obj:
-        raise CertificateFormatError("certificate object must contain a board")
+    if not isinstance(obj, dict) or not isinstance(obj.get("board"), str):
+        raise CertificateFormatError("certificate object must contain a board text")
     pos = parse_position(obj["board"])
-    entries = []
-    for mo in obj.get("matching_sets", []):
-        entries.append(
-            CertEntry(mo.get("template_name", "?"), _matching_from_obj(mo), None)
-        )
+    sets = obj.get("matching_sets", [])
+    if not isinstance(sets, list) or not all(isinstance(mo, dict) for mo in sets):
+        raise CertificateFormatError("matching_sets must be a list of objects")
+    entries = [
+        CertEntry(mo.get("template_name", "?"), _matching_from_obj(mo), None)
+        for mo in sets
+    ]
     try:
         residual = Pairing(
             tuple(
@@ -112,6 +119,6 @@ def certificate_from_json(text: str) -> DrawCertificate:
                 for r in obj.get("residual_pairing", [])
             )
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _WRONG_SHAPE as exc:
         raise CertificateFormatError(f"bad residual pairing: {exc}") from exc
     return DrawCertificate(pos, tuple(entries), residual)

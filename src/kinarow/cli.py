@@ -136,33 +136,12 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _detect_parallel(pos: Position, templates, jobs: int):
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [templates[i::jobs] for i in range(jobs)]
-    found = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_detect_chunk, [(pos, c) for c in chunks]):
-            found.extend(part)
-    return found
-
-
-def _detect_chunk(work):
-    pos, templates = work
-    return [
-        (e.template.name, sorted((lbl, cell_name(c)) for lbl, c in e.binding.items()))
-        for e in detect(pos, templates)
-    ]
-
-
 def _cmd_detect(args) -> int:
     pos = _load_board(args.board)
-    templates = _templates_arg(args.templates) or list(catalog())
-    if args.jobs > 1:
-        rows = _detect_parallel(pos, templates, args.jobs)
-    else:
-        rows = _detect_chunk((pos, templates))
-    rows.sort()
+    rows = sorted(
+        (e.template.name, sorted((lbl, cell_name(c)) for lbl, c in e.binding.items()))
+        for e in detect(pos, _templates_arg(args.templates))
+    )
     for name, binding in rows:
         bound = " ".join(f"{lbl}={cell}" for lbl, cell in binding)
         print(f"{name}: {bound}")
@@ -276,7 +255,6 @@ def _parser() -> argparse.ArgumentParser:
     dp = sub.add_parser("detect", help="list configuration embeddings on a board")
     dp.add_argument("--board", required=True)
     dp.add_argument("--templates")
-    dp.add_argument("--jobs", type=int, default=1)
     dp.set_defaults(func=_cmd_detect)
 
     pp = sub.add_parser("prove", help="build a draw certificate for a board")

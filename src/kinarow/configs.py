@@ -376,7 +376,7 @@ def template_by_name(name: str) -> ConfigTemplate:
     raise KeyError(f"unknown configuration {name!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Embedding:
     """A template placed on a board.
 
@@ -638,11 +638,6 @@ class DrawCertificate:
     residual: Pairing
 
 
-class _Found(Exception):
-    def __init__(self, cert: DrawCertificate) -> None:
-        self.cert = cert
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         bit = mask & -mask
@@ -768,19 +763,20 @@ def prove_draw(
             break
 
     # Pass 2: cover every live group with matching sets alone (empty
-    # residual), branching on the least-flexible uncovered group.  Among full
-    # covers, keep the one pinning down the most cells, so the resulting
-    # strategy prescribes a reply to as many moves as possible; ties fall to
-    # the lexicographically smallest template-name combination for
-    # reproducible output.
-    by_group: dict[int, list[Embedding]] = {i: [] for i in _bits_idx(all_mask)}
-    for e in cands:
-        for i in _bits_idx(e.group_mask):
-            by_group[i].append(e)
+    # residual), branching on the least-flexible uncovered group: the one
+    # held by the fewest candidates, the lowest group index on ties.  Each
+    # node gets the pool of candidates still compatible with its choices, in
+    # candidate order, and branches on the pool entries holding that group.
+    # Among full covers, keep the one pinning down the most cells, so the
+    # resulting strategy prescribes a reply to as many moves as possible;
+    # ties fall to the lexicographically smallest template-name combination
+    # for reproducible output.
+    holders = Counter(i for e in cands for i in _bits_idx(e.group_mask))
+    branch_order = sorted(_bits_idx(all_mask), key=lambda i: (holders[i], i))
     cover_budget = [max_attempts]
     best_cover: list[tuple[tuple, list[Embedding]]] = []
 
-    def exact_cover(chosen: list[Embedding], covered: int, markers: int) -> None:
+    def exact_cover(pool: list[Embedding], chosen: list[Embedding], covered: int, markers: int) -> None:
         if cover_budget[0] <= 0:
             return
         cover_budget[0] -= 1
@@ -793,50 +789,59 @@ def prove_draw(
             if not best_cover or key < best_cover[0][0]:
                 best_cover[:] = [(key, list(chosen))]
             return
-        i = min(_bits_idx(all_mask & ~covered), key=lambda i: len(by_group[i]))
-        for e in by_group[i]:
-            if e.group_mask & covered or e.marker_mask & markers:
+        bit = next(1 << i for i in branch_order if not covered >> i & 1)
+        for e in pool:
+            if not e.group_mask & bit:
                 continue
+            gm, mm = e.group_mask, e.marker_mask
             chosen.append(e)
-            exact_cover(chosen, covered | e.group_mask, markers | e.marker_mask)
+            exact_cover(
+                [f for f in pool if not (f.group_mask & gm or f.marker_mask & mm)],
+                chosen, covered | gm, markers | mm,
+            )
             chosen.pop()
             if cover_budget[0] <= 0:
                 return
 
-    exact_cover([], 0, 0)
+    exact_cover(cands, [], 0, 0)
     if best_cover:
         return certificate(best_cover[0][1], Pairing(()))
 
     # Pass 3: independent embeddings in (reduction, group count) order, each
     # combination completed by a residual pairing of the groups left over.
+    # A node's pool holds the later embeddings still compatible with its
+    # choices.  The pairing is only sought when every uncovered group keeps
+    # two empty cells off the chosen markers; otherwise none exists.
     cell_of = list(pos.spec.cells())  # marker_mask bit -> cell
+    masks = group_masks(pos.spec)
+    room = [(1 << i, masks[i] & empty_mask) for i in (group_index[g] for g in live)]
     budget = [max_attempts]
 
-    def search(idx: int, chosen: list[Embedding], covered: int, markers: int) -> None:
+    def search(pool: list[Embedding], chosen: list[Embedding], covered: int, markers: int) -> DrawCertificate | None:
         if budget[0] <= 0:
-            return
+            return None
         budget[0] -= 1
-        if chosen:
+        if chosen and all(
+            (cells & ~markers).bit_count() >= 2 for bit, cells in room if not covered & bit
+        ):
             left = [g for g, bit in zip(live, live_bits) if not covered & bit]
             excluded = frozenset(cell_of[b] for b in _bits_idx(markers))
             residual = find_hj_pairing(pos, left, excluded=excluded)
             if residual is not None:
-                raise _Found(certificate(chosen, residual))
-        for j in range(idx, len(embeddings)):
-            e = embeddings[j]
-            if e.group_mask & covered or e.marker_mask & markers:
-                continue
+                return certificate(chosen, residual)
+        for k, e in enumerate(pool):
+            gm, mm = e.group_mask, e.marker_mask
             chosen.append(e)
-            search(j + 1, chosen, covered | e.group_mask, markers | e.marker_mask)
+            found = search(
+                [f for f in pool[k + 1 :] if not (f.group_mask & gm or f.marker_mask & mm)],
+                chosen, covered | gm, markers | mm,
+            )
             chosen.pop()
-            if budget[0] <= 0:
-                return
+            if found is not None or budget[0] <= 0:
+                return found
+        return None
 
-    try:
-        search(0, [], 0, 0)
-    except _Found as hit:
-        return hit.cert
-    return None
+    return search(embeddings, [], 0, 0)
 
 
 def check_certificate(cert: DrawCertificate) -> ProofResult:

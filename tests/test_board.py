@@ -85,6 +85,14 @@ class TestParsing:
         with pytest.raises(BoardFormatError):
             parse_position("3 3 3 B\n...\n.?.\n...\n")
 
+    def test_boards_wider_than_26_columns_rejected(self):
+        # Cell names run from column a to z.
+        assert BoardSpec(26, 1, 2).m == 26
+        with pytest.raises(ValueError):
+            BoardSpec(27, 1, 2)
+        with pytest.raises(BoardFormatError):
+            parse_position("27 1 2 B\n" + "." * 27 + "\n")
+
     def test_top_row_first(self):
         pos = parse_position("3 3 3 W\nX..\n...\n...\n")
         assert pos.at((0, 2)) == BLACK

@@ -88,6 +88,22 @@ class TestVerifyCert:
         path = board_file("broken.cert", "{]")
         assert main(["verify-cert", "--cert", path]) == 2
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda obj: obj.update(matching_sets=["x"]),
+            lambda obj: obj.update(board=5),
+            lambda obj: obj["matching_sets"][0]["coverings"][0].update(black=7),
+        ],
+        ids=["matching-set-string", "board-number", "covering-black-number"],
+    )
+    def test_wrongly_typed_json_is_usage_error(self, board_file, capsys, mutate):
+        obj = json.loads(load_fixture("fig1.cert"))
+        mutate(obj)
+        path = board_file("typed.cert", json.dumps(obj))
+        assert main(["verify-cert", "--cert", path]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDetect:
     def test_lists_embeddings(self, capsys):

@@ -1,5 +1,6 @@
 """Template catalog, embedding detection, and draw certificates."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,39 @@ EMPTY_4X4_EMBEDDINGS = {
     "FlatStar/Line": 0,
     "TriTriangleX": 0,
 }
+
+# A 5x4 position (Black to move) that only the residual search proves:
+# Square + Triangle, completed by a pairing of the two groups left over.
+RESIDUAL_5X4 = "5 4 4 B\n.OX..\nX....\n.....\n...O.\n"
+# A 4x4 position whose certificate at budget 100 depends on how the exact
+# cover search breaks ties between equally constrained groups.
+TIES_4X4 = "4 4 4 B\n..O.\n..X.\nX...\n.O..\n"
+
+# prove_draw(pos, max_attempts=b) for b = 1, 3, 10, 100: the first 16 hex
+# digits of the SHA-256 of the certificate JSON, or None for NotFound.
+BUDGET_RESULTS = {
+    "empty4x4": ["364233186cb61d57"] * 4,
+    "fig1": [None] + ["fbf21a4b3d33d0f5"] * 3,
+    "fig2": [None] + ["4a0e29857ae83d63"] * 3,
+    "fig3": ["8e359bd1b90d8f0d"] * 4,
+    "fig4": ["d248fb7eec711172"] * 4,
+    "fig5": [None] + ["ad9a0746d8197085"] * 3,
+    "fig7": [None] + ["7b82b54c803a070d"] * 3,
+    "fig8": ["933fd9a4e0597fb7"] * 4,
+    "fig9a": [None] + ["eb6845454073812a"] * 3,
+    "fig9b": [None] + ["6ccc4e0091ecb91b"] * 3,
+    "fig9c": ["aa81b72f27f0b5a9"] * 4,
+    "fig10": ["272f01a037e1a3c8"] * 4,
+    "fig11": [None] + ["50473701eab88cc2"] * 3,
+    "residual5x4": [None] * 4,
+    "ties4x4": [None, "447dc3ff2765a4c5", "447dc3ff2765a4c5", "744414a14b6107f8"],
+}
+
+
+def cert_digest(cert: DrawCertificate | None) -> str | None:
+    if cert is None:
+        return None
+    return hashlib.sha256(certificate_to_json(cert).encode()).hexdigest()[:16]
 
 
 class TestCatalog:
@@ -164,6 +198,23 @@ class TestProveDraw:
         # The bundled certificates are the prover's own output, byte for byte.
         pos = parse_position(load_fixture(f"{fig}.board"))
         assert certificate_to_json(prove_draw(pos)) == load_fixture(f"{fig}.cert")
+
+    @pytest.mark.parametrize("name", sorted(BUDGET_RESULTS))
+    def test_budget_limited_results(self, name):
+        extra = {"residual5x4": RESIDUAL_5X4, "ties4x4": TIES_4X4}
+        pos = parse_position(extra.get(name) or load_fixture(f"{name}.board"))
+        got = [cert_digest(prove_draw(pos, max_attempts=b)) for b in (1, 3, 10, 100)]
+        assert got == BUDGET_RESULTS[name]
+
+    def test_residual_search_proof(self):
+        cert = prove_draw(parse_position(RESIDUAL_5X4))
+        assert [e.template_name for e in cert.entries] == ["Square", "Triangle"]
+        assert len(cert.residual.assignments) == 2
+        assert cert_digest(cert) == "b4dfe08ce75c3285"
+        assert check_certificate(cert).valid
+
+    def test_empty_5x4_is_not_proved(self):
+        assert prove_draw(empty_position(BoardSpec(5, 4, 4))) is None
 
     def test_prove_is_deterministic(self):
         pos = parse_position(load_fixture("fig9b.board"))
