@@ -32,7 +32,6 @@ from .configs import (
     prove_draw,
     template_by_name,
 )
-from .hypergraph import NodeClass, OverlapError, classify_nodes, intersection
 from .pairing import DeadGroupError, Pairing, find_hj_pairing, verify_pairing
 from .setmatch import (
     Covering,

@@ -149,6 +149,8 @@ def verify_pairing(
         for c in pair:
             if c not in g:
                 violations.append(f"group {g}: marker {cell_name_safe(c)} outside group")
+            elif not pos.spec.in_bounds(c):
+                violations.append(f"group {g}: marker {cell_name_safe(c)} off the board")
             elif pos.at(c) != EMPTY:
                 violations.append(f"group {g}: marker {cell_name_safe(c)} not empty")
             if c in seen and seen[c] != g:

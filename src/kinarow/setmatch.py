@@ -247,6 +247,8 @@ def verify_matching_set(pos: Position, m: MatchingSet) -> ProofResult:
     for g in m.groups:
         if not isinstance(g, Group):
             v.append(("matching set", f"group {g!r} is not a board group"))
+        elif not all(pos.spec.in_bounds(c) for c in g):
+            v.append(("matching set", f"group {g} is off the board"))
     if v:
         return ProofResult(tuple(v))
     from .board import WHITE

@@ -1,15 +1,16 @@
 """Brute-force game solver with optional draw-certificate pruning.
 
 Depth-unbounded negamax with alpha-beta and a per-call transposition table.
-Scores are from the side to move: +1 win, 0 draw, -1 loss.  With pruning
-enabled, a draw certificate at a Black-to-move node proves Black cannot win
-(value at most 0); it is used as a sound fail-low cutoff, so verdicts are
-identical across pruning modes.
+The search state is two ints, the Black and the White stone masks of
+`board.state_mask`; the table is keyed by that exact pair, so no hashing is
+involved.  Scores are from the side to move: +1 win, 0 draw, -1 loss.  With
+pruning enabled, a draw certificate at a Black-to-move node proves Black
+cannot win (value at most 0); it is used as a sound fail-low cutoff, so
+verdicts are identical across pruning modes.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,12 +20,10 @@ from .board import (
     BLACK,
     EMPTY,
     WHITE,
-    BoardSpec,
-    Cell,
     Position,
-    cell_key,
-    enumerate_groups,
+    group_masks,
     live_black_groups,
+    state_mask,
 )
 from .pairing import find_hj_pairing
 
@@ -54,15 +53,6 @@ class SearchStats:
     prune_events: Counter = field(default_factory=Counter)
 
 
-def _zobrist(spec: BoardSpec) -> dict[tuple[int, str], int]:
-    rng = random.Random(0xC0FFEE ^ (spec.m << 16) ^ (spec.n << 8) ^ spec.k)
-    return {
-        (i, s): rng.getrandbits(64)
-        for i in range(spec.m * spec.n)
-        for s in (BLACK, WHITE)
-    }
-
-
 def _certificate_holds(pos: Position, pruning: str) -> bool:
     from .configs import prove_draw
 
@@ -88,14 +78,14 @@ def solve(
             f"{len(empt)} empty cells exceeds guard of {guard}"
         )
     stats = SearchStats()
+    black, white = state_mask(pos, BLACK), state_mask(pos, WHITE)
 
     # Headline shortcut: on the fully empty board the first player's value is
     # at least a draw (strategy stealing), so a certificate decides it outright.
     if (
         pruning != "none"
         and pos.to_move == BLACK
-        and pos.count(BLACK) == 0
-        and pos.count(WHITE) == 0
+        and not (black | white)
         and _certificate_holds(pos, pruning)
     ):
         stats.nodes_examined = 1
@@ -103,21 +93,6 @@ def solve(
         return Verdict.DRAW, stats
 
     m, n = spec.m, spec.n
-    grid = [EMPTY] * (m * n)
-    for (c, r) in spec.cells():
-        grid[r * m + c] = pos.at((c, r))
-    lines_through: list[list[tuple[int, ...]]] = [[] for _ in range(m * n)]
-    for g in enumerate_groups(spec):
-        idxs = tuple(r * m + c for (c, r) in g.cells)
-        for i in idxs:
-            lines_through[i].append(idxs)
-    zob = _zobrist(spec)
-    h = 0
-    for i, s in enumerate(grid):
-        if s != EMPTY:
-            h ^= zob[(i, s)]
-    side_hash = random.Random(0xBADC0DE).getrandbits(64)
-
     center = ((m - 1) / 2, (n - 1) / 2)
     ordered = sorted(
         (c[1] * m + c[0] for c in empt),
@@ -126,58 +101,53 @@ def solve(
             (i // m, i % m),
         ),
     )
-    table: dict[int, tuple[tuple, int, int]] = {}
+    # Per move, in search order: its bit and the group masks through it.
+    moves = [
+        (1 << i, [g for g in group_masks(spec) if g >> i & 1]) for i in ordered
+    ]
+    table: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def to_position(side: str) -> Position:
-        rows = tuple(
-            "".join(grid[r * m : (r + 1) * m]) for r in range(n)
+    def to_position(black: int, white: int) -> Position:
+        """The Black-to-move position holding these stones."""
+        cells = "".join(
+            BLACK if black >> i & 1 else WHITE if white >> i & 1 else EMPTY
+            for i in range(m * n)
         )
-        return Position(spec, rows, side)
+        return Position(spec, tuple(cells[r * m : (r + 1) * m] for r in range(n)), BLACK)
 
-    def wins(i: int, side: str) -> bool:
-        return any(all(grid[j] == side for j in line) for line in lines_through[i])
-
-    def negamax(side: str, alpha: int, beta: int, hsh: int, empties_left: int) -> int:
+    def negamax(own: int, opp: int, side: str, alpha: int, beta: int, empties_left: int) -> int:
+        """Value for side, holding the stones own against opp."""
         stats.nodes_examined += 1
         if empties_left == 0:
             return 0
-        key = hsh ^ (side_hash if side == WHITE else 0)
-        state = None
+        key = (own, opp) if side == BLACK else (opp, own)
         if use_table:
             entry = table.get(key)
             if entry is not None:
-                state = (tuple(grid), side)
-                stored_state, value, flag = entry
-                if stored_state == state:
-                    if flag == _EXACT:
-                        stats.table_hits += 1
-                        return value
-                    if flag == _LOWER and value >= beta:
-                        stats.table_hits += 1
-                        return value
-                    if flag == _UPPER and value <= alpha:
-                        stats.table_hits += 1
-                        return value
+                value, flag = entry
+                if (
+                    flag == _EXACT
+                    or (flag == _LOWER and value >= beta)
+                    or (flag == _UPPER and value <= alpha)
+                ):
+                    stats.table_hits += 1
+                    return value
         if pruning != "none" and side == BLACK and alpha >= 0:
-            if _certificate_holds(to_position(side), pruning):
+            if _certificate_holds(to_position(own, opp), pruning):
                 stats.prune_events[pruning] += 1
                 return 0
         orig_alpha = alpha
         best = -2
-        opp = WHITE if side == BLACK else BLACK
-        for i in ordered:
-            if grid[i] != EMPTY:
+        opp_side = WHITE if side == BLACK else BLACK
+        taken = own | opp
+        for bit, lines in moves:
+            if taken & bit:
                 continue
-            grid[i] = side
-            if wins(i, side):
-                grid[i] = EMPTY
+            mine = own | bit
+            if any(g & mine == g for g in lines):
                 best = 1
                 break
-            child = negamax(
-                opp, -beta, -alpha, hsh ^ zob[(i, side)], empties_left - 1
-            )
-            grid[i] = EMPTY
-            value = -child
+            value = -negamax(opp, mine, opp_side, -beta, -alpha, empties_left - 1)
             if value > best:
                 best = value
             if best > alpha:
@@ -185,17 +155,16 @@ def solve(
             if alpha >= beta or best == 1:
                 break
         if use_table:
-            if state is None:
-                state = (tuple(grid), side)
             flag = _EXACT
             if best <= orig_alpha:
                 flag = _UPPER
             elif best >= beta:
                 flag = _LOWER
-            table[key] = (state, best, flag)
+            table[key] = (best, flag)
         return best
 
-    score = negamax(pos.to_move, -1, 1, h, len(empt))
+    own, opp = (black, white) if pos.to_move == BLACK else (white, black)
+    score = negamax(own, opp, pos.to_move, -1, 1, len(empt))
     if pos.to_move == BLACK:
         verdict = (Verdict.BLACK_WIN, Verdict.DRAW, Verdict.WHITE_WIN)[1 - score]
     else:

@@ -1,10 +1,12 @@
 """CLI dispatch, exit codes, and output formats."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from kinarow.cli import main
+from kinarow.cli import _parser, main
 from tests.test_board import load_fixture
 
 
@@ -103,6 +105,40 @@ class TestVerifyCert:
         path = board_file("typed.cert", json.dumps(obj))
         assert main(["verify-cert", "--cert", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda obj: obj["matching_sets"][0]["groups"].__setitem__(
+                0, ["a5", "a6", "a7", "a8"]
+            ),
+            lambda obj: obj.update(
+                residual_pairing=[{"group": ["a5", "a6", "a7", "a8"], "pair": ["a5", "a6"]}]
+            ),
+        ],
+        ids=["matching-set-group", "residual-group"],
+    )
+    def test_off_board_group_is_invalid(self, board_file, capsys, mutate):
+        obj = json.loads(load_fixture("fig1.cert"))
+        mutate(obj)
+        path = board_file("offboard.cert", json.dumps(obj))
+        assert main(["verify-cert", "--cert", path]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("Invalid\n")
+        assert "off the board" in out
+
+
+def readme_cli_lines() -> list[str]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [ln.split("#", 1)[0].strip() for ln in block.splitlines() if ln.startswith("kinarow ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_cli_example_parses(self, line):
+        argv = shlex.split(line.split(">", 1)[0])[1:]
+        _parser().parse_args(argv)
 
 
 class TestDetect:

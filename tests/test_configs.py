@@ -1,6 +1,7 @@
 """Template catalog, embedding detection, and draw certificates."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,14 @@ class TestCheckCertificate:
         )
         bad = DrawCertificate(occupied, cert.entries, cert.residual)
         assert not check_certificate(bad).valid
+
+    def test_off_board_groups_are_violations(self):
+        obj = json.loads(load_fixture("fig1.cert"))
+        obj["matching_sets"][0]["groups"][0] = ["a5", "a6", "a7", "a8"]
+        obj["residual_pairing"] = [{"group": ["a5", "a6", "a7", "a8"], "pair": ["a5", "a6"]}]
+        result = check_certificate(certificate_from_json(json.dumps(obj)))
+        off_board = [loc for loc, reason in result.violations if "off the board" in reason]
+        assert off_board == ["embedding 0 (Triangle)/matching set", "residual", "residual"]
 
     @pytest.mark.parametrize("fig", sorted(FIXTURE_TEMPLATES))
     def test_bundled_fixture_certificates_valid(self, fig):

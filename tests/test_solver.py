@@ -27,6 +27,77 @@ from kinarow.solver import (
 from tests.test_board import load_fixture
 
 
+# Per fixture, one (verdict, nodes_examined, table_hits, prune_events) entry
+# per pruning mode, in PRUNING_MODES order ("none", "hj", "setmatch").
+PINNED_COUNTERS = {
+    "empty4x4": [
+        ("Draw", 1001936, 602384, {}),
+        ("Draw", 176073, 98671, {"hj": 285}),
+        ("Draw", 1, 0, {"setmatch": 1}),
+    ],
+    "fig1": [
+        ("Draw", 337, 109, {}),
+        ("Draw", 235, 56, {"hj": 26}),
+        ("Draw", 235, 56, {"setmatch": 26}),
+    ],
+    "fig2": [
+        ("Draw", 1839, 749, {}),
+        ("Draw", 1289, 423, {"hj": 87}),
+        ("Draw", 1289, 423, {"setmatch": 87}),
+    ],
+    "fig3": [
+        ("Draw", 328, 106, {}),
+        ("Draw", 223, 54, {"hj": 25}),
+        ("Draw", 223, 54, {"setmatch": 25}),
+    ],
+    "fig4": [
+        ("Draw", 1317, 477, {}),
+        ("Draw", 844, 224, {"hj": 79}),
+        ("Draw", 844, 224, {"setmatch": 79}),
+    ],
+    "fig5": [
+        ("Draw", 19675, 10332, {}),
+        ("Draw", 10569, 5453, {"hj": 145}),
+        ("Draw", 10569, 5453, {"setmatch": 145}),
+    ],
+    "fig7": [
+        ("Draw", 993, 325, {}),
+        ("Draw", 518, 113, {"hj": 48}),
+        ("Draw", 518, 113, {"setmatch": 48}),
+    ],
+    "fig8": [
+        ("Draw", 684, 212, {}),
+        ("Draw", 368, 88, {"hj": 25}),
+        ("Draw", 339, 81, {"setmatch": 21}),
+    ],
+    "fig9a": [
+        ("Draw", 25371, 13414, {}),
+        ("Draw", 18499, 9594, {"hj": 365}),
+        ("Draw", 18499, 9594, {"setmatch": 365}),
+    ],
+    "fig9b": [
+        ("Draw", 21598, 10827, {}),
+        ("Draw", 8272, 3986, {"hj": 243}),
+        ("Draw", 8272, 3986, {"setmatch": 243}),
+    ],
+    "fig9c": [
+        ("Draw", 1359, 500, {}),
+        ("Draw", 867, 244, {"hj": 76}),
+        ("Draw", 867, 244, {"setmatch": 76}),
+    ],
+    "fig10": [
+        ("Draw", 659, 204, {}),
+        ("Draw", 249, 43, {"hj": 27}),
+        ("Draw", 249, 43, {"setmatch": 27}),
+    ],
+    "fig11": [
+        ("WhiteWin", 6806, 2995, {}),
+        ("WhiteWin", 6606, 2835, {"hj": 83}),
+        ("WhiteWin", 6606, 2835, {"setmatch": 83}),
+    ],
+}
+
+
 def plain_minimax(pos: Position) -> int:
     """Independent oracle: unpruned minimax, +1 = side to move wins."""
     w = winner(pos)
@@ -144,6 +215,23 @@ class TestDeterminism:
         pos = parse_position(load_fixture("fig1.board"))
         counts = [solve(pos, pruning=m)[1].nodes_examined for m in PRUNING_MODES]
         assert counts == [337, 235, 235]
+
+    @pytest.mark.parametrize(
+        "fixture,mode,expected",
+        [
+            pytest.param(fixture, mode, pins, id=f"{fixture}-{mode}")
+            for fixture, by_mode in PINNED_COUNTERS.items()
+            for mode, pins in zip(PRUNING_MODES, by_mode)
+        ],
+    )
+    def test_pinned_counters(self, fixture, mode, expected):
+        # (verdict, nodes_examined, table_hits, prune_events) per fixture and
+        # pruning mode; any change to the board representation, move order
+        # or table policy of the search shows here.
+        pos = parse_position(load_fixture(f"{fixture}.board"))
+        verdict, stats = solve(pos, pruning=mode)
+        got = (str(verdict), stats.nodes_examined, stats.table_hits, dict(stats.prune_events))
+        assert got == expected
 
     def test_pinned_empty_3x3_count(self):
         _, stats = solve(empty_position(BoardSpec(3, 3, 3)))
