@@ -48,7 +48,7 @@ def cell_name(cell: Cell) -> str:
 
 def parse_cell(name: str) -> Cell:
     name = name.strip()
-    if len(name) < 2 or not name[0].isalpha() or not name[1:].isdigit():
+    if len(name) < 2 or not name.isascii() or not name[0].isalpha() or not name[1:].isdigit():
         raise ValueError(f"bad cell name {name!r}")
     return (ord(name[0].lower()) - ord("a"), int(name[1:]) - 1)
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .board import (
     BLACK,
@@ -396,10 +396,6 @@ class Embedding:
     def binding(self) -> dict[Label, Cell]:
         return dict(zip(sorted(self.template.markers), self.cells))
 
-    @property
-    def bound_groups(self) -> dict[AbstractGroup, Group]:
-        return dict(zip(self.template.groups, self.groups))
-
     def marker_cells(self) -> frozenset[Cell]:
         return frozenset(self.cells)
 
@@ -638,15 +634,42 @@ class DrawCertificate:
     residual: Pairing
 
 
-def _bits(mask: int) -> Iterator[int]:
+def _bits_idx(mask: int) -> Iterator[int]:
     while mask:
         bit = mask & -mask
-        yield bit
+        yield bit.bit_length() - 1
         mask ^= bit
 
 
-def _bits_idx(mask: int) -> Iterator[int]:
-    return (bit.bit_length() - 1 for bit in _bits(mask))
+def _bitsets(items: Sequence[Embedding], spec: BoardSpec) -> tuple[list[int], Callable[[int], int]]:
+    """Bitsets over items: bit j stands for items[j].
+
+    columns[b] holds the items whose key (marker_mask over group_mask) has
+    bit b, so columns[i] holds group i's holders.  clash(j) ORs the columns
+    of items[j]'s key: the items sharing a group or a marker cell with it,
+    itself included.
+    """
+    shift = len(group_masks(spec))
+    columns = [0] * (shift + spec.m * spec.n)
+    size = (len(columns) + 7) // 8  # bytes per key
+    # A block packs its keys side by side, its k-th item at bit 8*size*k, and
+    # is read out as binary text, where a column's share is a strided slice.
+    for start in range(0, len(items), 1024):
+        keys = [e.marker_mask << shift | e.group_mask for e in items[start : start + 1024]]
+        packed = b"".join([k.to_bytes(size, "little") for k in keys])
+        text = format(int.from_bytes(packed, "little"), "b").zfill(8 * len(packed))
+        for b in range(len(columns)):
+            columns[b] |= int(text[8 * size - 1 - b :: 8 * size], 2) << start
+
+    # Each clash set is as long as the item list, so only recent ones are kept.
+    @functools.lru_cache(maxsize=64)
+    def clash(j: int) -> int:
+        out = 0
+        for b in _bits_idx(items[j].marker_mask << shift | items[j].group_mask):
+            out |= columns[b]
+        return out
+
+    return columns, clash
 
 
 def prove_draw(
@@ -764,19 +787,20 @@ def prove_draw(
 
     # Pass 2: cover every live group with matching sets alone (empty
     # residual), branching on the least-flexible uncovered group: the one
-    # held by the fewest candidates, the lowest group index on ties.  Each
-    # node gets the pool of candidates still compatible with its choices, in
-    # candidate order, and branches on the pool entries holding that group.
+    # held by the fewest candidates, the lowest group index on ties.  A
+    # node's pool is the bitset of candidates compatible with its choices;
+    # it branches on the pool's holders of that group, and a child's pool
+    # drops the clash set of the candidate taken.
     # Among full covers, keep the one pinning down the most cells, so the
     # resulting strategy prescribes a reply to as many moves as possible;
     # ties fall to the lexicographically smallest template-name combination
     # for reproducible output.
-    holders = Counter(i for e in cands for i in _bits_idx(e.group_mask))
-    branch_order = sorted(_bits_idx(all_mask), key=lambda i: (holders[i], i))
+    columns, clash = _bitsets(cands, pos.spec)
+    branch_order = sorted(_bits_idx(all_mask), key=lambda i: (columns[i].bit_count(), i))
     cover_budget = [max_attempts]
     best_cover: list[tuple[tuple, list[Embedding]]] = []
 
-    def exact_cover(pool: list[Embedding], chosen: list[Embedding], covered: int, markers: int) -> None:
+    def exact_cover(pool: int, chosen: list[Embedding], covered: int, markers: int) -> None:
         if cover_budget[0] <= 0:
             return
         cover_budget[0] -= 1
@@ -789,35 +813,31 @@ def prove_draw(
             if not best_cover or key < best_cover[0][0]:
                 best_cover[:] = [(key, list(chosen))]
             return
-        bit = next(1 << i for i in branch_order if not covered >> i & 1)
-        for e in pool:
-            if not e.group_mask & bit:
-                continue
-            gm, mm = e.group_mask, e.marker_mask
+        i = next(i for i in branch_order if not covered >> i & 1)
+        for j in _bits_idx(pool & columns[i]):
+            e = cands[j]
             chosen.append(e)
-            exact_cover(
-                [f for f in pool if not (f.group_mask & gm or f.marker_mask & mm)],
-                chosen, covered | gm, markers | mm,
-            )
+            exact_cover(pool & ~clash(j), chosen, covered | e.group_mask, markers | e.marker_mask)
             chosen.pop()
             if cover_budget[0] <= 0:
                 return
 
-    exact_cover(cands, [], 0, 0)
+    exact_cover((1 << len(cands)) - 1, [], 0, 0)
     if best_cover:
         return certificate(best_cover[0][1], Pairing(()))
 
     # Pass 3: independent embeddings in (reduction, group count) order, each
     # combination completed by a residual pairing of the groups left over.
-    # A node's pool holds the later embeddings still compatible with its
+    # A node's pool is the bitset of later embeddings compatible with its
     # choices.  The pairing is only sought when every uncovered group keeps
     # two empty cells off the chosen markers; otherwise none exists.
     cell_of = list(pos.spec.cells())  # marker_mask bit -> cell
     masks = group_masks(pos.spec)
     room = [(1 << i, masks[i] & empty_mask) for i in (group_index[g] for g in live)]
+    clash = _bitsets(embeddings, pos.spec)[1]
     budget = [max_attempts]
 
-    def search(pool: list[Embedding], chosen: list[Embedding], covered: int, markers: int) -> DrawCertificate | None:
+    def search(pool: int, chosen: list[Embedding], covered: int, markers: int) -> DrawCertificate | None:
         if budget[0] <= 0:
             return None
         budget[0] -= 1
@@ -829,19 +849,19 @@ def prove_draw(
             residual = find_hj_pairing(pos, left, excluded=excluded)
             if residual is not None:
                 return certificate(chosen, residual)
-        for k, e in enumerate(pool):
-            gm, mm = e.group_mask, e.marker_mask
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            j = low.bit_length() - 1
+            e = embeddings[j]
             chosen.append(e)
-            found = search(
-                [f for f in pool[k + 1 :] if not (f.group_mask & gm or f.marker_mask & mm)],
-                chosen, covered | gm, markers | mm,
-            )
+            found = search(pool & ~clash(j), chosen, covered | e.group_mask, markers | e.marker_mask)
             chosen.pop()
             if found is not None or budget[0] <= 0:
                 return found
         return None
 
-    return search(embeddings, [], 0, 0)
+    return search((1 << len(embeddings)) - 1, [], 0, 0)
 
 
 def check_certificate(cert: DrawCertificate) -> ProofResult:

@@ -119,6 +119,12 @@ class TestCells:
     def test_cell_name_round_trip(self, cell):
         assert parse_cell(cell_name(cell)) == cell
 
+    @pytest.mark.parametrize("name", ["é1", "b\uff19"], ids=["latin-e-acute", "fullwidth-nine"])
+    def test_non_ascii_cell_name_rejected(self, name):
+        # Only ASCII letters and digits name a cell.
+        with pytest.raises(ValueError, match="bad cell name"):
+            parse_cell(name)
+
 
 class TestMoves:
     def test_apply_move_alternates(self):

@@ -127,6 +127,14 @@ class TestVerifyCert:
         assert out.startswith("Invalid\n")
         assert "off the board" in out
 
+    def test_non_ascii_cell_is_usage_error(self, board_file, capsys):
+        obj = json.loads(load_fixture("fig1.cert"))
+        obj["matching_sets"][0]["markers"][0] = "é1"
+        path = board_file("accent.cert", json.dumps(obj))
+        assert main(["verify-cert", "--cert", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "é1" in err
+
 
 def readme_cli_lines() -> list[str]:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -102,6 +102,14 @@ BUDGET_RESULTS = {
     "ties4x4": [None, "447dc3ff2765a4c5", "447dc3ff2765a4c5", "744414a14b6107f8"],
 }
 
+# prove_draw(pos, max_attempts=b) for b = 100, 300, 1000, 5000 on 5x4
+# positions whose result changes past 100 nodes, where BUDGET_RESULTS stops.
+DEEP_BUDGET_RESULTS = {
+    "5 4 4 B\n.O...\n.....\n.....\n..XOX\n": [None] + ["d8d5f194f2236255"] * 3,
+    "5 4 4 B\n....X\nXO...\n...O.\n.....\n": [None] + ["496d93e75d8b0e74"] * 3,
+    "5 4 4 B\nO.X..\n..O..\n.....\nX....\n": [None] + ["a8c7dbf9d4052cac"] * 3,
+}
+
 
 def cert_digest(cert: DrawCertificate | None) -> str | None:
     if cert is None:
@@ -206,6 +214,12 @@ class TestProveDraw:
         pos = parse_position(extra.get(name) or load_fixture(f"{name}.board"))
         got = [cert_digest(prove_draw(pos, max_attempts=b)) for b in (1, 3, 10, 100)]
         assert got == BUDGET_RESULTS[name]
+
+    @pytest.mark.parametrize("board", sorted(DEEP_BUDGET_RESULTS))
+    def test_deep_budget_results(self, board):
+        pos = parse_position(board)
+        got = [cert_digest(prove_draw(pos, max_attempts=b)) for b in (100, 300, 1000, 5000)]
+        assert got == DEEP_BUDGET_RESULTS[board]
 
     def test_residual_search_proof(self):
         cert = prove_draw(parse_position(RESIDUAL_5X4))
