@@ -131,6 +131,7 @@ def _cmd_solve(args) -> int:
     print(f"{verdict}")
     print(f"nodes_examined: {stats.nodes_examined}")
     print(f"table_hits: {stats.table_hits}")
+    print(f"cert_calls: {stats.cert_calls}")
     for method, count in sorted(stats.prune_events.items()):
         print(f"prune_events[{method}]: {count}")
     return 0

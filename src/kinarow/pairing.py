@@ -42,6 +42,12 @@ def _max_matching(
     return owner
 
 
+def pairing_exists(rooms: Sequence[int]) -> bool:
+    """Whether two cells of each room (a bitmask of usable cells) can be reserved, none twice."""
+    cells = [[1 << i for i in range(room.bit_length()) if room >> i & 1] for room in rooms]
+    return _max_matching(2 * len(cells), lambda slot: cells[slot // 2]) is not None
+
+
 def match_pairs(
     group_nodes: Sequence[frozenset[T]],
     available: frozenset[T],

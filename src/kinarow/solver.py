@@ -7,6 +7,11 @@ involved.  Scores are from the side to move: +1 win, 0 draw, -1 loss.  With
 pruning enabled, a draw certificate at a Black-to-move node proves Black
 cannot win (value at most 0); it is used as a sound fail-low cutoff, so
 verdicts are identical across pruning modes.
+
+A probe works on the masks.  A live Black group (no White stone) with at most
+one empty cell means Black completes it next move, so no certificate exists.
+Otherwise a probe holds when a pairing reserves two empty cells of every live
+group (`pairing.pairing_exists`), or in `setmatch` mode when `prove_draw` does.
 """
 
 from __future__ import annotations
@@ -16,16 +21,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
+from . import configs
 from .board import (
     BLACK,
     EMPTY,
     WHITE,
+    BoardSpec,
+    IllegalPositionError,
     Position,
     group_masks,
-    live_black_groups,
     state_mask,
 )
-from .pairing import find_hj_pairing
+from .pairing import pairing_exists
 
 
 class SearchGuardError(RuntimeError):
@@ -51,15 +58,31 @@ class SearchStats:
     nodes_examined: int = 0
     table_hits: int = 0
     prune_events: Counter = field(default_factory=Counter)
+    cert_calls: int = 0
 
 
-def _certificate_holds(pos: Position, pruning: str) -> bool:
-    from .configs import prove_draw
+def to_position(spec: BoardSpec, black: int, white: int) -> Position:
+    """The Black-to-move position holding these stones."""
+    m = spec.m
+    cells = "".join(
+        BLACK if black >> i & 1 else WHITE if white >> i & 1 else EMPTY
+        for i in range(m * spec.n)
+    )
+    return Position(spec, tuple(cells[r * m : (r + 1) * m] for r in range(spec.n)), BLACK)
 
-    if pruning == "hj":
-        live = live_black_groups(pos)
-        return find_hj_pairing(pos, live) is not None
-    return prove_draw(pos) is not None
+
+def _probe(spec: BoardSpec, black: int, white: int, pruning: str) -> bool:
+    """Whether a certificate proves that Black, to move, cannot complete a group."""
+    free = ~(black | white)
+    rooms = [g & free for g in group_masks(spec) if not g & white]
+    if any(room.bit_count() < 2 for room in rooms):
+        return False
+    if pairing_exists(rooms):
+        return True
+    # Looked up per call, so a rebound `configs.prove_draw` is the one used.
+    return pruning == "setmatch" and (
+        configs.prove_draw(to_position(spec, black, white)) is not None
+    )
 
 
 def solve(
@@ -72,25 +95,30 @@ def solve(
     if pruning not in PRUNING_MODES:
         raise ValueError(f"unknown pruning mode {pruning!r}")
     spec = pos.spec
+    stats = SearchStats()
+    black, white = state_mask(pos, BLACK), state_mask(pos, WHITE)
+    # A finished game needs no search.
+    done = [v for v, mask in ((Verdict.BLACK_WIN, black), (Verdict.WHITE_WIN, white))
+            if any(g & mask == g for g in group_masks(spec))]
+    if len(done) == 2:
+        raise IllegalPositionError("both sides have completed a group")
+    if done:
+        stats.nodes_examined = 1
+        return done[0], stats
     empt = pos.empties()
     if len(empt) > guard:
         raise SearchGuardError(
             f"{len(empt)} empty cells exceeds guard of {guard}"
         )
-    stats = SearchStats()
-    black, white = state_mask(pos, BLACK), state_mask(pos, WHITE)
 
     # Headline shortcut: on the fully empty board the first player's value is
     # at least a draw (strategy stealing), so a certificate decides it outright.
-    if (
-        pruning != "none"
-        and pos.to_move == BLACK
-        and not (black | white)
-        and _certificate_holds(pos, pruning)
-    ):
-        stats.nodes_examined = 1
-        stats.prune_events[pruning] += 1
-        return Verdict.DRAW, stats
+    if pruning != "none" and pos.to_move == BLACK and not (black | white):
+        stats.cert_calls += 1
+        if _probe(spec, black, white, pruning):
+            stats.nodes_examined = 1
+            stats.prune_events[pruning] += 1
+            return Verdict.DRAW, stats
 
     m, n = spec.m, spec.n
     center = ((m - 1) / 2, (n - 1) / 2)
@@ -106,14 +134,6 @@ def solve(
         (1 << i, [g for g in group_masks(spec) if g >> i & 1]) for i in ordered
     ]
     table: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def to_position(black: int, white: int) -> Position:
-        """The Black-to-move position holding these stones."""
-        cells = "".join(
-            BLACK if black >> i & 1 else WHITE if white >> i & 1 else EMPTY
-            for i in range(m * n)
-        )
-        return Position(spec, tuple(cells[r * m : (r + 1) * m] for r in range(n)), BLACK)
 
     def negamax(own: int, opp: int, side: str, alpha: int, beta: int, empties_left: int) -> int:
         """Value for side, holding the stones own against opp."""
@@ -133,7 +153,8 @@ def solve(
                     stats.table_hits += 1
                     return value
         if pruning != "none" and side == BLACK and alpha >= 0:
-            if _certificate_holds(to_position(own, opp), pruning):
+            stats.cert_calls += 1
+            if _probe(spec, own, opp, pruning):
                 stats.prune_events[pruning] += 1
                 return 0
         orig_alpha = alpha

@@ -38,7 +38,32 @@ class TestSolve:
             ["solve", "--board", fixture_path("empty4x4.board"), "--method", "setmatch"]
         )
         assert code == 0
-        assert "nodes_examined: 1\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "nodes_examined: 1\n" in out
+        assert "cert_calls: 1\n" in out
+
+    def test_cert_calls_line(self, capsys):
+        assert main(["solve", "--board", fixture_path("fig1.board"), "--method", "hj"]) == 0
+        assert "cert_calls: 74\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "board,verdict",
+        [
+            ("4 4 4 W\nXXXX\nOOO.\n....\n....\n", "BlackWin"),
+            ("4 4 4 B\nOOOO\nXXX.\nX...\n....\n", "WhiteWin"),
+        ],
+    )
+    def test_finished_game(self, board_file, capsys, board, verdict):
+        path = board_file("done.board", board)
+        assert main(["solve", "--board", path, "--method", "setmatch"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{verdict}\n")
+        assert "nodes_examined: 1\n" in out
+
+    def test_both_sides_finished_is_usage_error(self, board_file, capsys):
+        path = board_file("both.board", "4 4 4 B\nXXXX\nOOOO\n....\n....\n")
+        assert main(["solve", "--board", path]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["solve", "--board", "no/such/file.board"]) == 2

@@ -110,6 +110,15 @@ DEEP_BUDGET_RESULTS = {
     "5 4 4 B\nO.X..\n..O..\n.....\nX....\n": [None] + ["a8c7dbf9d4052cac"] * 3,
 }
 
+# Pass-3 proofs found late in the residual search, keyed by board: budget ->
+# digest.  The proof lies one node past the first budget, so these pin the
+# node order of that search: a child pool that also drops the next candidate
+# finds this proof one node sooner, and one that keeps the earlier siblings
+# needs 52 more nodes.
+PASS3_ORDER_RESULTS = {
+    "5 4 4 B\n.X...\nXO...\n...O.\n.....\n": {608: None, 609: "4908b3ad21ea8e0a"},
+}
+
 
 def cert_digest(cert: DrawCertificate | None) -> str | None:
     if cert is None:
@@ -220,6 +229,13 @@ class TestProveDraw:
         pos = parse_position(board)
         got = [cert_digest(prove_draw(pos, max_attempts=b)) for b in (100, 300, 1000, 5000)]
         assert got == DEEP_BUDGET_RESULTS[board]
+
+    @pytest.mark.parametrize("board", sorted(PASS3_ORDER_RESULTS))
+    def test_residual_search_node_order(self, board):
+        pos = parse_position(board)
+        expected = PASS3_ORDER_RESULTS[board]
+        got = {b: cert_digest(prove_draw(pos, max_attempts=b)) for b in expected}
+        assert got == expected
 
     def test_residual_search_proof(self):
         cert = prove_draw(parse_position(RESIDUAL_5X4))

@@ -5,21 +5,27 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kinarow.configs
 from kinarow.board import (
     BLACK,
     WHITE,
     BoardSpec,
+    IllegalPositionError,
     Position,
     apply_move,
     empty_position,
+    live_black_groups,
     other,
     parse_position,
+    state_mask,
     winner,
 )
+from kinarow.pairing import find_hj_pairing
 from kinarow.solver import (
     PRUNING_MODES,
     SearchGuardError,
     Verdict,
+    _probe,
     format_report,
     solve,
     verify_draw_claims,
@@ -95,6 +101,25 @@ PINNED_COUNTERS = {
         ("WhiteWin", 6606, 2835, {"hj": 83}),
         ("WhiteWin", 6606, 2835, {"setmatch": 83}),
     ],
+}
+
+
+# Certificate probes per fixture, in PRUNING_MODES order: how often solve asks
+# for a certificate, whatever the answer.
+PINNED_CERT_CALLS = {
+    "empty4x4": [0, 370, 1],
+    "fig1": [0, 74, 74],
+    "fig2": [0, 334, 334],
+    "fig3": [0, 73, 73],
+    "fig4": [0, 264, 264],
+    "fig5": [0, 243, 243],
+    "fig7": [0, 153, 153],
+    "fig8": [0, 90, 80],
+    "fig9a": [0, 1189, 1189],
+    "fig9b": [0, 812, 812],
+    "fig9c": [0, 229, 229],
+    "fig10": [0, 71, 71],
+    "fig11": [0, 91, 91],
 }
 
 
@@ -176,6 +201,77 @@ class TestAgainstPlainMinimax:
         assert verdict == expected
 
 
+class TestFinishedGame:
+    @pytest.mark.parametrize("mode", PRUNING_MODES)
+    @pytest.mark.parametrize(
+        "board,verdict",
+        [
+            ("4 4 4 W\nXXXX\nOOO.\n....\n....\n", Verdict.BLACK_WIN),
+            ("4 4 4 B\nOOOO\nXXX.\nX...\n....\n", Verdict.WHITE_WIN),
+        ],
+    )
+    def test_completed_group_decides_without_search(self, board, verdict, mode):
+        got, stats = solve(parse_position(board), pruning=mode)
+        assert got == verdict
+        assert stats.nodes_examined == 1
+        assert stats.cert_calls == 0
+        assert not stats.prune_events
+
+    def test_both_sides_completed_is_illegal(self):
+        pos = parse_position("4 4 4 B\nXXXX\nOOOO\n....\n....\n")
+        with pytest.raises(IllegalPositionError):
+            solve(pos)
+
+
+class TestProbe:
+    SPECS = [
+        BoardSpec(4, 4, 4),
+        BoardSpec(4, 4, 3),
+        BoardSpec(5, 4, 4),
+        BoardSpec(5, 5, 4),
+        BoardSpec(6, 5, 4),
+        BoardSpec(6, 6, 5),
+    ]
+
+    def test_hj_probe_matches_find_hj_pairing(self):
+        # The mask probe must agree with the Position-level matcher on seeded
+        # random Black-to-move positions of every stone count.
+        rng = random.Random(6)
+        outcomes = []
+        for i in range(1200):
+            spec = self.SPECS[i % len(self.SPECS)]
+            pos = random_position(rng, spec, 2 * rng.randrange(spec.m * spec.n // 2))
+            if pos.to_move != BLACK:
+                continue
+            black, white = state_mask(pos, BLACK), state_mask(pos, WHITE)
+            expected = find_hj_pairing(pos, live_black_groups(pos)) is not None
+            assert _probe(spec, black, white, "hj") == expected, pos
+            outcomes.append(expected)
+        assert len(outcomes) >= 1000
+        assert 100 <= sum(outcomes) <= len(outcomes) - 100
+
+    @pytest.fixture
+    def no_prove_draw(self, monkeypatch):
+        def fail(pos, *args, **kwargs):
+            raise AssertionError("prove_draw called")
+
+        monkeypatch.setattr(kinarow.configs, "prove_draw", fail)
+
+    def test_group_one_move_from_done_skips_prove_draw(self, no_prove_draw):
+        # Black threatens d1: no certificate can exist, and none is sought.
+        pos = parse_position("4 4 4 B\n....\nO...\nOO..\nXXX.\n")
+        black, white = state_mask(pos, BLACK), state_mask(pos, WHITE)
+        assert not _probe(pos.spec, black, white, "setmatch")
+
+    def test_failed_pairing_falls_back_to_prove_draw(self, no_prove_draw):
+        # The empty 4x4 board has no pairing (10 groups, 16 cells), and every
+        # group keeps 4 empty cells, so setmatch must ask prove_draw.
+        spec = BoardSpec(4, 4, 4)
+        assert not _probe(spec, 0, 0, "hj")
+        with pytest.raises(AssertionError, match="prove_draw called"):
+            _probe(spec, 0, 0, "setmatch")
+
+
 class TestPruningConsistency:
     @pytest.mark.parametrize("mode", PRUNING_MODES)
     def test_modes_agree_on_fig1(self, mode):
@@ -236,6 +332,16 @@ class TestDeterminism:
     def test_pinned_empty_3x3_count(self):
         _, stats = solve(empty_position(BoardSpec(3, 3, 3)))
         assert stats.nodes_examined == 1959
+
+
+class TestCertCalls:
+    @pytest.mark.parametrize("fixture", PINNED_CERT_CALLS)
+    def test_pinned_cert_calls(self, fixture):
+        # Every probe counts, whatever it returns, so the set of probed nodes
+        # shows here even where the prunes stay the same.
+        pos = parse_position(load_fixture(f"{fixture}.board"))
+        got = [solve(pos, pruning=m)[1].cert_calls for m in PRUNING_MODES]
+        assert got == PINNED_CERT_CALLS[fixture]
 
 
 class TestReport:
