@@ -134,6 +134,8 @@ def _cmd_solve(args) -> int:
     print(f"cert_calls: {stats.cert_calls}")
     for method, count in sorted(stats.prune_events.items()):
         print(f"prune_events[{method}]: {count}")
+    print(f"seconds: {stats.seconds:.6f}")
+    print(f"cert_seconds: {stats.cert_seconds:.6f}")
     return 0
 
 

@@ -1,12 +1,14 @@
 """Brute-force game solver with optional draw-certificate pruning.
 
 Depth-unbounded negamax with alpha-beta and a per-call transposition table.
-The search state is two ints, the Black and the White stone masks of
-`board.state_mask`; the table is keyed by that exact pair, so no hashing is
-involved.  Scores are from the side to move: +1 win, 0 draw, -1 loss.  With
-pruning enabled, a draw certificate at a Black-to-move node proves Black
-cannot win (value at most 0); it is used as a sound fail-low cutoff, so
-verdicts are identical across pruning modes.
+The search state is two ints, the stone masks (`board.state_mask`) of the
+side to move and of its opponent, and the table key is one int, `own << m*n |
+opp`: each move adds one stone, so within one search the stone count fixes the
+side to move and the key names the same position as the (Black, White) pair.
+Scores are from the side to move: +1 win, 0 draw, -1 loss.  With pruning
+enabled, a Black-to-move node whose window admits a draw (alpha at least 0) is
+probed; a draw certificate there proves Black cannot win (value at most 0) and
+is a sound fail-low cutoff, so verdicts are identical across pruning modes.
 
 A probe works on the masks.  A live Black group (no White stone) with at most
 one empty cell means Black completes it next move, so no certificate exists.
@@ -19,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from time import perf_counter
 from typing import Sequence
 
 from . import configs
@@ -59,6 +62,8 @@ class SearchStats:
     table_hits: int = 0
     prune_events: Counter = field(default_factory=Counter)
     cert_calls: int = 0
+    seconds: float = 0.0  # the whole solve
+    cert_seconds: float = 0.0  # inside certificate probes
 
 
 def to_position(spec: BoardSpec, black: int, white: int) -> Position:
@@ -71,10 +76,10 @@ def to_position(spec: BoardSpec, black: int, white: int) -> Position:
     return Position(spec, tuple(cells[r * m : (r + 1) * m] for r in range(spec.n)), BLACK)
 
 
-def _probe(spec: BoardSpec, black: int, white: int, pruning: str) -> bool:
-    """Whether a certificate proves that Black, to move, cannot complete a group."""
+def _probe(spec: BoardSpec, groups: Sequence[int], black: int, white: int, pruning: str) -> bool:
+    """Whether a certificate proves that Black, to move, cannot complete any of the group masks."""
     free = ~(black | white)
-    rooms = [g & free for g in group_masks(spec) if not g & white]
+    rooms = [g & free for g in groups if not g & white]
     if any(room.bit_count() < 2 for room in rooms):
         return False
     if pairing_exists(rooms):
@@ -92,33 +97,27 @@ def solve(
     use_table: bool = True,
 ) -> tuple[Verdict, SearchStats]:
     """Exact game value of pos with perfect play, plus search statistics."""
+    started = perf_counter()
     if pruning not in PRUNING_MODES:
         raise ValueError(f"unknown pruning mode {pruning!r}")
     spec = pos.spec
+    groups = group_masks(spec)
     stats = SearchStats()
     black, white = state_mask(pos, BLACK), state_mask(pos, WHITE)
     # A finished game needs no search.
     done = [v for v, mask in ((Verdict.BLACK_WIN, black), (Verdict.WHITE_WIN, white))
-            if any(g & mask == g for g in group_masks(spec))]
+            if any(g & mask == g for g in groups)]
     if len(done) == 2:
         raise IllegalPositionError("both sides have completed a group")
     if done:
         stats.nodes_examined = 1
+        stats.seconds = perf_counter() - started
         return done[0], stats
     empt = pos.empties()
     if len(empt) > guard:
         raise SearchGuardError(
             f"{len(empt)} empty cells exceeds guard of {guard}"
         )
-
-    # Headline shortcut: on the fully empty board the first player's value is
-    # at least a draw (strategy stealing), so a certificate decides it outright.
-    if pruning != "none" and pos.to_move == BLACK and not (black | white):
-        stats.cert_calls += 1
-        if _probe(spec, black, white, pruning):
-            stats.nodes_examined = 1
-            stats.prune_events[pruning] += 1
-            return Verdict.DRAW, stats
 
     m, n = spec.m, spec.n
     center = ((m - 1) / 2, (n - 1) / 2)
@@ -129,20 +128,37 @@ def solve(
             (i // m, i % m),
         ),
     )
-    # Per move, in search order: its bit and the group masks through it.
-    moves = [
-        (1 << i, [g for g in group_masks(spec) if g >> i & 1]) for i in ordered
-    ]
-    table: dict[tuple[int, int], tuple[int, int]] = {}
+    # Per move, in search order: its bit and, for each group through it, the
+    # group's other cells; the move wins when the mover holds all of them.
+    moves = [(1 << i, [g ^ 1 << i for g in groups if g >> i & 1]) for i in ordered]
+    shift = m * n
+    probing = pruning != "none"
+    # Black is to move at the nodes whose empty count has this parity.
+    black_parity = len(empt) & 1 ^ (pos.to_move != BLACK)
+    table: dict[int, tuple[int, int]] = {}
+    lookup = table.get
+    nodes = hits = probes = prunes = 0
+    cert_seconds = 0.0
 
-    def negamax(own: int, opp: int, side: str, alpha: int, beta: int, empties_left: int) -> int:
-        """Value for side, holding the stones own against opp."""
-        stats.nodes_examined += 1
+    def certified(black: int, white: int) -> bool:
+        """One counted and timed probe of a Black-to-move node."""
+        nonlocal probes, prunes, cert_seconds
+        probes += 1
+        probed = perf_counter()
+        held = _probe(spec, groups, black, white, pruning)
+        cert_seconds += perf_counter() - probed
+        prunes += held
+        return held
+
+    def negamax(own: int, opp: int, alpha: int, beta: int, empties_left: int) -> int:
+        """Value for the side to move, holding the stones own against opp."""
+        nonlocal nodes, hits
+        nodes += 1
         if empties_left == 0:
             return 0
-        key = (own, opp) if side == BLACK else (opp, own)
+        key = own << shift | opp
         if use_table:
-            entry = table.get(key)
+            entry = lookup(key)
             if entry is not None:
                 value, flag = entry
                 if (
@@ -150,31 +166,30 @@ def solve(
                     or (flag == _LOWER and value >= beta)
                     or (flag == _UPPER and value <= alpha)
                 ):
-                    stats.table_hits += 1
+                    hits += 1
                     return value
-        if pruning != "none" and side == BLACK and alpha >= 0:
-            stats.cert_calls += 1
-            if _probe(spec, own, opp, pruning):
-                stats.prune_events[pruning] += 1
-                return 0
+        if probing and alpha >= 0 and empties_left & 1 == black_parity and certified(own, opp):
+            return 0
         orig_alpha = alpha
         best = -2
-        opp_side = WHITE if side == BLACK else BLACK
         taken = own | opp
-        for bit, lines in moves:
+        for bit, rests in moves:
             if taken & bit:
                 continue
-            mine = own | bit
-            if any(g & mine == g for g in lines):
-                best = 1
-                break
-            value = -negamax(opp, mine, opp_side, -beta, -alpha, empties_left - 1)
-            if value > best:
-                best = value
-            if best > alpha:
-                alpha = best
-            if alpha >= beta or best == 1:
-                break
+            for rest in rests:
+                if own & rest == rest:
+                    break
+            else:
+                value = -negamax(opp, own | bit, -beta, -alpha, empties_left - 1)
+                if value > best:
+                    best = value
+                if best > alpha:
+                    alpha = best
+                if alpha >= beta or best == 1:
+                    break
+                continue
+            best = 1  # the move completes a group
+            break
         if use_table:
             flag = _EXACT
             if best <= orig_alpha:
@@ -184,13 +199,21 @@ def solve(
             table[key] = (best, flag)
         return best
 
-    own, opp = (black, white) if pos.to_move == BLACK else (white, black)
-    score = negamax(own, opp, pos.to_move, -1, 1, len(empt))
-    if pos.to_move == BLACK:
-        verdict = (Verdict.BLACK_WIN, Verdict.DRAW, Verdict.WHITE_WIN)[1 - score]
+    # Headline shortcut: on the fully empty board the first player's value is
+    # at least a draw (strategy stealing), so a certificate decides it outright.
+    if probing and pos.to_move == BLACK and not (black | white) and certified(black, white):
+        nodes, score = 1, 0
     else:
-        verdict = (Verdict.WHITE_WIN, Verdict.DRAW, Verdict.BLACK_WIN)[1 - score]
-    return verdict, stats
+        own, opp = (black, white) if pos.to_move == BLACK else (white, black)
+        score = negamax(own, opp, -1, 1, len(empt))
+        if pos.to_move != BLACK:
+            score = -score
+    stats.nodes_examined, stats.table_hits, stats.cert_calls = nodes, hits, probes
+    if prunes:
+        stats.prune_events[pruning] = prunes
+    stats.cert_seconds = cert_seconds
+    stats.seconds = perf_counter() - started
+    return (Verdict.BLACK_WIN, Verdict.DRAW, Verdict.WHITE_WIN)[1 - score], stats
 
 
 @dataclass

@@ -46,6 +46,17 @@ class TestSolve:
         assert main(["solve", "--board", fixture_path("fig1.board"), "--method", "hj"]) == 0
         assert "cert_calls: 74\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["none", "hj", "setmatch"])
+    def test_timing_lines(self, capsys, method):
+        assert main(["solve", "--board", fixture_path("fig1.board"), "--method", method]) == 0
+        lines = dict(
+            line.split(": ") for line in capsys.readouterr().out.splitlines()[1:]
+        )
+        seconds, cert_seconds = float(lines["seconds"]), float(lines["cert_seconds"])
+        assert 0 <= cert_seconds <= seconds
+        if method == "none":
+            assert cert_seconds == 0
+
     @pytest.mark.parametrize(
         "board,verdict",
         [

@@ -14,6 +14,7 @@ from kinarow.board import (
     Position,
     apply_move,
     empty_position,
+    group_masks,
     live_black_groups,
     other,
     parse_position,
@@ -101,6 +102,26 @@ PINNED_COUNTERS = {
         ("WhiteWin", 6606, 2835, {"hj": 83}),
         ("WhiteWin", 6606, 2835, {"setmatch": 83}),
     ],
+}
+
+
+# Larger and White-to-move trees: (verdict, nodes_examined, table_hits,
+# prune_events, cert_calls) per board and pruning mode.  A table key that
+# confused the sides at a White-to-move root would move these.
+WHITE_4X4 = "4 4 4 W\n....\n..X.\nX...\n.O..\n"
+WHITE_5X4 = "5 4 4 W\n.....\n..X..\nXXXO.\n.OO..\n"
+PINNED_TREES = {
+    "white4x4-none": (WHITE_4X4, "none", ("Draw", 41277, 20042, {}, 0)),
+    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 29949, 14587, {"hj": 93}, 125)),
+    "white4x4-setmatch": (WHITE_4X4, "setmatch", ("Draw", 29949, 14587, {"setmatch": 93}, 125)),
+    "white5x4-none": (WHITE_5X4, "none", ("WhiteWin", 38635, 18894, {}, 0)),
+    "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 27656, 12428, {"hj": 1417}, 4131)),
+    "white5x4-setmatch": (
+        WHITE_5X4, "setmatch", ("WhiteWin", 26499, 11965, {"setmatch": 1244}, 3686)
+    ),
+    "empty4x4-hj": (
+        "4 4 4 B\n....\n....\n....\n....\n", "hj", ("Draw", 176073, 98671, {"hj": 285}, 370)
+    ),
 }
 
 
@@ -245,7 +266,7 @@ class TestProbe:
                 continue
             black, white = state_mask(pos, BLACK), state_mask(pos, WHITE)
             expected = find_hj_pairing(pos, live_black_groups(pos)) is not None
-            assert _probe(spec, black, white, "hj") == expected, pos
+            assert _probe(spec, group_masks(spec), black, white, "hj") == expected, pos
             outcomes.append(expected)
         assert len(outcomes) >= 1000
         assert 100 <= sum(outcomes) <= len(outcomes) - 100
@@ -261,15 +282,15 @@ class TestProbe:
         # Black threatens d1: no certificate can exist, and none is sought.
         pos = parse_position("4 4 4 B\n....\nO...\nOO..\nXXX.\n")
         black, white = state_mask(pos, BLACK), state_mask(pos, WHITE)
-        assert not _probe(pos.spec, black, white, "setmatch")
+        assert not _probe(pos.spec, group_masks(pos.spec), black, white, "setmatch")
 
     def test_failed_pairing_falls_back_to_prove_draw(self, no_prove_draw):
         # The empty 4x4 board has no pairing (10 groups, 16 cells), and every
         # group keeps 4 empty cells, so setmatch must ask prove_draw.
         spec = BoardSpec(4, 4, 4)
-        assert not _probe(spec, 0, 0, "hj")
+        assert not _probe(spec, group_masks(spec), 0, 0, "hj")
         with pytest.raises(AssertionError, match="prove_draw called"):
-            _probe(spec, 0, 0, "setmatch")
+            _probe(spec, group_masks(spec), 0, 0, "setmatch")
 
 
 class TestPruningConsistency:
@@ -284,6 +305,7 @@ class TestPruningConsistency:
         assert verdict == Verdict.DRAW
         assert stats.nodes_examined == 1
         assert stats.prune_events["setmatch"] == 1
+        assert 0 < stats.cert_seconds <= stats.seconds
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -329,6 +351,16 @@ class TestDeterminism:
         got = (str(verdict), stats.nodes_examined, stats.table_hits, dict(stats.prune_events))
         assert got == expected
 
+    @pytest.mark.parametrize(
+        "board,mode,expected",
+        [pytest.param(*pin, id=name) for name, pin in PINNED_TREES.items()],
+    )
+    def test_pinned_trees(self, board, mode, expected):
+        verdict, stats = solve(parse_position(board), pruning=mode)
+        got = (str(verdict), stats.nodes_examined, stats.table_hits,
+               dict(stats.prune_events), stats.cert_calls)
+        assert got == expected
+
     def test_pinned_empty_3x3_count(self):
         _, stats = solve(empty_position(BoardSpec(3, 3, 3)))
         assert stats.nodes_examined == 1959
@@ -342,6 +374,16 @@ class TestCertCalls:
         pos = parse_position(load_fixture(f"{fixture}.board"))
         got = [solve(pos, pruning=m)[1].cert_calls for m in PRUNING_MODES]
         assert got == PINNED_CERT_CALLS[fixture]
+
+
+class TestTimings:
+    @pytest.mark.parametrize("mode", PRUNING_MODES)
+    @pytest.mark.parametrize("fixture", ["fig5", "fig9b"])
+    def test_cert_seconds_within_seconds(self, fixture, mode):
+        _, stats = solve(parse_position(load_fixture(f"{fixture}.board")), pruning=mode)
+        assert 0 <= stats.cert_seconds <= stats.seconds
+        if mode == "none":
+            assert stats.cert_seconds == 0
 
 
 class TestReport:
