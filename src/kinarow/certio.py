@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .board import Group, cell_key, cell_name, parse_cell, parse_position, render_position
+from .board import BoardFormatError, Group, IllegalPositionError, cell_key, cell_name
+from .board import parse_cell, parse_position, render_position
 from .configs import CertEntry, DrawCertificate
 from .pairing import Pairing
 from .setmatch import Covering, MatchingSet
@@ -104,7 +105,10 @@ def certificate_from_json(text: str) -> DrawCertificate:
         raise CertificateFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("board"), str):
         raise CertificateFormatError("certificate object must contain a board text")
-    pos = parse_position(obj["board"])
+    try:
+        pos = parse_position(obj["board"])
+    except (BoardFormatError, IllegalPositionError) as exc:
+        raise CertificateFormatError(f"bad board: {exc}") from exc
     sets = obj.get("matching_sets", [])
     if not isinstance(sets, list) or not all(isinstance(mo, dict) for mo in sets):
         raise CertificateFormatError("matching_sets must be a list of objects")

@@ -672,6 +672,36 @@ def _bitsets(items: Sequence[Embedding], spec: BoardSpec) -> tuple[list[int], Ca
     return columns, clash
 
 
+@functools.lru_cache(maxsize=1024)
+def _max_reduction(groups: int, empty: int, sizes: tuple[tuple[int, int], ...]) -> int:
+    """The most cells saved by templates of the given (groups, markers) sizes,
+    any number of each, holding at most `groups` groups and `empty` markers
+    in all: a 2-D unbounded knapsack with value 2*groups - markers per item."""
+    best = [[0] * (empty + 1) for _ in range(groups + 1)]
+    for g in range(groups + 1):
+        row = best[g]
+        for m in range(empty + 1):
+            for tg, tm in sizes:
+                if tg <= g and tm <= m:
+                    row[m] = max(row[m], best[g - tg][m - tm] + 2 * tg - tm)
+    return best[groups][empty]
+
+
+def _saves_too_little(live: int, empty: int, templates: Iterable[ConfigTemplate]) -> bool:
+    """Whether no certificate from these templates can exist.
+
+    A certificate's embeddings hold distinct live groups and distinct empty
+    marker cells, and its residual pairing takes two further empty cells
+    per live group left over, so its templates must save (by reduction) at
+    least 2*live - empty cells.
+    """
+    need = 2 * live - empty
+    if need <= 0:
+        return False
+    sizes = tuple(sorted({(t.num_groups, t.num_markers) for t in templates}))
+    return need > _max_reduction(live, empty, sizes)
+
+
 def prove_draw(
     pos: Position,
     templates: Sequence[ConfigTemplate] | None = None,
@@ -679,25 +709,32 @@ def prove_draw(
 ) -> DrawCertificate | None:
     """Cover all live Black groups by independent embeddings plus a residual pairing.
 
-    Sound but deliberately incomplete: None proves nothing.
+    Sound but deliberately incomplete: None proves nothing.  Positions whose
+    templates cannot save enough cells (_saves_too_little) are refuted
+    before any search, and again over the templates that embedded.
     """
     if pos.to_move != BLACK:
         return None
+    if templates is None:
+        templates = catalog()
     live = live_black_groups(pos)
+    empty_mask = state_mask(pos, EMPTY)
+    total_empty = empty_mask.bit_count()
+    if _saves_too_little(len(live), total_empty, templates):
+        return None
     residual = find_hj_pairing(pos, live)
     if residual is not None:
         return DrawCertificate(pos, (), residual)
     embeddings = detect(pos, templates)
-    if not embeddings:
+    embedded = {id(e.template): e.template for e in embeddings}
+    if not embeddings or _saves_too_little(len(live), total_empty, embedded.values()):
         return None
 
-    rank = {t.name: (-t.reduction, -t.num_groups) for t in templates or catalog()}
+    rank = {t.name: (-t.reduction, -t.num_groups) for t in templates}
     embeddings.sort(key=lambda e: rank[e.template.name])
     group_index = _group_index(pos.spec)
     live_bits = [1 << group_index[g] for g in live]
     all_mask = sum(live_bits)
-    empty_mask = state_mask(pos, EMPTY)
-    total_empty = empty_mask.bit_count()
 
     def certificate(chosen: list[Embedding], residual: Pairing) -> DrawCertificate:
         entries = tuple(

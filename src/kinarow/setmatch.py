@@ -11,12 +11,11 @@ marker must be answerable.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
-from .board import BLACK, Cell, Group, Position, cell_key, winner
-from .board import apply_move, cell_name
+from .board import BLACK, Group, Position, cell_name
 from .pairing import PairResponder
 
 Node = Hashable
@@ -335,60 +334,6 @@ class MatchResponder:
             return responses[0]
         rest = sorted(empties, key=self.key)
         return rest[0] if rest else None
-
-
-COVERED_BY_WHITE = "covered-by-white"
-COMPLETED_BY_BLACK = "completed-by-black"
-OPEN = "open"
-
-
-@dataclass
-class GameTrace:
-    moves: list[tuple[str, Cell]] = field(default_factory=list)
-    outcomes: dict = field(default_factory=dict)
-
-    @property
-    def black_completed(self) -> list:
-        return [g for g, o in self.outcomes.items() if o == COMPLETED_BY_BLACK]
-
-
-def execute_strategy(
-    pos: Position,
-    m: MatchingSet,
-    black_policy: Callable[[Position], Cell | None],
-) -> GameTrace:
-    """Play White per the matching set against an arbitrary Black policy."""
-    from .board import WHITE
-
-    responder = MatchResponder(m, key=cell_key)
-    trace = GameTrace()
-    cur = pos
-    last_black: Cell | None = None
-    while True:
-        if cur.to_move == BLACK:
-            move = black_policy(cur)
-            if move is None:
-                break
-            cur = apply_move(cur, move)
-            trace.moves.append((BLACK, move))
-            last_black = move
-            if winner(cur) == BLACK:
-                break
-        else:
-            move = responder.respond(last_black, set(cur.empties()))
-            if move is None:
-                break
-            cur = apply_move(cur, move)
-            trace.moves.append((WHITE, move))
-    for g in m.groups:
-        states = {cur.at(c) for c in g}
-        if WHITE in states:
-            trace.outcomes[g] = COVERED_BY_WHITE
-        elif states == {BLACK}:
-            trace.outcomes[g] = COMPLETED_BY_BLACK
-        else:
-            trace.outcomes[g] = OPEN
-    return trace
 
 
 def exhaustive_marker_adversary(m: MatchingSet) -> list[list[Node]]:

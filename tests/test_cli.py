@@ -132,8 +132,10 @@ class TestVerifyCert:
             lambda obj: obj.update(matching_sets=["x"]),
             lambda obj: obj.update(board=5),
             lambda obj: obj["matching_sets"][0]["coverings"][0].update(black=7),
+            lambda obj: obj.update(board=""),
+            lambda obj: obj.update(board="a0"),
         ],
-        ids=["matching-set-string", "board-number", "covering-black-number"],
+        ids=["matching-set-string", "board-number", "covering-black-number", "board-empty", "board-cell-name"],
     )
     def test_wrongly_typed_json_is_usage_error(self, board_file, capsys, mutate):
         obj = json.loads(load_fixture("fig1.cert"))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,13 @@ from kinarow.board import (
     live_black_groups,
     parse_cell,
     parse_position,
+    winner,
 )
+from kinarow import configs
 from kinarow.certio import certificate_from_json, certificate_to_json
 from kinarow.configs import (
     DrawCertificate,
+    _max_reduction,
     catalog,
     check_certificate,
     cycle_line_template,
@@ -26,6 +30,7 @@ from kinarow.configs import (
     template_by_name,
     validate_catalog,
 )
+from tests.test_acceptance import random_legal_position
 from tests.test_board import load_fixture
 
 # name -> (markers, groups, reduction, ratio)
@@ -251,6 +256,80 @@ class TestProveDraw:
         pos = parse_position(load_fixture("fig9b.board"))
         a, b = prove_draw(pos), prove_draw(pos)
         assert certificate_to_json(a) == certificate_to_json(b)
+
+
+def brute_max_reductions(
+    sizes: list[tuple[int, int]], max_groups: int, max_empty: int
+) -> dict[tuple[int, int], int]:
+    """(groups, empty) -> the most cells saved by any multiset of templates of
+    the given (groups, markers) sizes that fits, by listing every multiset."""
+    totals = set()
+
+    def grow(i: int, groups: int, markers: int) -> None:
+        if i == len(sizes):
+            totals.add((groups, markers))
+            return
+        tg, tm = sizes[i]
+        while groups <= max_groups and markers <= max_empty:
+            grow(i + 1, groups, markers)
+            groups, markers = groups + tg, markers + tm
+
+    grow(0, 0, 0)
+    return {
+        (lg, em): max(2 * g - m for g, m in totals if g <= lg and m <= em)
+        for lg in range(max_groups + 1)
+        for em in range(max_empty + 1)
+    }
+
+
+def seeded_positions(spec: BoardSpec, count: int, seed: int) -> list:
+    rng = random.Random(seed)
+    out = [random_legal_position(rng, spec, 2 * rng.randint(1, 4)) for _ in range(count)]
+    return [pos for pos in out if winner(pos) is None]
+
+
+class TestMarkerBudget:
+    """prove_draw refutes a position whose templates cannot save 2L - E cells."""
+
+    @pytest.mark.parametrize(
+        "templates",
+        [
+            catalog(),
+            [cycle_template(n) for n in range(3, 7)] + [cycle_line_template(n) for n in range(3, 7)],
+        ],
+        ids=["catalog", "cycles"],
+    )
+    def test_knapsack_matches_brute_force(self, templates):
+        sizes = sorted({(t.num_groups, t.num_markers) for t in templates})
+        expected = brute_max_reductions(sizes, 12, 16)
+        got = {key: _max_reduction(*key, tuple(sizes)) for key in expected}
+        assert got == expected
+
+    def test_certificates_fit_the_empty_cells(self):
+        figs = ["empty4x4", *FIXTURE_TEMPLATES]
+        positions = [parse_position(load_fixture(f"{fig}.board")) for fig in figs]
+        positions += seeded_positions(BoardSpec(4, 4, 4), 12, 1)
+        positions += seeded_positions(BoardSpec(5, 4, 4), 12, 2)
+        positions += seeded_positions(BoardSpec(4, 4, 3), 12, 3)
+        proved = 0
+        for pos in positions:
+            cert = prove_draw(pos)
+            if cert is not None:
+                proved += 1
+                used = sum(len(e.matching.markers) for e in cert.entries)
+                assert used + 2 * len(cert.residual.assignments) <= len(pos.empties())
+        assert proved >= 20
+
+    @pytest.mark.parametrize("m, n", [(5, 4), (5, 5)])
+    def test_empty_board_refuted_before_detect(self, monkeypatch, m, n):
+        # 5x4: 17 live groups, 20 empty cells, and 2*17 - 20 = 14 exceeds the
+        # 12 cells two FlatStar/Line save; 5x5: 28 groups need 31 of at most 18.
+        def fail(*args, **kwargs):
+            raise AssertionError("the marker budget should refute this position first")
+
+        monkeypatch.setattr(configs, "detect", fail)
+        monkeypatch.setattr(configs, "find_hj_pairing", fail)
+        assert prove_draw(empty_position(BoardSpec(m, n, 4))) is None
 
 
 class TestCheckCertificate:
