@@ -112,6 +112,8 @@ def certificate_from_json(text: str) -> DrawCertificate:
     sets = obj.get("matching_sets", [])
     if not isinstance(sets, list) or not all(isinstance(mo, dict) for mo in sets):
         raise CertificateFormatError("matching_sets must be a list of objects")
+    if not all(isinstance(mo.get("template_name", ""), str) for mo in sets):
+        raise CertificateFormatError("template_name must be a string")
     entries = [
         CertEntry(mo.get("template_name", "?"), _matching_from_obj(mo), None)
         for mo in sets

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import string
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -712,6 +711,14 @@ def prove_draw(
     Sound but deliberately incomplete: None proves nothing.  Positions whose
     templates cannot save enough cells (_saves_too_little) are refuted
     before any search, and again over the templates that embedded.
+
+    A plain pairing of every live group is returned first.  Otherwise the
+    cover pass (exact_cover) seeks covers by embeddings alone and keeps the
+    least by (uncovered empty cells, sorted template names, sorted
+    bindings), so a full tiling of the empty cells wins whenever it finds
+    one.  Failing that, the residual pass (search) returns the first set of
+    embeddings whose leftover groups a residual pairing completes.
+    max_attempts caps the nodes of each of the two passes; there is no floor.
     """
     if pos.to_move != BLACK:
         return None
@@ -743,10 +750,10 @@ def prove_draw(
         )
         return DrawCertificate(pos, entries, residual)
 
-    # First preference: cover every live group with matching sets alone
-    # (empty residual).  Interchangeable label assignments collapse to one
-    # candidate per (marker cells, bound groups) signature, the first in
-    # (template name, sorted binding) order; candidates keep that order.
+    # Candidates of the cover pass.  Interchangeable label assignments
+    # collapse to one candidate per (marker cells, bound groups) signature,
+    # the first in (template name, sorted binding) order; the cover pass
+    # branches over candidates in that order.
     best_of: dict[tuple[int, int], tuple[tuple, Embedding]] = {}
     for e in embeddings:
         key = (e.template.name, e.cells)
@@ -756,82 +763,16 @@ def prove_draw(
             best_of[sig] = (key, e)
     cands = [e for key, e in sorted(best_of.values(), key=lambda ke: ke[0])]
 
-    # Pass 1: embeddings that exactly tile the empty cells while covering
-    # every live group.  Such a certificate prescribes a reply to every
-    # possible move, so it is preferred.  Candidate template-name multisets
-    # are fixed by the marker/group totals, so each is tried in name order
-    # with the search restricted to that multiset; the first hit wins.
-    by_name: dict[str, list[int]] = {}
-    for j, e in enumerate(cands):
-        by_name.setdefault(e.template.name, []).append(j)
-    sizes = {
-        name: (cands[js[0]].template.num_markers, cands[js[0]].template.num_groups)
-        for name, js in by_name.items()
-    }
-    names = sorted(by_name)
-    multisets: list[tuple[str, ...]] = []
-
-    def pick(i: int, chosen: list[str], nm: int, ng: int) -> None:
-        if nm == total_empty and ng == len(live):
-            multisets.append(tuple(chosen))
-            return
-        if i >= len(names) or nm > total_empty or ng > len(live):
-            return
-        markers_i, groups_i = sizes[names[i]]
-        pick(i + 1, chosen, nm, ng)
-        chosen.append(names[i])
-        pick(i, chosen, nm + markers_i, ng + groups_i)
-        chosen.pop()
-
-    pick(0, [], 0, 0)
-    multisets.sort()
-    tile_budget = [max(max_attempts, 100_000)]
-
-    def tile(pool: list[int], chosen: list[Embedding], remaining: Counter, covered: int, markers: int) -> bool:
-        if tile_budget[0] <= 0:
-            return False
-        tile_budget[0] -= 1
-        if markers == empty_mask:
-            return covered == all_mask
-        open_bit = (empty_mask & ~markers) & -(empty_mask & ~markers)
-        for j in pool:
-            e = cands[j]
-            if (
-                not e.marker_mask & open_bit
-                or not remaining[e.template.name]
-                or e.group_mask & covered
-                or e.marker_mask & markers
-            ):
-                continue
-            chosen.append(e)
-            remaining[e.template.name] -= 1
-            if tile(pool, chosen, remaining, covered | e.group_mask, markers | e.marker_mask):
-                return True
-            remaining[e.template.name] += 1
-            chosen.pop()
-            if tile_budget[0] <= 0:
-                return False
-        return False
-
-    for combo in multisets:
-        want = Counter(combo)
-        pool = sorted(j for name in want for j in by_name[name])
-        chosen: list[Embedding] = []
-        if tile(pool, chosen, want, 0, 0):
-            return certificate(chosen, Pairing(()))
-        if tile_budget[0] <= 0:
-            break
-
-    # Pass 2: cover every live group with matching sets alone (empty
+    # Cover pass: cover every live group with matching sets alone (empty
     # residual), branching on the least-flexible uncovered group: the one
     # held by the fewest candidates, the lowest group index on ties.  A
     # node's pool is the bitset of candidates compatible with its choices;
     # it branches on the pool's holders of that group, and a child's pool
     # drops the clash set of the candidate taken.
-    # Among full covers, keep the one pinning down the most cells, so the
-    # resulting strategy prescribes a reply to as many moves as possible;
-    # ties fall to the lexicographically smallest template-name combination
-    # for reproducible output.
+    # Among full covers, keep the one pinning down the most cells (a tiling
+    # of every empty cell first), so the resulting strategy prescribes a
+    # reply to as many moves as possible; ties fall to the lexicographically
+    # smallest template-name combination for reproducible output.
     columns, clash = _bitsets(cands, pos.spec)
     branch_order = sorted(_bits_idx(all_mask), key=lambda i: (columns[i].bit_count(), i))
     cover_budget = [max_attempts]
@@ -863,11 +804,12 @@ def prove_draw(
     if best_cover:
         return certificate(best_cover[0][1], Pairing(()))
 
-    # Pass 3: independent embeddings in (reduction, group count) order, each
-    # combination completed by a residual pairing of the groups left over.
-    # A node's pool is the bitset of later embeddings compatible with its
-    # choices.  The pairing is only sought when every uncovered group keeps
-    # two empty cells off the chosen markers; otherwise none exists.
+    # Residual pass: independent embeddings in (reduction, group count)
+    # order, each combination completed by a residual pairing of the groups
+    # left over.  A node's pool is the bitset of later embeddings compatible
+    # with its choices.  The pairing is only sought when every uncovered
+    # group keeps two empty cells off the chosen markers; otherwise none
+    # exists.
     cell_of = list(pos.spec.cells())  # marker_mask bit -> cell
     masks = group_masks(pos.spec)
     room = [(1 << i, masks[i] & empty_mask) for i in (group_index[g] for g in live)]

@@ -134,8 +134,16 @@ class TestVerifyCert:
             lambda obj: obj["matching_sets"][0]["coverings"][0].update(black=7),
             lambda obj: obj.update(board=""),
             lambda obj: obj.update(board="a0"),
+            lambda obj: obj["matching_sets"][0].update(template_name=[1, {"a": 2}]),
         ],
-        ids=["matching-set-string", "board-number", "covering-black-number", "board-empty", "board-cell-name"],
+        ids=[
+            "matching-set-string",
+            "board-number",
+            "covering-black-number",
+            "board-empty",
+            "board-cell-name",
+            "template-name-list",
+        ],
     )
     def test_wrongly_typed_json_is_usage_error(self, board_file, capsys, mutate):
         obj = json.loads(load_fixture("fig1.cert"))

@@ -90,26 +90,30 @@ TIES_4X4 = "4 4 4 B\n..O.\n..X.\nX...\n.O..\n"
 # prove_draw(pos, max_attempts=b) for b = 1, 3, 10, 100: the first 16 hex
 # digits of the SHA-256 of the certificate JSON, or None for NotFound.
 BUDGET_RESULTS = {
-    "empty4x4": ["364233186cb61d57"] * 4,
+    "empty4x4": [None, None, None, "d102e0d9ba14e5d0"],
     "fig1": [None] + ["fbf21a4b3d33d0f5"] * 3,
     "fig2": [None] + ["4a0e29857ae83d63"] * 3,
-    "fig3": ["8e359bd1b90d8f0d"] * 4,
-    "fig4": ["d248fb7eec711172"] * 4,
+    "fig3": [None] + ["8e359bd1b90d8f0d"] * 3,
+    "fig4": [None] + ["d248fb7eec711172"] * 3,
     "fig5": [None] + ["ad9a0746d8197085"] * 3,
     "fig7": [None] + ["7b82b54c803a070d"] * 3,
-    "fig8": ["933fd9a4e0597fb7"] * 4,
+    "fig8": [None] + ["933fd9a4e0597fb7"] * 3,
     "fig9a": [None] + ["eb6845454073812a"] * 3,
     "fig9b": [None] + ["6ccc4e0091ecb91b"] * 3,
-    "fig9c": ["aa81b72f27f0b5a9"] * 4,
-    "fig10": ["272f01a037e1a3c8"] * 4,
+    "fig9c": [None] + ["aa81b72f27f0b5a9"] * 3,
+    "fig10": [None, "43e3bb845accc42e", "43e3bb845accc42e", "272f01a037e1a3c8"],
     "fig11": [None] + ["50473701eab88cc2"] * 3,
     "residual5x4": [None] * 4,
     "ties4x4": [None, "447dc3ff2765a4c5", "447dc3ff2765a4c5", "744414a14b6107f8"],
 }
 
-# prove_draw(pos, max_attempts=b) for b = 100, 300, 1000, 5000 on 5x4
+# prove_draw(pos, max_attempts=b) for b = 100, 300, 1000, 5000 on
 # positions whose result changes past 100 nodes, where BUDGET_RESULTS stops.
+# The 4x4 opening has several Square + Square tilings: the cover search
+# lists a tiling's entries in branch order and, given the nodes, keeps the
+# least by sorted bindings.
 DEEP_BUDGET_RESULTS = {
+    "4 4 4 B\n....\n....\n....\n.O.X\n": ["07f78ace1e18b439"] + ["35f066ed7d5a1f1c"] * 3,
     "5 4 4 B\n.O...\n.....\n.....\n..XOX\n": [None] + ["d8d5f194f2236255"] * 3,
     "5 4 4 B\n....X\nXO...\n...O.\n.....\n": [None] + ["496d93e75d8b0e74"] * 3,
     "5 4 4 B\nO.X..\n..O..\n.....\nX....\n": [None] + ["a8c7dbf9d4052cac"] * 3,
