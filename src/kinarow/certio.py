@@ -12,7 +12,7 @@ from typing import Any
 
 from .board import BoardFormatError, Group, IllegalPositionError, cell_key, cell_name
 from .board import parse_cell, parse_position, render_position
-from .configs import CertEntry, DrawCertificate
+from .configs import CertEntry, DrawCertificate, template_by_name
 from .pairing import Pairing
 from .setmatch import Covering, MatchingSet
 
@@ -112,12 +112,13 @@ def certificate_from_json(text: str) -> DrawCertificate:
     sets = obj.get("matching_sets", [])
     if not isinstance(sets, list) or not all(isinstance(mo, dict) for mo in sets):
         raise CertificateFormatError("matching_sets must be a list of objects")
-    if not all(isinstance(mo.get("template_name", ""), str) for mo in sets):
-        raise CertificateFormatError("template_name must be a string")
-    entries = [
-        CertEntry(mo.get("template_name", "?"), _matching_from_obj(mo), None)
-        for mo in sets
-    ]
+    entries = []
+    for mo in sets:
+        try:  # a name the catalog does not know, or none
+            name = template_by_name(mo["template_name"]).name
+        except _WRONG_SHAPE as exc:
+            raise CertificateFormatError(f"bad template_name: {exc}") from exc
+        entries.append(CertEntry(name, _matching_from_obj(mo)))
     try:
         residual = Pairing(
             tuple(

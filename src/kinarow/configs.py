@@ -29,7 +29,7 @@ from .board import (
     live_black_groups,
     state_mask,
 )
-from .pairing import Pairing, find_hj_pairing, match_pairs
+from .pairing import Pairing, find_hj_pairing, smallest_pairing
 from .setmatch import (
     Covering,
     MatchingSet,
@@ -98,8 +98,10 @@ def derive_coverings(
 ) -> tuple[Covering, ...]:
     """Build a complete covering set: main-marker responses, pairings by exact matching."""
     a, b = main
+    labels = sorted(markers)  # label i is bit i, so pairs come in label order
+    bit = {lbl: 1 << i for i, lbl in enumerate(labels)}
     coverings = []
-    for x in sorted(markers):
+    for x in labels:
         if x == a:
             replies: list[Label] = [b]
         elif x == b:
@@ -107,10 +109,10 @@ def derive_coverings(
         else:
             replies = [a, b] + sorted(markers - {a, b, x})
         for y in replies:
-            remaining = [g - {x, y} for g in groups if y not in g]
-            pairs = match_pairs(remaining, frozenset(markers - {x, y}), key=str)
+            rooms = [sum(bit[lbl] for lbl in g - {x}) for g in groups if y not in g]
+            pairs = smallest_pairing(rooms)
             if pairs is not None:
-                coverings.append(Covering(x, y, tuple(tuple(p) for p in pairs)))
+                coverings.append(Covering(x, y, tuple((labels[i], labels[j]) for i, j in pairs)))
                 break
         else:
             raise ValueError(f"no covering derivable for first move {x}")
@@ -621,7 +623,6 @@ def detect(
 class CertEntry:
     template_name: str
     matching: MatchingSet
-    binding: dict[Label, Cell] | None = None
 
 
 @dataclass
@@ -744,10 +745,7 @@ def prove_draw(
     all_mask = sum(live_bits)
 
     def certificate(chosen: list[Embedding], residual: Pairing) -> DrawCertificate:
-        entries = tuple(
-            CertEntry(e.template.name, e.to_matching_set(), dict(e.binding))
-            for e in chosen
-        )
+        entries = tuple(CertEntry(e.template.name, e.to_matching_set()) for e in chosen)
         return DrawCertificate(pos, entries, residual)
 
     # Candidates of the cover pass.  Interchangeable label assignments

@@ -1,91 +1,71 @@
 """Hales-Jewett pairings: exact search, verification, and White's reply rules.
 
 A pairing reserves two distinct empty cells (markers) per group, all cells
-distinct across groups.  Feasibility is decided exactly by a bipartite
-matching in which every group demands two units and every usable cell
-supplies one, so a None result means no pairing exists at all.
+distinct across groups.  One matcher decides it, on rooms: a room is the
+bitmask of the cells a group may use, and on a board bit r*m+c stands for
+the cell (c, r).  Feasibility is an exact bipartite matching in which every
+room demands two units and every usable cell supplies one, so a None result
+means no pairing exists at all.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
-from .board import Cell, Group, Position, cell_key, EMPTY, WHITE
+from .board import Cell, Group, Position, EMPTY, WHITE, cell_name, state_mask
 
-T = TypeVar("T", bound=Hashable)
+T = TypeVar("T")
 
 
 class DeadGroupError(ValueError):
     """Raised when a pairing is requested for a group already containing White."""
 
 
-def _max_matching(
-    slots: int, candidates: Callable[[int], Sequence[T]]
-) -> dict[T, int] | None:
-    """Match every slot to a distinct node via augmenting paths, or None."""
-    owner: dict[T, int] = {}
+def pairing_exists(rooms: Sequence[int]) -> bool:
+    """Whether two cells of each room (a bitmask of usable cells) can be reserved, none twice.
 
-    def augment(slot: int, seen: set[T]) -> bool:
-        for node in candidates(slot):
-            if node in seen:
-                continue
-            seen.add(node)
-            if node not in owner or augment(owner[node], seen):
-                owner[node] = slot
+    Augmenting paths, where slot s takes a cell of rooms[s // 2].
+    """
+    owner: dict[int, int] = {}  # cell bit -> the slot holding it
+    seen = 0  # cells visited by the current augmenting search
+
+    def augment(slot: int) -> bool:
+        nonlocal seen
+        while free := rooms[slot >> 1] & ~seen:
+            bit = free & -free
+            seen |= bit
+            if bit not in owner or augment(owner[bit]):
+                owner[bit] = slot
                 return True
         return False
 
-    for slot in range(slots):
-        if not augment(slot, set()):
-            return None
-    return owner
+    for slot in range(2 * len(rooms)):
+        seen = 0
+        if not augment(slot):
+            return False
+    return True
 
 
-def pairing_exists(rooms: Sequence[int]) -> bool:
-    """Whether two cells of each room (a bitmask of usable cells) can be reserved, none twice."""
-    cells = [[1 << i for i in range(room.bit_length()) if room >> i & 1] for room in rooms]
-    return _max_matching(2 * len(cells), lambda slot: cells[slot // 2]) is not None
+def smallest_pairing(rooms: Sequence[int]) -> list[tuple[int, int]] | None:
+    """One disjoint pair of bit indices (low first) inside each room, or None.
 
-
-def match_pairs(
-    group_nodes: Sequence[frozenset[T]],
-    available: frozenset[T],
-    key: Callable[[T], object] = lambda n: n,
-) -> list[tuple[T, T]] | None:
-    """Assign a disjoint pair of available nodes inside each node set.
-
-    Returns one pair per entry of group_nodes (lexicographically smallest
-    assignment under `key`), or None when infeasible.  Groups and cells are
-    abstract here so the same routine serves board pairings and the
-    marker-label pairings inside matching-set coverings.
+    Room by room, the first free pair that leaves the later rooms a pairing.
     """
-
-    def feasible(sets: Sequence[frozenset[T]], avail: frozenset[T]) -> bool:
-        ordered = {i: sorted(s & avail, key=key) for i, s in enumerate(sets)}
-        return (
-            _max_matching(2 * len(sets), lambda slot: ordered[slot // 2]) is not None
-        )
-
-    if not feasible(group_nodes, available):
+    if not pairing_exists(rooms):
         return None
-    pairs: list[tuple[T, T]] = []
-    avail = available
-    for i, nodes in enumerate(group_nodes):
-        own = sorted(nodes & avail, key=key)
-        rest = group_nodes[i + 1 :]
-        for a_idx in range(len(own)):
-            for b_idx in range(a_idx + 1, len(own)):
-                u, v = own[a_idx], own[b_idx]
-                if feasible(rest, avail - {u, v}):
-                    pairs.append((u, v))
-                    avail = avail - {u, v}
-                    break
-            else:
-                continue
-            break
-        else:  # pragma: no cover - guarded by the feasibility pre-check
-            return None
+    pairs: list[tuple[int, int]] = []
+    used = 0
+    for i, room in enumerate(rooms):
+        free = room & ~used
+        bits = [b for b in range(free.bit_length()) if free >> b & 1]
+        for a, b in itertools.combinations(bits, 2):
+            taken = used | 1 << a | 1 << b
+            if pairing_exists([r & ~taken for r in rooms[i + 1 :]]):
+                pairs.append((a, b))
+                used = taken
+                break
     return pairs
 
 
@@ -119,23 +99,22 @@ def find_hj_pairing(
     """An exact HJ-pairing for the given live groups, or None if none exists.
 
     Cells in `excluded` are off-limits as markers (already reserved elsewhere).
+    Pairs are the smallest in cell_key order, which is ascending bit order.
     """
     for g in groups:
         if any(pos.at(c) == WHITE for c in g):
             raise DeadGroupError(f"group {g} already contains a White stone")
-    empty_sets = [
-        frozenset(c for c in g if pos.is_empty(c) and c not in excluded)
-        for g in groups
-    ]
-    available = frozenset(c for s in empty_sets for c in s)
-    pairs = match_pairs(empty_sets, available, key=cell_key)
+    m = pos.spec.m
+    usable = state_mask(pos, EMPTY)
+    for c, r in filter(pos.spec.in_bounds, excluded):
+        usable &= ~(1 << (r * m + c))
+    rooms = [sum(1 << (r * m + c) for c, r in g) & usable for g in groups]
+    pairs = smallest_pairing(rooms)
     if pairs is None:
         return None
-    assignments = tuple(
-        (g, (min(p, key=cell_key), max(p, key=cell_key)))
-        for g, p in zip(groups, pairs)
+    return Pairing(
+        tuple((g, ((a % m, a // m), (b % m, b // m))) for g, (a, b) in zip(groups, pairs))
     )
-    return Pairing(assignments)
 
 
 def verify_pairing(
@@ -171,8 +150,6 @@ def verify_pairing(
 
 
 def cell_name_safe(cell: Cell) -> str:
-    from .board import cell_name
-
     try:
         return cell_name(cell)
     except ValueError:

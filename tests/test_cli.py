@@ -135,6 +135,8 @@ class TestVerifyCert:
             lambda obj: obj.update(board=""),
             lambda obj: obj.update(board="a0"),
             lambda obj: obj["matching_sets"][0].update(template_name=[1, {"a": 2}]),
+            lambda obj: obj["matching_sets"][0].update(template_name="Pentagon"),
+            lambda obj: obj["matching_sets"][0].pop("template_name"),
         ],
         ids=[
             "matching-set-string",
@@ -143,6 +145,8 @@ class TestVerifyCert:
             "board-empty",
             "board-cell-name",
             "template-name-list",
+            "template-name-unknown",
+            "template-name-missing",
         ],
     )
     def test_wrongly_typed_json_is_usage_error(self, board_file, capsys, mutate):
@@ -210,6 +214,16 @@ class TestDetect:
             ["detect", "--board", fixture_path("fig5.board"), "--templates", "Blob"]
         )
         assert code == 2
+
+
+class TestTable1:
+    def test_json_report(self, capsys):
+        assert main(["table1", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert "MISMATCH" not in out
+        report = json.loads(out[out.index("\n[") :])
+        assert len(report) == 13
+        assert {r["certificate_status"] for r in report} == {"Valid"}
 
 
 class TestRender:

@@ -19,25 +19,28 @@ from kinarow.pairing import (
     DeadGroupError,
     PairResponder,
     find_hj_pairing,
-    match_pairs,
+    smallest_pairing,
     verify_pairing,
 )
 from tests.test_board import load_fixture
 
 
-def exhaustive_pairing_exists(group_cells: list[frozenset]) -> bool:
-    """Independent oracle: try every assignment of 2 distinct cells per group."""
+def first_exhaustive_pairing(rooms: list[int]) -> list[tuple[int, int]] | None:
+    """Independent oracle: try every assignment of 2 distinct bits per room,
+    rooms in order and each room's pairs in lexicographic order, and return
+    the first that works."""
 
-    def assign(i: int, used: frozenset) -> bool:
-        if i == len(group_cells):
-            return True
-        free = sorted(group_cells[i] - used)
+    def assign(i: int, used: int) -> list[tuple[int, int]] | None:
+        if i == len(rooms):
+            return []
+        free = [b for b in range(rooms[i].bit_length()) if (rooms[i] & ~used) >> b & 1]
         for a, b in itertools.combinations(free, 2):
-            if assign(i + 1, used | {a, b}):
-                return True
-        return False
+            rest = assign(i + 1, used | 1 << a | 1 << b)
+            if rest is not None:
+                return [(a, b)] + rest
+        return None
 
-    return assign(0, frozenset())
+    return assign(0, 0)
 
 
 class TestFindPairing:
@@ -72,6 +75,13 @@ class TestFindPairing:
         pairing = find_hj_pairing(pos, [group], excluded=frozenset({(0, 0)}))
         assert (0, 0) not in pairing.pair_for(group)
 
+    def test_off_board_excluded_cells_ignored(self):
+        # (4, 0) lies off the 4-wide board, but its bit 0*4+4 is a2's.
+        pos = empty_position(BoardSpec(4, 2, 4))
+        row1 = next(g for g in live_black_groups(pos) if all(r == 1 for _, r in g))
+        pairing = find_hj_pairing(pos, [row1], excluded=frozenset({(4, 0)}))
+        assert pairing.pair_for(row1) == ((0, 1), (1, 1))
+
 
 class TestVerifyPairing:
     def test_valid_pairing_has_no_violations(self):
@@ -105,19 +115,19 @@ class TestHallCondition:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matcher_agrees_with_exhaustive_search(self, data):
-        cells = [f"c{i}" for i in range(8)]
         n_groups = data.draw(st.integers(1, 5))
-        groups = [
-            frozenset(data.draw(st.sets(st.sampled_from(cells), min_size=2, max_size=5)))
+        rooms = [
+            sum(1 << b for b in data.draw(st.sets(st.integers(0, 7), min_size=2, max_size=5)))
             for _ in range(n_groups)
         ]
-        got = match_pairs(groups, frozenset(cells), key=str)
-        assert (got is not None) == exhaustive_pairing_exists(groups)
+        got = smallest_pairing(rooms)
+        # Bundled certificates and derived coverings depend on this order.
+        assert got == first_exhaustive_pairing(rooms)
         if got is not None:
-            used = [c for pair in got for c in pair]
+            used = [b for pair in got for b in pair]
             assert len(used) == len(set(used)) == 2 * n_groups
-            for g, pair in zip(groups, got):
-                assert set(pair) <= g
+            for room, (a, b) in zip(rooms, got):
+                assert a < b and room >> a & 1 and room >> b & 1
 
 
 class TestStrategySoundness:
