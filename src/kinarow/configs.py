@@ -851,6 +851,20 @@ def check_certificate(cert: DrawCertificate) -> ProofResult:
     for i, entry in enumerate(cert.entries):
         loc = f"embedding {i} ({entry.template_name})"
         ms = entry.matching
+        # The catalog's templates differ in (markers, groups, coverings), so
+        # these counts tie the matching set to the template it is named for.
+        try:
+            named = template_by_name(entry.template_name).matching
+        except (KeyError, ValueError):
+            v.append((loc, "not a catalog template name"))
+        else:
+            shape = (len(ms.markers), len(ms.groups), len(ms.coverings))
+            expected = (len(named.markers), len(named.groups), len(named.coverings))
+            if shape != expected:
+                v.append((
+                    loc,
+                    f"(markers, groups, coverings) {shape} are not the template's {expected}",
+                ))
         if ms.markers & seen_markers:
             v.append((loc, "independence violated: shared marker cells"))
         seen_markers |= ms.markers

@@ -10,6 +10,25 @@ enabled, a Black-to-move node whose window admits a draw (alpha at least 0) is
 probed; a draw certificate there proves Black cannot win (value at most 0) and
 is a sound fail-low cutoff, so verdicts are identical across pruning modes.
 
+The search follows the threat rules of k-in-a-row solvers.  A side's threats
+are the empty cells that would complete a group holding no stone of the other
+side.  `solve` computes both sides' threats once at the root: if the side to
+move has one it wins there (+1).  Below the root the side to move never has a
+threat, so a node carries only its opponent's threats and, in this order:
+
+- with no empty cell left it is a draw (0);
+- facing two or more threats it loses (-1): one block leaves another
+  completion, and the mover cannot win first;
+- after the table lookup and the probe, facing one threat it searches only
+  the block, since any other move lets the opponent complete a group;
+- otherwise it searches every empty cell, centre first.
+
+The mover had no threat, so its threats after a move come only from the
+groups through that cell; the opponent's threats lose at most that cell,
+and after the block or with no threat they are empty.  So each child's mover has no threat, which is why no
+node ever needs a win test: a completing move is always a threat, and no
+line of play reaches a finished game.
+
 A probe works on the masks.  A live Black group (no White stone) with at most
 one empty cell means Black completes it next move, so no certificate exists.
 Otherwise a probe holds when a pairing reserves two empty cells of every live
@@ -128,9 +147,10 @@ def solve(
             (i // m, i % m),
         ),
     )
-    # Per move, in search order: its bit and, for each group through it, the
-    # group's other cells; the move wins when the mover holds all of them.
-    moves = [(1 << i, [g ^ 1 << i for g in groups if g >> i & 1]) for i in ordered]
+    # Per cell index, the group masks through it; per move, in search order,
+    # its bit and those groups.
+    lines = [[g for g in groups if g >> i & 1] for i in range(m * n)]
+    moves = [(1 << i, lines[i]) for i in ordered]
     shift = m * n
     probing = pruning != "none"
     # Black is to move at the nodes whose empty count has this parity.
@@ -150,12 +170,26 @@ def solve(
         prunes += held
         return held
 
-    def negamax(own: int, opp: int, alpha: int, beta: int, empties_left: int) -> int:
-        """Value for the side to move, holding the stones own against opp."""
+    def threat_cells(through: list[int], own: int, opp: int) -> int:
+        """The empty cells that complete one of the groups through for own's holder."""
+        cells = 0
+        for g in through:
+            if not g & opp:
+                room = g & ~own
+                if not room & (room - 1):
+                    cells |= room
+        return cells
+
+    def negamax(
+        own: int, opp: int, threats: int, alpha: int, beta: int, empties_left: int
+    ) -> int:
+        """Value for the side to move, holding own against opp with threat cells threats."""
         nonlocal nodes, hits
         nodes += 1
         if empties_left == 0:
             return 0
+        if threats & (threats - 1):
+            return -1
         key = own << shift | opp
         if use_table:
             entry = lookup(key)
@@ -173,23 +207,18 @@ def solve(
         orig_alpha = alpha
         best = -2
         taken = own | opp
-        for bit, rests in moves:
+        for bit, through in ((threats, lines[threats.bit_length() - 1]),) if threats else moves:
             if taken & bit:
                 continue
-            for rest in rests:
-                if own & rest == rest:
-                    break
-            else:
-                value = -negamax(opp, own | bit, -beta, -alpha, empties_left - 1)
-                if value > best:
-                    best = value
-                if best > alpha:
-                    alpha = best
-                if alpha >= beta or best == 1:
-                    break
-                continue
-            best = 1  # the move completes a group
-            break
+            mine = own | bit
+            made = threat_cells(through, mine, opp)
+            value = -negamax(opp, mine, made, -beta, -alpha, empties_left - 1)
+            if value > best:
+                best = value
+            if best > alpha:
+                alpha = best
+            if alpha >= beta or best == 1:
+                break
         if use_table:
             flag = _EXACT
             if best <= orig_alpha:
@@ -199,15 +228,17 @@ def solve(
             table[key] = (best, flag)
         return best
 
+    own, opp = (black, white) if pos.to_move == BLACK else (white, black)
+    if threat_cells(groups, own, opp):
+        nodes, score = 1, 1
     # Headline shortcut: on the fully empty board the first player's value is
     # at least a draw (strategy stealing), so a certificate decides it outright.
-    if probing and pos.to_move == BLACK and not (black | white) and certified(black, white):
+    elif probing and pos.to_move == BLACK and not (black | white) and certified(black, white):
         nodes, score = 1, 0
     else:
-        own, opp = (black, white) if pos.to_move == BLACK else (white, black)
-        score = negamax(own, opp, -1, 1, len(empt))
-        if pos.to_move != BLACK:
-            score = -score
+        score = negamax(own, opp, threat_cells(groups, opp, own), -1, 1, len(empt))
+    if pos.to_move != BLACK:
+        score = -score
     stats.nodes_examined, stats.table_hits, stats.cert_calls = nodes, hits, probes
     if prunes:
         stats.prune_events[pruning] = prunes

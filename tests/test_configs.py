@@ -19,6 +19,7 @@ from kinarow.board import (
 from kinarow import configs
 from kinarow.certio import certificate_from_json, certificate_to_json
 from kinarow.configs import (
+    CertEntry,
     DrawCertificate,
     _max_reduction,
     catalog,
@@ -367,6 +368,24 @@ class TestCheckCertificate:
         result = check_certificate(certificate_from_json(json.dumps(obj)))
         off_board = [loc for loc, reason in result.violations if "off the board" in reason]
         assert off_board == ["embedding 0 (Triangle)/matching set", "residual", "residual"]
+
+    def test_template_name_must_match_the_matching_set(self):
+        obj = json.loads(load_fixture("fig1.cert"))
+        obj["matching_sets"][0]["template_name"] = "Square"
+        result = check_certificate(certificate_from_json(json.dumps(obj)))
+        assert not result.valid
+        assert result.violations == (
+            (
+                "embedding 0 (Square)",
+                "(markers, groups, coverings) (5, 3, 3) are not the template's (7, 4, 4)",
+            ),
+        )
+
+    def test_unknown_template_name_is_a_violation(self):
+        cert = certificate_from_json(load_fixture("fig1.cert"))
+        renamed = CertEntry("Pentagon", cert.entries[0].matching)
+        result = check_certificate(DrawCertificate(cert.position, (renamed,), cert.residual))
+        assert result.violations == (("embedding 0 (Pentagon)", "not a catalog template name"),)
 
     @pytest.mark.parametrize("fig", sorted(FIXTURE_TEMPLATES))
     def test_bundled_fixture_certificates_valid(self, fig):

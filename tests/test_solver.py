@@ -38,69 +38,69 @@ from tests.test_board import load_fixture
 # per pruning mode, in PRUNING_MODES order ("none", "hj", "setmatch").
 PINNED_COUNTERS = {
     "empty4x4": [
-        ("Draw", 1001936, 602384, {}),
-        ("Draw", 176073, 98671, {"hj": 285}),
+        ("Draw", 131735, 57816, {}),
+        ("Draw", 24910, 10230, {"hj": 60}),
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig1": [
-        ("Draw", 337, 109, {}),
-        ("Draw", 235, 56, {"hj": 26}),
-        ("Draw", 235, 56, {"setmatch": 26}),
+        ("Draw", 203, 36, {}),
+        ("Draw", 102, 12, {"hj": 17}),
+        ("Draw", 102, 12, {"setmatch": 17}),
     ],
     "fig2": [
-        ("Draw", 1839, 749, {}),
-        ("Draw", 1289, 423, {"hj": 87}),
-        ("Draw", 1289, 423, {"setmatch": 87}),
+        ("Draw", 620, 133, {}),
+        ("Draw", 353, 57, {"hj": 46}),
+        ("Draw", 353, 57, {"setmatch": 46}),
     ],
     "fig3": [
-        ("Draw", 328, 106, {}),
-        ("Draw", 223, 54, {"hj": 25}),
-        ("Draw", 223, 54, {"setmatch": 25}),
+        ("Draw", 191, 33, {}),
+        ("Draw", 90, 9, {"hj": 17}),
+        ("Draw", 90, 9, {"setmatch": 17}),
     ],
     "fig4": [
-        ("Draw", 1317, 477, {}),
-        ("Draw", 844, 224, {"hj": 79}),
-        ("Draw", 844, 224, {"setmatch": 79}),
+        ("Draw", 532, 107, {}),
+        ("Draw", 250, 31, {"hj": 42}),
+        ("Draw", 250, 31, {"setmatch": 42}),
     ],
     "fig5": [
-        ("Draw", 19675, 10332, {}),
-        ("Draw", 10569, 5453, {"hj": 145}),
-        ("Draw", 10569, 5453, {"setmatch": 145}),
+        ("Draw", 1409, 439, {}),
+        ("Draw", 706, 222, {"hj": 21}),
+        ("Draw", 706, 222, {"setmatch": 21}),
     ],
     "fig7": [
-        ("Draw", 993, 325, {}),
-        ("Draw", 518, 113, {"hj": 48}),
-        ("Draw", 518, 113, {"setmatch": 48}),
+        ("Draw", 548, 167, {}),
+        ("Draw", 197, 30, {"hj": 28}),
+        ("Draw", 197, 30, {"setmatch": 28}),
     ],
     "fig8": [
-        ("Draw", 684, 212, {}),
-        ("Draw", 368, 88, {"hj": 25}),
-        ("Draw", 339, 81, {"setmatch": 21}),
+        ("Draw", 243, 28, {}),
+        ("Draw", 107, 9, {"hj": 14}),
+        ("Draw", 101, 9, {"setmatch": 15}),
     ],
     "fig9a": [
-        ("Draw", 25371, 13414, {}),
-        ("Draw", 18499, 9594, {"hj": 365}),
-        ("Draw", 18499, 9594, {"setmatch": 365}),
+        ("Draw", 3227, 1127, {}),
+        ("Draw", 922, 249, {"hj": 48}),
+        ("Draw", 922, 249, {"setmatch": 48}),
     ],
     "fig9b": [
-        ("Draw", 21598, 10827, {}),
-        ("Draw", 8272, 3986, {"hj": 243}),
-        ("Draw", 8272, 3986, {"setmatch": 243}),
+        ("Draw", 5019, 2029, {}),
+        ("Draw", 671, 150, {"hj": 45}),
+        ("Draw", 671, 150, {"setmatch": 45}),
     ],
     "fig9c": [
-        ("Draw", 1359, 500, {}),
-        ("Draw", 867, 244, {"hj": 76}),
-        ("Draw", 867, 244, {"setmatch": 76}),
+        ("Draw", 558, 172, {}),
+        ("Draw", 224, 28, {"hj": 38}),
+        ("Draw", 224, 28, {"setmatch": 38}),
     ],
     "fig10": [
-        ("Draw", 659, 204, {}),
-        ("Draw", 249, 43, {"hj": 27}),
-        ("Draw", 249, 43, {"setmatch": 27}),
+        ("Draw", 308, 54, {}),
+        ("Draw", 75, 1, {"hj": 15}),
+        ("Draw", 75, 1, {"setmatch": 15}),
     ],
     "fig11": [
-        ("WhiteWin", 6806, 2995, {}),
-        ("WhiteWin", 6606, 2835, {"hj": 83}),
-        ("WhiteWin", 6606, 2835, {"setmatch": 83}),
+        ("WhiteWin", 1956, 620, {}),
+        ("WhiteWin", 1904, 584, {"hj": 28}),
+        ("WhiteWin", 1904, 584, {"setmatch": 28}),
     ],
 }
 
@@ -111,16 +111,16 @@ PINNED_COUNTERS = {
 WHITE_4X4 = "4 4 4 W\n....\n..X.\nX...\n.O..\n"
 WHITE_5X4 = "5 4 4 W\n.....\n..X..\nXXXO.\n.OO..\n"
 PINNED_TREES = {
-    "white4x4-none": (WHITE_4X4, "none", ("Draw", 41277, 20042, {}, 0)),
-    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 29949, 14587, {"hj": 93}, 125)),
-    "white4x4-setmatch": (WHITE_4X4, "setmatch", ("Draw", 29949, 14587, {"setmatch": 93}, 125)),
-    "white5x4-none": (WHITE_5X4, "none", ("WhiteWin", 38635, 18894, {}, 0)),
-    "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 27656, 12428, {"hj": 1417}, 4131)),
+    "white4x4-none": (WHITE_4X4, "none", ("Draw", 10041, 3565, {}, 0)),
+    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 6257, 2174, {"hj": 26}, 26)),
+    "white4x4-setmatch": (WHITE_4X4, "setmatch", ("Draw", 6257, 2174, {"setmatch": 26}, 26)),
+    "white5x4-none": (WHITE_5X4, "none", ("WhiteWin", 5519, 2011, {}, 0)),
+    "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 3448, 1142, {"hj": 127}, 164)),
     "white5x4-setmatch": (
-        WHITE_5X4, "setmatch", ("WhiteWin", 26499, 11965, {"setmatch": 1244}, 3686)
+        WHITE_5X4, "setmatch", ("WhiteWin", 3363, 1123, {"setmatch": 111}, 141)
     ),
     "empty4x4-hj": (
-        "4 4 4 B\n....\n....\n....\n....\n", "hj", ("Draw", 176073, 98671, {"hj": 285}, 370)
+        "4 4 4 B\n....\n....\n....\n....\n", "hj", ("Draw", 24910, 10230, {"hj": 60}, 61)
     ),
 }
 
@@ -128,19 +128,19 @@ PINNED_TREES = {
 # Certificate probes per fixture, in PRUNING_MODES order: how often solve asks
 # for a certificate, whatever the answer.
 PINNED_CERT_CALLS = {
-    "empty4x4": [0, 370, 1],
-    "fig1": [0, 74, 74],
-    "fig2": [0, 334, 334],
-    "fig3": [0, 73, 73],
-    "fig4": [0, 264, 264],
-    "fig5": [0, 243, 243],
-    "fig7": [0, 153, 153],
-    "fig8": [0, 90, 80],
-    "fig9a": [0, 1189, 1189],
-    "fig9b": [0, 812, 812],
-    "fig9c": [0, 229, 229],
-    "fig10": [0, 71, 71],
-    "fig11": [0, 91, 91],
+    "empty4x4": [0, 61, 1],
+    "fig1": [0, 22, 22],
+    "fig2": [0, 82, 82],
+    "fig3": [0, 22, 22],
+    "fig4": [0, 67, 67],
+    "fig5": [0, 21, 21],
+    "fig7": [0, 40, 40],
+    "fig8": [0, 25, 23],
+    "fig9a": [0, 53, 53],
+    "fig9b": [0, 46, 46],
+    "fig9c": [0, 53, 53],
+    "fig10": [0, 23, 23],
+    "fig11": [0, 28, 28],
 }
 
 
@@ -210,16 +210,72 @@ class TestAgainstPlainMinimax:
     @given(st.data())
     @settings(max_examples=25, deadline=None)
     def test_alpha_beta_matches_minimax_on_3x4(self, data):
+        # Every pruning mode, with and without the table, on a random position
+        # and on one random move later, so that both sides are to move.
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        spec = data.draw(st.sampled_from([BoardSpec(3, 3, 3), BoardSpec(3, 4, 3)]))
+        spec = data.draw(
+            st.sampled_from([BoardSpec(3, 3, 3), BoardSpec(3, 4, 3), BoardSpec(4, 3, 3)])
+        )
         # keep the unpruned oracle tractable: at most 8 empty cells
         min_plies = spec.m * spec.n - 8
         pos = random_position(rng, spec, data.draw(st.integers(max(min_plies, 1), 8)))
         if winner(pos) is not None:
             return
-        expected = verdict_of(pos, plain_minimax(pos))
-        verdict, _ = solve(pos)
-        assert verdict == expected
+        line = [pos]
+        if pos.empties():
+            line.append(apply_move(pos, rng.choice(pos.empties())))
+        for p in line:
+            if winner(p) is not None:
+                continue
+            expected = verdict_of(p, plain_minimax(p))
+            for mode in PRUNING_MODES:
+                for use_table in (True, False):
+                    verdict, _ = solve(p, pruning=mode, use_table=use_table)
+                    assert verdict == expected, (mode, use_table, p)
+
+
+# (verdict, nodes_examined) of TestThreats' single-threat position per
+# (pruning mode, use_table).
+PINNED_BLOCK = {
+    ("none", True): ("Draw", 762),
+    ("none", False): ("Draw", 2231),
+    ("hj", True): ("Draw", 331),
+    ("hj", False): ("Draw", 767),
+    ("setmatch", True): ("Draw", 331),
+    ("setmatch", False): ("Draw", 767),
+}
+
+
+class TestThreats:
+    @pytest.mark.parametrize("mode", PRUNING_MODES)
+    def test_win_in_last_move_order_cell_takes_one_node(self, mode):
+        # d4 is a corner, so the centre-first order tries it last.
+        pos = parse_position("4 4 4 B\nXXX.\nOO..\n....\n.O..\n")
+        verdict, stats = solve(pos, pruning=mode)
+        assert verdict == Verdict.BLACK_WIN
+        assert (stats.nodes_examined, stats.cert_calls) == (1, 0)
+
+    @pytest.mark.parametrize("mode", PRUNING_MODES)
+    def test_double_threat_loses_at_one_node(self, mode):
+        # White threatens a4 and d3; Black has no group one move from done.
+        pos = parse_position("4 4 4 B\n.X.X\nOOO.\nOX..\nOX.X\n")
+        verdict, stats = solve(pos, pruning=mode)
+        assert verdict == Verdict.WHITE_WIN
+        assert (stats.nodes_examined, stats.cert_calls) == (1, 0)
+
+    @pytest.mark.parametrize("use_table", [True, False])
+    @pytest.mark.parametrize("mode", PRUNING_MODES)
+    def test_single_threat_forces_the_block(self, mode, use_table):
+        # White threatens d1, so the root searches the block alone: its
+        # subtree is the whole search of the position after the block.
+        pos = parse_position("4 4 4 B\n..X.\n....\nXX..\nOOO.\n")
+        blocked = apply_move(pos, (3, 0))
+        verdict, stats = solve(pos, pruning=mode, use_table=use_table)
+        child_verdict, child = solve(blocked, pruning=mode, use_table=use_table)
+        assert verdict == child_verdict
+        assert stats.nodes_examined == 1 + child.nodes_examined
+        assert (stats.table_hits, stats.cert_calls) == (child.table_hits, child.cert_calls)
+        assert (str(verdict), stats.nodes_examined) == PINNED_BLOCK[mode, use_table]
 
 
 class TestFinishedGame:
@@ -332,7 +388,7 @@ class TestDeterminism:
         # or pruning are visible here before anywhere else.
         pos = parse_position(load_fixture("fig1.board"))
         counts = [solve(pos, pruning=m)[1].nodes_examined for m in PRUNING_MODES]
-        assert counts == [337, 235, 235]
+        assert counts == [203, 102, 102]
 
     @pytest.mark.parametrize(
         "fixture,mode,expected",
@@ -363,7 +419,7 @@ class TestDeterminism:
 
     def test_pinned_empty_3x3_count(self):
         _, stats = solve(empty_position(BoardSpec(3, 3, 3)))
-        assert stats.nodes_examined == 1959
+        assert stats.nodes_examined == 508
 
 
 class TestCertCalls:
