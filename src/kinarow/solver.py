@@ -19,15 +19,36 @@ threat, so a node carries only its opponent's threats and, in this order:
 - with no empty cell left it is a draw (0);
 - facing two or more threats it loses (-1): one block leaves another
   completion, and the mover cannot win first;
+- it applies the live-group bounds below;
 - after the table lookup and the probe, facing one threat it searches only
   the block, since any other move lets the opponent complete a group;
-- otherwise it searches every empty cell, centre first.
+- otherwise it searches every empty cell in the root's move order.
 
 The mover had no threat, so its threats after a move come only from the
 groups through that cell; the opponent's threats lose at most that cell,
-and after the block or with no threat they are empty.  So each child's mover has no threat, which is why no
-node ever needs a win test: a completing move is always a threat, and no
-line of play reaches a finished game.
+and after the block or with no threat they are empty.  So each child's mover
+has no threat, which is why no node ever needs a win test: a completing move
+is always a threat, and no line of play reaches a finished game.
+
+A node also carries both sides' live groups as bitsets over the indices of
+`group_masks(spec)`: bit j stays set while group j holds no stone of the
+other side.  A move clears the groups through its cell from the other side's
+set, one AND with a per-cell mask.  The sets follow from the stone masks, so
+the table key need not hold them.  A side without a live group can never
+complete one, so it cannot win:
+
+- with neither side live the node is a draw (0);
+- with the mover not live its value is at most 0: at alpha 0 or more it
+  returns 0, a sound fail-low; otherwise it searches with beta 0, and a
+  result of 0 or more there is exactly 0;
+- with the opponent not live its value is at least 0: at beta 0 or less it
+  returns 0, a sound fail-high; otherwise it searches with alpha 0, and a
+  result of 0 or less there is exactly 0.
+
+The table flag comes from the narrowed window, which still holds the value.
+The root sorts the empty cells once: most groups through the cell that are
+live for either side first, so cells in no such group go last, then nearest
+the centre, then by (row, col).
 
 A probe works on the masks.  A live Black group (no White stone) with at most
 one empty cell means Black completes it next move, so no certificate exists.
@@ -139,18 +160,27 @@ def solve(
         )
 
     m, n = spec.m, spec.n
+    # Per cell index, the group masks through it, and those groups as one
+    # bitset over their indices in `groups`.
+    lines = [[g for g in groups if g >> i & 1] for i in range(m * n)]
+    line_bits = [sum(1 << j for j, g in enumerate(groups) if g >> i & 1) for i in range(m * n)]
+    # Live groups, as bitsets: those holding no stone of the other side.
+    black_live = sum(1 << j for j, g in enumerate(groups) if not g & white)
+    white_live = sum(1 << j for j, g in enumerate(groups) if not g & black)
+    live = black_live | white_live
     center = ((m - 1) / 2, (n - 1) / 2)
     ordered = sorted(
         (c[1] * m + c[0] for c in empt),
         key=lambda i: (
+            -(line_bits[i] & live).bit_count(),
             (i % m - center[0]) ** 2 + (i // m - center[1]) ** 2,
             (i // m, i % m),
         ),
     )
-    # Per cell index, the group masks through it; per move, in search order,
-    # its bit and those groups.
-    lines = [[g for g in groups if g >> i & 1] for i in range(m * n)]
-    moves = [(1 << i, lines[i]) for i in ordered]
+    # Per cell index, the move there: its bit, the group masks through it and
+    # the mask that clears those groups from the other side's live set.
+    cell_moves = [(1 << i, lines[i], ~line_bits[i]) for i in range(m * n)]
+    moves = [cell_moves[i] for i in ordered]
     shift = m * n
     probing = pruning != "none"
     # Black is to move at the nodes whose empty count has this parity.
@@ -181,7 +211,8 @@ def solve(
         return cells
 
     def negamax(
-        own: int, opp: int, threats: int, alpha: int, beta: int, empties_left: int
+        own: int, opp: int, own_live: int, opp_live: int, threats: int,
+        alpha: int, beta: int, empties_left: int,
     ) -> int:
         """Value for the side to move, holding own against opp with threat cells threats."""
         nonlocal nodes, hits
@@ -190,6 +221,14 @@ def solve(
             return 0
         if threats & (threats - 1):
             return -1
+        if not own_live:
+            if not opp_live or alpha >= 0:
+                return 0
+            beta = 0
+        elif not opp_live:
+            if beta <= 0:
+                return 0
+            alpha = 0
         key = own << shift | opp
         if use_table:
             entry = lookup(key)
@@ -207,12 +246,14 @@ def solve(
         orig_alpha = alpha
         best = -2
         taken = own | opp
-        for bit, through in ((threats, lines[threats.bit_length() - 1]),) if threats else moves:
+        for bit, through, keep in (cell_moves[threats.bit_length() - 1],) if threats else moves:
             if taken & bit:
                 continue
             mine = own | bit
             made = threat_cells(through, mine, opp)
-            value = -negamax(opp, mine, made, -beta, -alpha, empties_left - 1)
+            value = -negamax(
+                opp, mine, opp_live & keep, own_live, made, -beta, -alpha, empties_left - 1
+            )
             if value > best:
                 best = value
             if best > alpha:
@@ -228,7 +269,10 @@ def solve(
             table[key] = (best, flag)
         return best
 
-    own, opp = (black, white) if pos.to_move == BLACK else (white, black)
+    own, opp, own_live, opp_live = (
+        (black, white, black_live, white_live) if pos.to_move == BLACK
+        else (white, black, white_live, black_live)
+    )
     if threat_cells(groups, own, opp):
         nodes, score = 1, 1
     # Headline shortcut: on the fully empty board the first player's value is
@@ -236,7 +280,9 @@ def solve(
     elif probing and pos.to_move == BLACK and not (black | white) and certified(black, white):
         nodes, score = 1, 0
     else:
-        score = negamax(own, opp, threat_cells(groups, opp, own), -1, 1, len(empt))
+        score = negamax(
+            own, opp, own_live, opp_live, threat_cells(groups, opp, own), -1, 1, len(empt)
+        )
     if pos.to_move != BLACK:
         score = -score
     stats.nodes_examined, stats.table_hits, stats.cert_calls = nodes, hits, probes

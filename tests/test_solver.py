@@ -1,5 +1,6 @@
 """Solver: exact values, pruning consistency, transposition table, stats."""
 
+import functools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import kinarow.configs
 from kinarow.board import (
     BLACK,
+    EMPTY,
     WHITE,
     BoardSpec,
     IllegalPositionError,
@@ -38,69 +40,69 @@ from tests.test_board import load_fixture
 # per pruning mode, in PRUNING_MODES order ("none", "hj", "setmatch").
 PINNED_COUNTERS = {
     "empty4x4": [
-        ("Draw", 131735, 57816, {}),
-        ("Draw", 24910, 10230, {"hj": 60}),
+        ("Draw", 58194, 24410, {}),
+        ("Draw", 14750, 5817, {"hj": 58}),
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig1": [
-        ("Draw", 203, 36, {}),
-        ("Draw", 102, 12, {"hj": 17}),
-        ("Draw", 102, 12, {"setmatch": 17}),
+        ("Draw", 57, 4, {}),
+        ("Draw", 13, 0, {"hj": 6}),
+        ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig2": [
-        ("Draw", 620, 133, {}),
-        ("Draw", 353, 57, {"hj": 46}),
-        ("Draw", 353, 57, {"setmatch": 46}),
+        ("Draw", 174, 19, {}),
+        ("Draw", 90, 1, {"hj": 11}),
+        ("Draw", 90, 1, {"setmatch": 11}),
     ],
     "fig3": [
-        ("Draw", 191, 33, {}),
-        ("Draw", 90, 9, {"hj": 17}),
-        ("Draw", 90, 9, {"setmatch": 17}),
+        ("Draw", 115, 10, {}),
+        ("Draw", 31, 2, {"hj": 6}),
+        ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig4": [
-        ("Draw", 532, 107, {}),
-        ("Draw", 250, 31, {"hj": 42}),
-        ("Draw", 250, 31, {"setmatch": 42}),
+        ("Draw", 220, 17, {}),
+        ("Draw", 83, 2, {"hj": 10}),
+        ("Draw", 83, 2, {"setmatch": 10}),
     ],
     "fig5": [
-        ("Draw", 1409, 439, {}),
-        ("Draw", 706, 222, {"hj": 21}),
-        ("Draw", 706, 222, {"setmatch": 21}),
+        ("Draw", 475, 61, {}),
+        ("Draw", 249, 24, {"hj": 19}),
+        ("Draw", 249, 24, {"setmatch": 19}),
     ],
     "fig7": [
-        ("Draw", 548, 167, {}),
-        ("Draw", 197, 30, {"hj": 28}),
-        ("Draw", 197, 30, {"setmatch": 28}),
+        ("Draw", 193, 41, {}),
+        ("Draw", 38, 0, {"hj": 12}),
+        ("Draw", 38, 0, {"setmatch": 12}),
     ],
     "fig8": [
-        ("Draw", 243, 28, {}),
-        ("Draw", 107, 9, {"hj": 14}),
-        ("Draw", 101, 9, {"setmatch": 15}),
+        ("Draw", 207, 22, {}),
+        ("Draw", 85, 6, {"hj": 15}),
+        ("Draw", 85, 6, {"setmatch": 15}),
     ],
     "fig9a": [
-        ("Draw", 3227, 1127, {}),
-        ("Draw", 922, 249, {"hj": 48}),
-        ("Draw", 922, 249, {"setmatch": 48}),
+        ("Draw", 646, 183, {}),
+        ("Draw", 72, 0, {"hj": 20}),
+        ("Draw", 72, 0, {"setmatch": 20}),
     ],
     "fig9b": [
-        ("Draw", 5019, 2029, {}),
-        ("Draw", 671, 150, {"hj": 45}),
-        ("Draw", 671, 150, {"setmatch": 45}),
+        ("Draw", 2280, 879, {}),
+        ("Draw", 76, 0, {"hj": 27}),
+        ("Draw", 76, 0, {"setmatch": 27}),
     ],
     "fig9c": [
-        ("Draw", 558, 172, {}),
-        ("Draw", 224, 28, {"hj": 38}),
-        ("Draw", 224, 28, {"setmatch": 38}),
+        ("Draw", 207, 50, {}),
+        ("Draw", 38, 0, {"hj": 11}),
+        ("Draw", 38, 0, {"setmatch": 11}),
     ],
     "fig10": [
-        ("Draw", 308, 54, {}),
-        ("Draw", 75, 1, {"hj": 15}),
-        ("Draw", 75, 1, {"setmatch": 15}),
+        ("Draw", 204, 31, {}),
+        ("Draw", 37, 0, {"hj": 15}),
+        ("Draw", 37, 0, {"setmatch": 15}),
     ],
     "fig11": [
-        ("WhiteWin", 1956, 620, {}),
-        ("WhiteWin", 1904, 584, {"hj": 28}),
-        ("WhiteWin", 1904, 584, {"setmatch": 28}),
+        ("WhiteWin", 1387, 368, {}),
+        ("WhiteWin", 1365, 366, {"hj": 4}),
+        ("WhiteWin", 1365, 366, {"setmatch": 4}),
     ],
 }
 
@@ -111,16 +113,14 @@ PINNED_COUNTERS = {
 WHITE_4X4 = "4 4 4 W\n....\n..X.\nX...\n.O..\n"
 WHITE_5X4 = "5 4 4 W\n.....\n..X..\nXXXO.\n.OO..\n"
 PINNED_TREES = {
-    "white4x4-none": (WHITE_4X4, "none", ("Draw", 10041, 3565, {}, 0)),
-    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 6257, 2174, {"hj": 26}, 26)),
-    "white4x4-setmatch": (WHITE_4X4, "setmatch", ("Draw", 6257, 2174, {"setmatch": 26}, 26)),
-    "white5x4-none": (WHITE_5X4, "none", ("WhiteWin", 5519, 2011, {}, 0)),
-    "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 3448, 1142, {"hj": 127}, 164)),
-    "white5x4-setmatch": (
-        WHITE_5X4, "setmatch", ("WhiteWin", 3363, 1123, {"setmatch": 111}, 141)
-    ),
+    "white4x4-none": (WHITE_4X4, "none", ("Draw", 4856, 1598, {}, 0)),
+    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 2926, 1053, {"hj": 17}, 19)),
+    "white4x4-setmatch": (WHITE_4X4, "setmatch", ("Draw", 2926, 1053, {"setmatch": 17}, 19)),
+    "white5x4-none": (WHITE_5X4, "none", ("WhiteWin", 2, 0, {}, 0)),
+    "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 2, 0, {}, 0)),
+    "white5x4-setmatch": (WHITE_5X4, "setmatch", ("WhiteWin", 2, 0, {}, 0)),
     "empty4x4-hj": (
-        "4 4 4 B\n....\n....\n....\n....\n", "hj", ("Draw", 24910, 10230, {"hj": 60}, 61)
+        "4 4 4 B\n....\n....\n....\n....\n", "hj", ("Draw", 14750, 5817, {"hj": 58}, 59)
     ),
 }
 
@@ -128,24 +128,25 @@ PINNED_TREES = {
 # Certificate probes per fixture, in PRUNING_MODES order: how often solve asks
 # for a certificate, whatever the answer.
 PINNED_CERT_CALLS = {
-    "empty4x4": [0, 61, 1],
-    "fig1": [0, 22, 22],
-    "fig2": [0, 82, 82],
-    "fig3": [0, 22, 22],
-    "fig4": [0, 67, 67],
-    "fig5": [0, 21, 21],
-    "fig7": [0, 40, 40],
-    "fig8": [0, 25, 23],
-    "fig9a": [0, 53, 53],
-    "fig9b": [0, 46, 46],
-    "fig9c": [0, 53, 53],
-    "fig10": [0, 23, 23],
-    "fig11": [0, 28, 28],
+    "empty4x4": [0, 59, 1],
+    "fig1": [0, 7, 1],
+    "fig2": [0, 17, 17],
+    "fig3": [0, 11, 1],
+    "fig4": [0, 23, 23],
+    "fig5": [0, 19, 19],
+    "fig7": [0, 12, 12],
+    "fig8": [0, 15, 15],
+    "fig9a": [0, 20, 20],
+    "fig9b": [0, 29, 29],
+    "fig9c": [0, 11, 11],
+    "fig10": [0, 15, 15],
+    "fig11": [0, 4, 4],
 }
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def plain_minimax(pos: Position) -> int:
-    """Independent oracle: unpruned minimax, +1 = side to move wins."""
+    """Independent oracle: unpruned minimax, +1 = side to move wins (memoised)."""
     w = winner(pos)
     if w is not None:
         return -1  # previous mover already won
@@ -171,6 +172,21 @@ def random_position(rng: random.Random, spec: BoardSpec, plies: int) -> Position
             break
         pos = apply_move(pos, rng.choice(empties))
     return pos
+
+
+def random_fill(rng: random.Random, spec: BoardSpec, empties: int) -> Position:
+    """Stones on random cells, Black's and White's alternately, leaving empties empty."""
+    cells = list(spec.cells())
+    stones = rng.sample(cells, len(cells) - empties)
+    black, white = set(stones[::2]), set(stones[1::2])
+    rows = tuple(
+        "".join(
+            BLACK if (c, r) in black else WHITE if (c, r) in white else EMPTY
+            for c in range(spec.m)
+        )
+        for r in range(spec.n)
+    )
+    return Position(spec, rows, BLACK if len(stones) % 2 == 0 else WHITE)
 
 
 class TestExactValues:
@@ -233,23 +249,69 @@ class TestAgainstPlainMinimax:
                     verdict, _ = solve(p, pruning=mode, use_table=use_table)
                     assert verdict == expected, (mode, use_table, p)
 
+    @pytest.mark.parametrize("spec", [BoardSpec(4, 4, 4), BoardSpec(5, 4, 4)], ids=["4x4", "5x4"])
+    def test_alpha_beta_matches_minimax_on_k4(self, spec):
+        # Seeded positions with 4 to 7 empty cells in which the mover cannot
+        # complete a group at once, so the search decides them, not the root:
+        # one for each side to move, each pair (the mover has a live group,
+        # its opponent has one) and each value that pair allows, since a side
+        # without a live group cannot win.  Where a side has none, solve's
+        # live-group bounds fire at the root; elsewhere they fire below it.
+        todo = {
+            (side, own_live, opp_live, value)
+            for side in (BLACK, WHITE)
+            for own_live in (False, True)
+            for opp_live in (False, True)
+            for value in (-1, 0, 1)
+            if (own_live or value < 1) and (opp_live or value > -1)
+        }
+        rng = random.Random(12)
+        groups = group_masks(spec)
+        found = []
+        while todo:
+            pos = random_fill(rng, spec, rng.randint(4, 7))
+            if winner(pos) is not None:
+                continue
+            own, opp = state_mask(pos, pos.to_move), state_mask(pos, other(pos.to_move))
+            free = ~(own | opp)
+            if any(not g & opp and (g & free).bit_count() == 1 for g in groups):
+                continue
+            key = (
+                pos.to_move,
+                any(not g & opp for g in groups),
+                any(not g & own for g in groups),
+            )
+            if all(key + (value,) not in todo for value in (-1, 0, 1)):
+                continue
+            key += (plain_minimax(pos),)
+            if key in todo:
+                todo.remove(key)
+                found.append(pos)
+        for pos in found:
+            expected = verdict_of(pos, plain_minimax(pos))
+            for mode in PRUNING_MODES:
+                for use_table in (True, False):
+                    verdict, _ = solve(pos, pruning=mode, use_table=use_table)
+                    assert verdict == expected, (mode, use_table, pos)
+
 
 # (verdict, nodes_examined) of TestThreats' single-threat position per
 # (pruning mode, use_table).
 PINNED_BLOCK = {
-    ("none", True): ("Draw", 762),
-    ("none", False): ("Draw", 2231),
-    ("hj", True): ("Draw", 331),
-    ("hj", False): ("Draw", 767),
-    ("setmatch", True): ("Draw", 331),
-    ("setmatch", False): ("Draw", 767),
+    ("none", True): ("Draw", 295),
+    ("none", False): ("Draw", 587),
+    ("hj", True): ("Draw", 56),
+    ("hj", False): ("Draw", 63),
+    ("setmatch", True): ("Draw", 56),
+    ("setmatch", False): ("Draw", 63),
 }
 
 
 class TestThreats:
     @pytest.mark.parametrize("mode", PRUNING_MODES)
     def test_win_in_last_move_order_cell_takes_one_node(self, mode):
-        # d4 is a corner, so the centre-first order tries it last.
+        # d4 is a corner, last by centre distance and second in the live-first
+        # order (after c3); the root takes the win before searching either.
         pos = parse_position("4 4 4 B\nXXX.\nOO..\n....\n.O..\n")
         verdict, stats = solve(pos, pruning=mode)
         assert verdict == Verdict.BLACK_WIN
@@ -276,6 +338,17 @@ class TestThreats:
         assert stats.nodes_examined == 1 + child.nodes_examined
         assert (stats.table_hits, stats.cert_calls) == (child.table_hits, child.cert_calls)
         assert (str(verdict), stats.nodes_examined) == PINNED_BLOCK[mode, use_table]
+
+
+class TestLiveBounds:
+    @pytest.mark.parametrize("use_table", [True, False])
+    @pytest.mark.parametrize("mode", PRUNING_MODES)
+    def test_no_live_group_is_a_draw_at_one_node(self, mode, use_table):
+        # Every group holds stones of both sides, so neither can win.
+        pos = parse_position("4 4 4 B\n..XO\n.OXO\nX.O.\nOX.X\n")
+        verdict, stats = solve(pos, pruning=mode, use_table=use_table)
+        assert verdict == Verdict.DRAW
+        assert (stats.nodes_examined, stats.cert_calls) == (1, 0)
 
 
 class TestFinishedGame:
@@ -388,7 +461,7 @@ class TestDeterminism:
         # or pruning are visible here before anywhere else.
         pos = parse_position(load_fixture("fig1.board"))
         counts = [solve(pos, pruning=m)[1].nodes_examined for m in PRUNING_MODES]
-        assert counts == [203, 102, 102]
+        assert counts == [57, 13, 1]
 
     @pytest.mark.parametrize(
         "fixture,mode,expected",
@@ -419,7 +492,7 @@ class TestDeterminism:
 
     def test_pinned_empty_3x3_count(self):
         _, stats = solve(empty_position(BoardSpec(3, 3, 3)))
-        assert stats.nodes_examined == 508
+        assert stats.nodes_examined == 358
 
 
 class TestCertCalls:
