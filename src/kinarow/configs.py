@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import functools
 import string
+import struct
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -81,6 +84,14 @@ class ConfigTemplate:
         It depends on the template alone, so it holds nothing about any board.
         """
         return _embed_plan(self)
+
+    @functools.cached_property
+    def tables(self) -> dict[BoardSpec, PlacementTable]:
+        """The placement table of each board this template was detected on.
+
+        Built by _embed_template on first use, and dropped with the template.
+        """
+        return {}
 
 
 def _groups(*words: str) -> tuple[AbstractGroup, ...]:
@@ -460,12 +471,16 @@ class EmbedPlan(NamedTuple):
     with exactly one earlier group with that group, and the label is bound
     to the cell where the two meet.  edges pairs each label held by a single
     group with that group.  images map a binding, as a tuple of cells by
-    label, to each of its symmetric images.
+    label, to each of its symmetric images.  ranked reads an assignment
+    (the board group of each abstract group) in step order, and mirrors
+    read it the same way after each symmetry that moves the groups.
     """
 
     steps: tuple[tuple[int, int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
     edges: tuple[tuple[int, int], ...]
     images: tuple[itemgetter, ...]
+    ranked: itemgetter
+    mirrors: tuple[itemgetter, ...]
 
 
 def _embed_plan(template: ConfigTemplate) -> EmbedPlan:
@@ -488,42 +503,85 @@ def _embed_plan(template: ConfigTemplate) -> EmbedPlan:
         holders = [j for j, g in enumerate(groups) if label in g]
         if len(holders) == 1:
             edges.append((index[label], holders[0]))
-    images = tuple(
-        itemgetter(*(index[perm[label]] for label in labels))
-        for perm in symmetry_closure(template.markers, template.matching.symmetry)
-    )
-    return EmbedPlan(tuple(steps), tuple(edges), images)
+    perms = symmetry_closure(template.markers, template.matching.symmetry)
+    images = tuple(itemgetter(*(index[perm[label]] for label in labels)) for perm in perms)
+    group_at = {g: i for i, g in enumerate(groups)}
+    moved = {
+        tuple(group_at[frozenset(perm[label] for label in groups[i])] for i in order)
+        for perm in perms
+    } - {tuple(order)}
+    mirrors = tuple(itemgetter(*m) for m in sorted(moved))
+    return EmbedPlan(tuple(steps), tuple(edges), images, itemgetter(*order), mirrors)
 
 
-def _embed_template(
-    pos: Position, template: ConfigTemplate, live: Sequence[Group]
-) -> list[Embedding]:
-    """Every placement of template on the live groups, one per symmetry orbit.
+def _columns(packed: bytes, width: int) -> list[int]:
+    """Bitsets over keys packed side by side in (width + 7) // 8 little-endian
+    bytes each: bit j of columns[b] is bit b of key j."""
+    size = (width + 7) // 8
+    columns = [0] * width
+    # A block of 1024 keys is read out as binary text, where a column's share
+    # is a strided slice.
+    for start in range(0, len(packed), 1024 * size):
+        block = packed[start : start + 1024 * size]
+        text = format(int.from_bytes(block, "little"), "b").zfill(8 * len(block))
+        for b in range(width):
+            columns[b] |= int(text[8 * size - 1 - b :: 8 * size], 2) << start // size
+    return columns
 
-    Abstract groups take live groups in _assignment_order, in live order.  A
-    label shared by two placed groups is bound to their one common empty
-    cell; a label held by a single group (an edge label) then takes each free
-    empty cell of that group in turn.  Cells and live groups are bit indices
-    throughout, and a placement whose label-to-cell binding is a symmetric
-    image of an earlier one is dropped before any Embedding is built.
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+class PlacementTable(NamedTuple):
+    """Every placement of one template on a region of one board.
+
+    The region is a set of groups (bit i for enumerate_groups(spec)[i]) and
+    a set of empty cells (a state_mask); a placement on it puts the
+    template's markers on region cells and its groups on region groups.
+    Rows come in _placement_table order.  rows holds each row's marker
+    cells by label (as bit indices), then its groups by template.groups
+    order; keys holds each row's marker_mask << shift | group_mask, where
+    shift is the spec's group count, in _columns packing.  columns[i] is
+    the bitset of rows holding group i, and columns[shift + b] that of rows
+    with a marker on cell b.  orbit[j] is the first row whose marker cells
+    are an image of row j's under the template's symmetries, or -1 when no
+    other row's are.
     """
-    steps, edges, images = template.embed_plan
-    spec = pos.spec
-    cell_of = list(spec.cells())  # bit index r*m+c -> cell (c, r)
-    board_empty = state_mask(pos, EMPTY)
-    group_index = _group_index(spec)
-    live_index = [group_index[g] for g in live]
+
+    groups: int
+    empty: int
+    rows: array
+    keys: bytes
+    columns: list[int]
+    orbit: array
+
+
+def _placement_table(
+    spec: BoardSpec, template: ConfigTemplate, live: int, empty: int
+) -> PlacementTable:
+    """Every placement of template on the live groups and empty cells.
+
+    live is a bitset over enumerate_groups(spec) and empty a state_mask.
+    Abstract groups take live groups in _assignment_order, each in
+    enumerate_groups order.  A label shared by two placed groups is bound to
+    their one common empty cell; a label held by a single group (an edge
+    label) then takes each free empty cell of that group in turn.  An
+    assignment of groups that a symmetry of the template maps to an earlier
+    one is skipped: each of its placements is an image of a placement of
+    that earlier assignment on the same groups and cells, which comes first
+    wherever both lie, so _embed_template would drop it.
+    """
+    steps, edges, images, ranked, mirrors = template.embed_plan
     masks = group_masks(spec)
+    shift = len(masks)
+    live_index = list(_bits_idx(live))
     cell_masks = [masks[i] for i in live_index]
     # Empty cells of each live group as bit indices, in canonical cell order.
-    empties = [
-        [b for b in (r * spec.m + c for c, r in g.cells) if board_empty >> b & 1]
-        for g in live
-    ]
+    empties = [list(_bits_idx(cm & empty)) for cm in cell_masks]
     # clash[a]: live groups sharing two or more cells with a.  meet[a][b]: the
     # one cell a and b share when that cell is empty, else -1; meets[a]: the
     # live groups b with such a cell.  through[c]: the live groups holding c.
-    n_live = len(live)
+    n_live = len(live_index)
     clash = [0] * n_live
     meet = [[-1] * n_live for _ in range(n_live)]
     meets = [0] * n_live
@@ -533,50 +591,53 @@ def _embed_template(
             if common & (common - 1):
                 clash[a] |= 1 << b
                 clash[b] |= 1 << a
-            elif common & board_empty:
+            elif common & empty:
                 meet[a][b] = meet[b][a] = common.bit_length() - 1
                 meets[a] |= 1 << b
                 meets[b] |= 1 << a
-    through = [0] * len(cell_of)
-    for gi, g in enumerate(live):
-        for c, r in g.cells:
-            through[r * spec.m + c] |= 1 << gi
+    through = [0] * (spec.m * spec.n)
+    for gi, cm in enumerate(cell_masks):
+        for b in _bits_idx(cm):
+            through[b] |= 1 << gi
     # roomy[size]: the live groups with at least size empty cells.
     roomy = {
         size: sum(1 << gi for gi in range(n_live) if len(empties[gi]) >= size)
         for _, size, _, _ in steps
     }
 
+    width = shift + spec.m * spec.n
+    key_bytes = (width + 7) // 8
+    code = "B" if max(shift, spec.m * spec.n) <= 256 else "H"
+    pack = struct.Struct(f"={len(template.markers) + len(steps)}{code}").pack
+    pack_cells = struct.Struct(f"={len(template.markers)}{code}").pack
+    rows = bytearray()
+    keys = bytearray()
+    orbit = array("i")
+    first: dict[bytes, int] = {}  # least image of a row's cells, packed -> first such row
     assigned = [0] * len(steps)  # abstract group -> live group index
     cells = [0] * len(template.markers)  # label index -> cell bit index
-    seen: set[tuple[int, ...]] = set()
-    found: list[Embedding] = []
 
-    def fill(e: int, used: int, gmask: int) -> None:
+    def fill(e: int, used: int, groups: tuple[int, ...], gmask: int) -> None:
         if e < len(edges):
             label, host = edges[e]
             for b in empties[assigned[host]]:
                 if not used >> b & 1:
                     cells[label] = b
-                    fill(e + 1, used | 1 << b, gmask)
+                    fill(e + 1, used | 1 << b, groups, gmask)
             return
-        key = tuple(cells)
-        if key in seen:
-            return
-        seen.update([image(key) for image in images])
-        found.append(
-            Embedding(
-                template,
-                tuple([cell_of[b] for b in key]),
-                tuple([live[gi] for gi in assigned]),
-                used,
-                gmask,
-            )
-        )
+        n = len(orbit)
+        rows.extend(pack(*cells, *groups))
+        keys.extend((used << shift | gmask).to_bytes(key_bytes, "little"))
+        j = first.setdefault(pack_cells(*min([image(cells) for image in images])), n)
+        orbit.append(-1 if j == n else j)
+        if j != n:
+            orbit[j] = j
 
     def assign(step: int, blocked: int, used: int, gmask: int) -> None:
         if step == len(steps):
-            fill(0, used, gmask)
+            here = ranked(assigned)
+            if not any(mirror(assigned) < here for mirror in mirrors):
+                fill(0, used, tuple([live_index[gi] for gi in assigned]), gmask)
             return
         i, size, checks, binds = steps[step]
         free = roomy[size] & ~blocked
@@ -602,20 +663,86 @@ def _embed_template(
                 assign(step + 1, blocked | clash[gi] | low, now, gmask | gbit)
 
     assign(0, 0, 0, 0)
+    keys = bytes(keys)
+    return PlacementTable(live, empty, array(code, rows), keys, _columns(keys, width), orbit)
+
+
+def _embed_template(
+    spec: BoardSpec, template: ConfigTemplate, live: int, empty: int
+) -> list[Embedding]:
+    """The placements of template on the live groups and empty cells, one per
+    orbit of their marker cells (as a label-to-cell tuple) under the
+    template's symmetries, the first in _placement_table order.
+
+    live is a bitset over enumerate_groups(spec) and empty a state_mask.
+    The rows come from the template's placement table for spec, whose region
+    grows to the union of every live set and empty set seen so far: a
+    placement lies on this position exactly when it lies on the region, its
+    groups are live and its markers empty, and the region's rows hold this
+    position's placements in the same order, because both walk the groups in
+    enumerate_groups order.  So the rows holding a dead group or a non-empty
+    cell are cleared, and only the rows left become Embeddings.
+    """
+    table = template.tables.get(spec)
+    if table is None:
+        table = template.tables[spec] = _placement_table(spec, template, live, empty)
+    elif live & ~table.groups or empty & ~table.empty:
+        table = template.tables[spec] = _placement_table(
+            spec, template, live | table.groups, empty | table.empty
+        )
+    shift = len(group_masks(spec))
+    columns = table.columns
+    dead = 0
+    for i in _bits_idx(table.groups & ~live):
+        dead |= columns[i]
+    for b in _bits_idx(table.empty & ~empty):
+        dead |= columns[shift + b]
+    # alive[j] is 1 when row j is left, as a byte.
+    alive = format((1 << len(table.orbit)) - 1 & ~dead, "b")[::-1].encode().translate(_DIGITS)
+    rows, keys, orbit = table.rows, table.keys, table.orbit
+    cell_of = list(spec.cells())  # bit index r*m+c -> cell (c, r)
+    group_of = enumerate_groups(spec)
+    nm = template.num_markers
+    width = nm + template.num_groups
+    size = (shift + spec.m * spec.n + 7) // 8
+    low = (1 << shift) - 1
+    seen: set[int] = set()
+    found = []
+    for j in compress(range(len(orbit)), alive):
+        first = orbit[j]
+        if first >= 0:
+            if first in seen:
+                continue
+            seen.add(first)
+        o = j * width
+        key = int.from_bytes(keys[j * size : j * size + size], "little")
+        found.append(
+            Embedding(
+                template,
+                tuple(map(cell_of.__getitem__, rows[o : o + nm])),
+                tuple(map(group_of.__getitem__, rows[o + nm : o + width])),
+                key >> shift,
+                key & low,
+            )
+        )
     return found
 
 
 def detect(
     pos: Position, templates: Sequence[ConfigTemplate] | None = None
 ) -> list[Embedding]:
-    """All template embeddings in pos, one representative per symmetry orbit."""
+    """All template embeddings in pos, one per orbit of each template's
+    label-to-cell tuple under its symmetries (_embed_template)."""
     if templates is None:
         templates = catalog()
+    group_index = _group_index(pos.spec)
     live = live_black_groups(pos)
+    live_mask = sum(1 << group_index[g] for g in live)
+    empty = state_mask(pos, EMPTY)
     out: list[Embedding] = []
     for t in templates:
         if len(t.groups) <= len(live):
-            out.extend(_embed_template(pos, t, live))
+            out.extend(_embed_template(pos.spec, t, live_mask, empty))
     return out
 
 
@@ -650,16 +777,12 @@ def _bitsets(items: Sequence[Embedding], spec: BoardSpec) -> tuple[list[int], Ca
     itself included.
     """
     shift = len(group_masks(spec))
-    columns = [0] * (shift + spec.m * spec.n)
-    size = (len(columns) + 7) // 8  # bytes per key
-    # A block packs its keys side by side, its k-th item at bit 8*size*k, and
-    # is read out as binary text, where a column's share is a strided slice.
-    for start in range(0, len(items), 1024):
-        keys = [e.marker_mask << shift | e.group_mask for e in items[start : start + 1024]]
-        packed = b"".join([k.to_bytes(size, "little") for k in keys])
-        text = format(int.from_bytes(packed, "little"), "b").zfill(8 * len(packed))
-        for b in range(len(columns)):
-            columns[b] |= int(text[8 * size - 1 - b :: 8 * size], 2) << start
+    width = shift + spec.m * spec.n
+    size = (width + 7) // 8
+    columns = _columns(
+        b"".join([(e.marker_mask << shift | e.group_mask).to_bytes(size, "little") for e in items]),
+        width,
+    )
 
     # Each clash set is as long as the item list, so only recent ones are kept.
     @functools.lru_cache(maxsize=64)

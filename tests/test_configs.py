@@ -1,8 +1,10 @@
 """Template catalog, embedding detection, and draw certificates."""
 
+import gc
 import hashlib
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -81,6 +83,29 @@ EMPTY_4X4_EMBEDDINGS = {
     "TriTriangleX": 0,
 }
 
+# detect(pos) in full: the first 16 hex digits of the SHA-256 of one line per
+# embedding (template name, cells, groups, marker_mask, group_mask), and the
+# embedding count.  On the three 5x4 positions some marker cells are held by
+# placements on different groups, and only the first of those is kept.
+DETECT_DIGESTS = {
+    "empty4x4": ("c0af2b3046912f06", 7128),
+    "fig1": ("0bc85215a193954e", 1),
+    "fig2": ("4ff19be9bc23bf2a", 1),
+    "fig3": ("41b5f3231f92e213", 5),
+    "fig4": ("bda95163917911c9", 8),
+    "fig5": ("e9bd010daa8c8693", 7),
+    "fig7": ("9502bdf59cb31b01", 14),
+    "fig8": ("28353437bee2f2ec", 57),
+    "fig9a": ("7e0f8332b9fc482d", 13),
+    "fig9b": ("6feae2e6f1675957", 23),
+    "fig9c": ("08ed670eaf380777", 60),
+    "fig10": ("da125e963cea7fff", 75),
+    "fig11": ("25b930bbd5004e88", 31),
+    "5 4 4 B\nX..O.\nO....\n...X.\n.....\n": ("a09199c117f10911", 1984),
+    "5 4 4 B\n....X\n..X..\n.O...\nO....\n": ("18b4de46089e29c4", 431),
+    "5 4 4 B\nX.O..\nO....\nOXOX.\nX.O.X\n": ("bba923c8cb0de058", 4),
+}
+
 # A 5x4 position (Black to move) that only the residual search proves:
 # Square + Triangle, completed by a pairing of the two groups left over.
 RESIDUAL_5X4 = "5 4 4 B\n.OX..\nX....\n.....\n...O.\n"
@@ -128,6 +153,21 @@ DEEP_BUDGET_RESULTS = {
 PASS3_ORDER_RESULTS = {
     "5 4 4 B\n.X...\nXO...\n...O.\n.....\n": {608: None, 609: "4908b3ad21ea8e0a"},
 }
+
+
+def board_of(name: str) -> str:
+    return name if "\n" in name else load_fixture(f"{name}.board")
+
+
+def embedding_lines(found) -> list[str]:
+    return [
+        f"{e.template.name} {e.cells} {[g.cells for g in e.groups]} {e.marker_mask} {e.group_mask}\n"
+        for e in found
+    ]
+
+
+def detect_digest(found) -> str:
+    return hashlib.sha256("".join(embedding_lines(found)).encode()).hexdigest()[:16]
 
 
 def cert_digest(cert: DrawCertificate | None) -> str | None:
@@ -199,6 +239,77 @@ class TestDetect:
         for e in found:
             assert set(e.concrete_groups()) <= live
             assert all(pos.is_empty(c) for c in e.marker_cells())
+
+
+    @pytest.mark.parametrize("name", DETECT_DIGESTS)
+    def test_pinned_output(self, name):
+        found = detect(parse_position(board_of(name)))
+        assert (detect_digest(found), len(found)) == DETECT_DIGESTS[name]
+
+
+# Positions of one board that grow a placement table's region in steps.
+OTHER_5X4 = (
+    "5 4 4 B\n.OX..\nX....\n.....\n...O.\n",
+    "5 4 4 B\n..X..\n.....\n...O.\n.....\n",
+    "5 4 4 B\nO....\n.....\n.....\n....X\n",
+)
+OTHER_SPECS = ("4 4 4 B\n..O.\n..X.\nX...\n.O..\n", "5 5 4 B\nXO...\n.....\n..X..\n.....\n....O\n")
+COLLAPSE_5X4 = [name for name in DETECT_DIGESTS if name.startswith("5 4")]
+
+
+class TestPlacementTables:
+    """detect keeps a placement table per template and board, so its output
+    must not depend on what it was asked before."""
+
+    @staticmethod
+    def fresh(pos, names=None):
+        # New template objects hold no tables.
+        templates = [t for t in configs._fixed_templates() if names is None or t.name in names]
+        assert all("tables" not in vars(t) for t in templates)
+        return embedding_lines(detect(pos, templates))
+
+    @pytest.mark.parametrize("board", COLLAPSE_5X4)
+    def test_after_the_region_grew_on_the_same_board(self, board):
+        pos = parse_position(board)
+        templates = configs._fixed_templates()
+        assert embedding_lines(detect(pos, templates)) == self.fresh(pos)
+        region = templates[0].tables[pos.spec]
+        for other in OTHER_5X4:
+            detect(parse_position(other), templates)
+        assert templates[0].tables[pos.spec].empty != region.empty
+        assert embedding_lines(detect(pos, templates)) == self.fresh(pos)
+
+    @pytest.mark.parametrize("board", COLLAPSE_5X4)
+    def test_after_other_boards(self, board):
+        pos = parse_position(board)
+        templates = configs._fixed_templates()
+        for other in OTHER_SPECS:
+            detect(parse_position(other), templates)
+        assert embedding_lines(detect(pos, templates)) == self.fresh(pos)
+
+    def test_template_subset(self):
+        names = {"Triangle", "Square/Line", "BiTriangle"}
+        for other in OTHER_5X4:
+            detect(parse_position(other))
+        for board in COLLAPSE_5X4:
+            pos = parse_position(board)
+            subset = [t for t in catalog() if t.name in names]
+            assert embedding_lines(detect(pos, subset)) == self.fresh(pos, names)
+
+    def test_cycle_template_table_dies_with_it(self):
+        pos = parse_position(OTHER_5X4[1])
+        cycle = template_by_name("CycleN(5)")
+        first = embedding_lines(detect(pos, [cycle]))
+        assert first
+        for other in OTHER_5X4[::2]:
+            detect(parse_position(other), [cycle])
+        assert embedding_lines(detect(pos, [cycle])) == first
+        assert embedding_lines(detect(pos, [template_by_name("CycleN(5)")])) == first
+        assert template_by_name("CycleN(5)") is not cycle
+        ref = weakref.ref(cycle)
+        del cycle
+        gc.collect()
+        assert ref() is None
 
 
 class TestProveDraw:

@@ -112,6 +112,9 @@ PINNED_COUNTERS = {
 # confused the sides at a White-to-move root would move these.
 WHITE_4X4 = "4 4 4 W\n....\n..X.\nX...\n.O..\n"
 WHITE_5X4 = "5 4 4 W\n.....\n..X..\nXXXO.\n.OO..\n"
+# White's first move makes a double threat at WHITE_5X4, whose trees stop
+# before the table; this White-to-move win reaches it in every mode.
+WHITE_WIN_5X4 = "5 4 4 W\n...X.\n.O.O.\n.X...\n....X\n"
 PINNED_TREES = {
     "white4x4-none": (WHITE_4X4, "none", ("Draw", 4856, 1598, {}, 0)),
     "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 2926, 1053, {"hj": 17}, 19)),
@@ -119,6 +122,11 @@ PINNED_TREES = {
     "white5x4-none": (WHITE_5X4, "none", ("WhiteWin", 2, 0, {}, 0)),
     "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 2, 0, {}, 0)),
     "white5x4-setmatch": (WHITE_5X4, "setmatch", ("WhiteWin", 2, 0, {}, 0)),
+    "whitewin5x4-none": (WHITE_WIN_5X4, "none", ("WhiteWin", 2383, 739, {}, 0)),
+    "whitewin5x4-hj": (WHITE_WIN_5X4, "hj", ("WhiteWin", 323, 44, {"hj": 28}, 39)),
+    "whitewin5x4-setmatch": (
+        WHITE_WIN_5X4, "setmatch", ("WhiteWin", 323, 44, {"setmatch": 28}, 39)
+    ),
     "empty4x4-hj": (
         "4 4 4 B\n....\n....\n....\n....\n", "hj", ("Draw", 14750, 5817, {"hj": 58}, 59)
     ),
