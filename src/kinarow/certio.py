@@ -1,7 +1,7 @@
 """JSON (de)serialization of draw certificates.
 
 The on-disk format holds the board file text, one object per matching set
-(markers, groups, coverings with their remainders, symmetry permutations),
+(markers, groups, coverings with their remainder pairs, symmetry permutations),
 and the residual pairing.  All cells are written in algebraic form ("c2").
 """
 
@@ -43,15 +43,10 @@ def _matching_to_obj(ms: MatchingSet) -> dict:
 
 
 def _covering_to_obj(c: Covering) -> dict:
-    remainder: dict[str, Any] = {
-        "pairs": [[cell_name(a), cell_name(b)] for a, b in c.pairs]
-    }
-    if c.nested is not None:
-        remainder["nested"] = _matching_to_obj(c.nested)
     return {
         "black": cell_name(c.black_move),
         "white": cell_name(c.white_response),
-        "remainder": remainder,
+        "remainder": {"pairs": [[cell_name(a), cell_name(b)] for a, b in c.pairs]},
     }
 
 
@@ -70,13 +65,11 @@ def _matching_from_obj(obj: dict) -> MatchingSet:
 
 
 def _covering_from_obj(obj: dict) -> Covering:
-    remainder = obj.get("remainder", {})
-    nested = remainder.get("nested")
+    pairs = obj.get("remainder", {}).get("pairs", [])
     return Covering(
         parse_cell(obj["black"]),
         parse_cell(obj["white"]),
-        tuple((a, b) for a, b in (tuple(_cells(p)) for p in remainder.get("pairs", []))),
-        _matching_from_obj(nested) if nested is not None else None,
+        tuple((a, b) for a, b in (tuple(_cells(p)) for p in pairs)),
     )
 
 

@@ -178,10 +178,17 @@ def _cmd_verify_cert(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    checks = [(t, REFERENCE_ROWS[t.name]) for t in catalog()]
+    for n in range(3, 9):
+        for name, markers, groups, red in (
+            (f"CycleN({n})", 2 * n - 1, n, 1),
+            (f"CycleNLine({n})", 2 * n, n + 1, 2),
+        ):
+            ref = (markers, groups, red, f"{float(Fraction(markers, groups)):.2f}")
+            checks.append((template_by_name(name), ref))
     rows = []
     mismatches = 0
-    for template in catalog():
-        ref = REFERENCE_ROWS[template.name]
+    for template, ref in checks:
         got = (
             template.num_markers,
             template.num_groups,
@@ -191,21 +198,6 @@ def _cmd_table1(args) -> int:
         flag = "MATCH" if got == ref else "MISMATCH"
         mismatches += flag == "MISMATCH"
         rows.append((template.name, *got, flag))
-    for n in range(3, 9):
-        for template, markers, groups, red in (
-            (template_by_name(f"CycleN({n})"), 2 * n - 1, n, 1),
-            (template_by_name(f"CycleNLine({n})"), 2 * n, n + 1, 2),
-        ):
-            ref = (markers, groups, red, f"{float(Fraction(markers, groups)):.2f}")
-            got = (
-                template.num_markers,
-                template.num_groups,
-                template.reduction,
-                f"{float(template.ratio):.2f}",
-            )
-            flag = "MATCH" if got == ref else "MISMATCH"
-            mismatches += flag == "MISMATCH"
-            rows.append((template.name, *got, flag))
     width = max(len(r[0]) for r in rows)
     print(f"{'configuration':{width}s} markers groups reduction ratio flag")
     for name, markers, groups, red, ratio, flag in rows:

@@ -32,7 +32,7 @@ from .board import (
     live_black_groups,
     state_mask,
 )
-from .pairing import Pairing, find_hj_pairing, smallest_pairing
+from .pairing import Pairing, find_hj_pairing, smallest_pairing, verify_pairing
 from .setmatch import (
     Covering,
     MatchingSet,
@@ -408,12 +408,6 @@ class Embedding:
     def binding(self) -> dict[Label, Cell]:
         return dict(zip(sorted(self.template.markers), self.cells))
 
-    def marker_cells(self) -> frozenset[Cell]:
-        return frozenset(self.cells)
-
-    def concrete_groups(self) -> list[Group]:
-        return list(self.groups)
-
     def to_matching_set(self) -> MatchingSet:
         b = self.binding
         coverings = tuple(
@@ -423,7 +417,6 @@ class Embedding:
                 tuple(
                     tuple(sorted((b[u], b[v]), key=cell_key)) for u, v in c.pairs
                 ),
-                None,
             )
             for c in self.template.matching.coverings
         )
@@ -1005,8 +998,6 @@ def check_certificate(cert: DrawCertificate) -> ProofResult:
     pair_cells = cert.residual.marker_cells()
     if pair_cells & seen_markers:
         v.append(("residual", "pair cells collide with embedding markers"))
-    from .pairing import verify_pairing
-
     for msg in verify_pairing(pos, cert.residual):
         v.append(("residual", msg))
     for g in cert.residual.groups():

@@ -1,11 +1,10 @@
 """Matching sets: marker sets with coverings that block every Black first move.
 
 A matching set bundles markers N, groups G, and coverings C.  Each covering
-names Black's first marker move, White's response, and how the groups missed
-by that response are handled: either explicit marker pairs (a plain pairing)
-or a nested matching set.  Verification expands coverings omitted as
-symmetric in the source notation, then demands literal completeness: every
-marker must be answerable.
+names Black's first marker move, White's response, and the marker pairs that
+cover the groups missed by that response (a plain pairing of what is left).
+Verification expands coverings omitted as symmetric in the source notation,
+then demands literal completeness: every marker must be answerable.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
-from .board import BLACK, Group, Position, cell_name
+from .board import BLACK, WHITE, Group, Position, cell_name
 from .pairing import PairResponder
 
 Node = Hashable
@@ -24,12 +23,11 @@ SymmetryMap = dict
 
 @dataclass(frozen=True)
 class Covering:
-    """Black first move -> White response, plus the remainder coverage."""
+    """Black first move -> White response, plus the pairs covering the rest."""
 
     black_move: Node
     white_response: Node
     pairs: tuple[tuple[Node, Node], ...] = ()
-    nested: "MatchingSet | None" = None
 
 
 @dataclass
@@ -39,11 +37,8 @@ class MatchingSet:
     coverings: tuple[Covering, ...]
     symmetry: tuple[SymmetryMap, ...] = ()
 
-    def group_nodes(self, g) -> frozenset:
-        return g.cell_set if isinstance(g, Group) else frozenset(g)
-
     def group_markers(self, g) -> frozenset:
-        return self.group_nodes(g) & self.markers
+        return frozenset(g) & self.markers
 
 
 @dataclass(frozen=True)
@@ -93,25 +88,10 @@ def symmetry_closure(nodes: frozenset, gens: Sequence[SymmetryMap]) -> list[Symm
 
 
 def _apply_perm_covering(cov: Covering, perm: SymmetryMap) -> Covering:
-    nested = None
-    if cov.nested is not None:
-        nested = _apply_perm_matching(cov.nested, perm)
     pairs = tuple(
         tuple(sorted((perm[u], perm[v]), key=repr)) for u, v in cov.pairs
     )
-    return Covering(perm[cov.black_move], perm[cov.white_response], pairs, nested)
-
-
-def _apply_perm_matching(m: MatchingSet, perm: SymmetryMap) -> MatchingSet:
-    groups = tuple(
-        frozenset(perm.get(n, n) for n in m.group_nodes(g)) for g in m.groups
-    )
-    return MatchingSet(
-        markers=frozenset(perm.get(n, n) for n in m.markers),
-        groups=groups,
-        coverings=tuple(_apply_perm_covering(c, perm) for c in m.coverings),
-        symmetry=(),
-    )
+    return Covering(perm[cov.black_move], perm[cov.white_response], pairs)
 
 
 def expand_coverings(m: MatchingSet, name: Callable[[Node], str]) -> tuple[dict, list]:
@@ -162,14 +142,14 @@ def _verify(
     is_empty: Callable[[Node], bool],
     group_has_white: Callable[[object], bool],
     name: Callable[[Node], str],
-    where: str = "matching set",
 ) -> list[tuple[str, str]]:
+    where = "matching set"
     v: list[tuple[str, str]] = []
     gname = lambda g: str(g) if isinstance(g, Group) else "".join(sorted(map(str, g)))
     for marker in sorted(m.markers, key=repr):
         if not is_empty(marker):
             v.append((where, f"marker {name(marker)} is not empty"))
-    node_sets = [m.group_nodes(g) for g in m.groups]
+    node_sets = [frozenset(g) for g in m.groups]
     if len(set(node_sets)) != len(node_sets):
         v.append((where, "duplicate groups"))
     for i, a in enumerate(node_sets):
@@ -187,15 +167,14 @@ def _verify(
     if v:
         return v
 
+    # expand_coverings keeps only coverings within the markers, and its
+    # symmetry images permute markers, so every node below is a marker.
     chosen, expansion_errors = expand_coverings(m, name)
     v.extend((where + "/" + loc, reason) for loc, reason in expansion_errors)
 
     for x, cov in sorted(chosen.items(), key=lambda kv: repr(kv[0])):
         loc = f"{where}/covering {name(x)}"
         y = cov.white_response
-        if x not in m.markers or y not in m.markers:
-            v.append((loc, "first move or response is not a marker"))
-            continue
         if x == y:
             v.append((loc, "response equals the first move"))
             continue
@@ -203,10 +182,7 @@ def _verify(
         bad_pairs = False
         for u, w in cov.pairs:
             for node in (u, w):
-                if node not in m.markers:
-                    v.append((loc, f"pair marker {name(node)} outside markers"))
-                    bad_pairs = True
-                elif node in used:
+                if node in used:
                     v.append((loc, f"pair marker {name(node)} reused"))
                     bad_pairs = True
                 used.add(node)
@@ -215,26 +191,14 @@ def _verify(
                 bad_pairs = True
         if bad_pairs:
             continue
-        remaining = [g for g in m.groups if y not in m.group_nodes(g)]
-        if cov.nested is not None:
-            nested_nodes = {m.group_nodes(g) for g in cov.nested.groups}
-            for g in remaining:
-                if m.group_nodes(g) not in nested_nodes:
-                    v.append((loc, f"group {gname(g)} missing from nested set"))
-            if not cov.nested.markers <= m.markers - {x, y}:
-                v.append((loc, "nested markers escape the remaining markers"))
-            nested_empty = lambda n: is_empty(n) and n not in (x, y)
-            v.extend(
-                _verify(cov.nested, nested_empty, group_has_white, name, loc + "/nested")
-            )
-        else:
-            for g in remaining:
-                nodes = m.group_nodes(g)
-                if not any(u in nodes and w in nodes for u, w in cov.pairs):
-                    v.append(
-                        (loc, f"group {gname(g)} uncovered after "
-                              f"{name(x)}->{name(y)}")
-                    )
+        for g, nodes in zip(m.groups, node_sets):
+            if y not in nodes and not any(
+                u in nodes and w in nodes for u, w in cov.pairs
+            ):
+                v.append(
+                    (loc, f"group {gname(g)} uncovered after "
+                          f"{name(x)}->{name(y)}")
+                )
     return v
 
 
@@ -250,8 +214,6 @@ def verify_matching_set(pos: Position, m: MatchingSet) -> ProofResult:
             v.append(("matching set", f"group {g} is off the board"))
     if v:
         return ProofResult(tuple(v))
-    from .board import WHITE
-
     v = _verify(
         m,
         is_empty=lambda c: pos.spec.in_bounds(c) and pos.is_empty(c),
@@ -279,7 +241,7 @@ class MatchResponder:
     """White's reply engine for a verified matching set.
 
     Waits for Black's first marker move, answers with the covering's
-    response, then follows the remainder (pairs, or a nested responder).
+    response, then answers each later marker move with its pair partner.
     Non-marker Black moves get the default rule: lowest empty non-marker,
     else the forced-marker rule.  Any marker White takes permanently covers
     every group through it, so forced marker moves are always safe.
@@ -292,26 +254,18 @@ class MatchResponder:
         if errors:
             raise ValueError(f"cannot execute an invalid matching set: {errors}")
         self.cover_map = chosen
-        self.delegate: PairResponder | MatchResponder | None = None
+        self.delegate: PairResponder | None = None
         self.white_owned: set[Node] = set()
-
-    def _activate(self, cov: Covering) -> None:
-        if cov.nested is not None:
-            sub = MatchResponder(cov.nested, key=self.key)
-            sub.white_owned |= self.white_owned
-            self.delegate = sub
-        else:
-            live = [
-                p for p in cov.pairs if not any(n in self.white_owned for n in p)
-            ]
-            self.delegate = PairResponder(live, key=self.key)
 
     def respond(self, black: Node | None, empties: set[Node]) -> Node | None:
         if self.delegate is not None:
             move = self.delegate.respond(black, empties)
         elif black in self.cover_map:
             cov = self.cover_map[black]
-            self._activate(cov)
+            live = [
+                p for p in cov.pairs if not any(n in self.white_owned for n in p)
+            ]
+            self.delegate = PairResponder(live, key=self.key)
             if cov.white_response in empties:
                 move = cov.white_response
             else:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kinarow.certio import CertificateFormatError, certificate_from_json
+from kinarow.cli import main
 from kinarow.configs import check_certificate
 from kinarow.setmatch import ProofResult
 from tests.test_board import load_fixture
@@ -64,6 +65,24 @@ def test_bad_board_is_format_error(board):
     obj["board"] = board
     with pytest.raises(CertificateFormatError, match="bad board"):
         certificate_from_json(json.dumps(obj))
+
+
+def test_nested_remainder_is_ignored(tmp_path):
+    """A remainder that names a matching set in place of pairs covers nothing."""
+    obj = json.loads(load_fixture("fig1.cert"))
+    ms = obj["matching_sets"][0]
+    ms["coverings"][0]["remainder"] = {"nested": json.loads(json.dumps(ms))}
+    text = json.dumps(obj)
+    result = check_certificate(certificate_from_json(text))
+    assert result.violations == (
+        ("embedding 0 (Triangle)/matching set/covering a1",
+         "group a1-b1-c1-d1 uncovered after a1->a4"),
+        ("embedding 0 (Triangle)/matching set/covering a4",
+         "group d1-c2-b3-a4 uncovered after a4->a1"),
+    )
+    path = tmp_path / "nested.cert"
+    path.write_text(text)
+    assert main(["verify-cert", "--cert", str(path)]) == 1
 
 
 @settings(max_examples=300, deadline=None)

@@ -186,9 +186,14 @@ class TestVerifyCert:
         assert err.startswith("error:") and "é1" in err
 
 
-def readme_cli_lines() -> list[str]:
+def readme_block(section: str, lang: str) -> str:
+    """The first fenced `lang` block under README's `## section` heading."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return readme.split(f"## {section}\n", 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_cli_lines() -> list[str]:
+    block = readme_block("CLI", "sh")
     return [ln.split("#", 1)[0].strip() for ln in block.splitlines() if ln.startswith("kinarow ")]
 
 
@@ -197,6 +202,11 @@ class TestReadme:
     def test_cli_example_parses(self, line):
         argv = shlex.split(line.split(">", 1)[0])[1:]
         _parser().parse_args(argv)
+
+    def test_library_example_runs(self):
+        block = readme_block("Library", "python")
+        assert "prove_draw(" in block and "solve(" in block
+        exec(compile(block, "README.md", "exec"), {})
 
 
 class TestDetect:

@@ -209,7 +209,7 @@ class TestDetect:
     def test_empty_4x4_contains_the_two_crossing_bitriangles(self):
         pos = empty_position(BoardSpec(4, 4, 4))
         bi = [template_by_name("BiTriangle")]
-        marker_sets = {e.marker_cells() for e in detect(pos, bi)}
+        marker_sets = {frozenset(e.cells) for e in detect(pos, bi)}
         diag = frozenset(parse_cell(c) for c in ("a1", "a3", "a4", "b1", "c4", "d1", "d2", "d4"))
         anti = frozenset(parse_cell(c) for c in ("a2", "b2", "b3", "b4", "c1", "c2", "c3", "d3"))
         assert diag in marker_sets
@@ -237,8 +237,8 @@ class TestDetect:
         assert found, f"{name} not detected on {fig}"
         live = set(live_black_groups(pos))
         for e in found:
-            assert set(e.concrete_groups()) <= live
-            assert all(pos.is_empty(c) for c in e.marker_cells())
+            assert set(e.groups) <= live
+            assert all(pos.is_empty(c) for c in e.cells)
 
 
     @pytest.mark.parametrize("name", DETECT_DIGESTS)

@@ -64,46 +64,44 @@ class TestVerifyAbstract:
         )
         assert not verify_abstract(bad).valid
 
+    @pytest.mark.parametrize(
+        "covering,expected",
+        [
+            (
+                Covering("a", "a", (("c", "d"),)),
+                [("a", "response equals the first move"),
+                 ("b", "response equals the first move")],
+            ),
+            (
+                Covering("a", "b", (("b", "c"),)),
+                [("a", "pair marker b reused"), ("b", "pair marker a reused")],
+            ),
+            (
+                Covering("a", "b", (("c", "d"), ("d", "e"))),
+                [("a", "pair marker d reused"), ("b", "pair marker e reused")],
+            ),
+            (
+                Covering("a", "b", (("c", "c"),)),
+                [("a", "pair marker c reused"), ("a", "degenerate pair"),
+                 ("b", "pair marker c reused"), ("b", "degenerate pair")],
+            ),
+        ],
+        ids=["response-is-first-move", "pair-reuses-response", "pairs-share-a-marker",
+             "degenerate-pair"],
+    )
+    def test_bad_covering_reason(self, covering, expected):
+        # The bad covering replaces the one for a; b has no covering of its
+        # own, so its covering is the symmetric image and has the same fault.
+        m = triangle_set()
+        bad = MatchingSet(m.markers, m.groups, (covering,) + m.coverings[1:], m.symmetry)
+        assert verify_abstract(bad).violations == tuple(
+            (f"matching set/covering {x}", reason) for x, reason in expected
+        )
+
     def test_every_bundled_template_is_valid(self):
         for template in catalog(cycle_sizes=(3, 4, 5, 6)):
             result = verify_abstract(template.matching)
             assert result.valid, (template.name, result.violations)
-
-
-class TestNestedMatchingSets:
-    def build(self) -> MatchingSet:
-        # Outer pair (x, y) guards the group xy; after x -> y the three
-        # remaining groups are handled by a nested triangle over a..e.
-        inner = triangle_set()
-        groups = (frozenset("xy"),) + inner.groups
-        coverings = (
-            Covering("x", "y", (), nested=inner),
-            Covering("y", "x", (), nested=inner),
-            Covering("a", "b", (("c", "d"), ("x", "y"))),
-            Covering("c", "a", (("b", "e"), ("x", "y"))),
-            Covering("d", "a", (("b", "c"), ("x", "y"))),
-        )
-        return MatchingSet(
-            markers=frozenset("abcdexy"),
-            groups=groups,
-            coverings=coverings,
-            symmetry=({"a": "b", "b": "a", "d": "e", "e": "d"},),
-        )
-
-    def test_nested_construct_is_valid(self):
-        result = verify_abstract(self.build())
-        assert result.valid, result.violations
-
-    def test_nested_adversary_finds_no_failures(self):
-        assert exhaustive_marker_adversary(self.build()) == []
-
-    def test_tampered_nested_set_is_invalid(self):
-        m = self.build()
-        inner = triangle_set()
-        hollow = MatchingSet(inner.markers, inner.groups, (), ())
-        coverings = (Covering("x", "y", (), nested=hollow),) + m.coverings[1:]
-        bad = MatchingSet(m.markers, m.groups, coverings, m.symmetry)
-        assert not verify_abstract(bad).valid
 
 
 class TestSymmetry:
