@@ -788,34 +788,38 @@ def _bitsets(items: Sequence[Embedding], spec: BoardSpec) -> tuple[list[int], Ca
     return columns, clash
 
 
-@functools.lru_cache(maxsize=1024)
-def _max_reduction(groups: int, empty: int, sizes: tuple[tuple[int, int], ...]) -> int:
-    """The most cells saved by templates of the given (groups, markers) sizes,
-    any number of each, holding at most `groups` groups and `empty` markers
-    in all: a 2-D unbounded knapsack with value 2*groups - markers per item."""
-    best = [[0] * (empty + 1) for _ in range(groups + 1)]
+@functools.lru_cache(maxsize=256)
+def _reductions(groups: int, markers: int, sizes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    """table[g][m]: the most cells saved by templates of the given (groups,
+    markers) sizes, any number of each, holding at most g groups and m
+    markers in all, for every g <= groups and m <= markers: a 2-D unbounded
+    knapsack with value 2*groups - markers per item."""
+    best = [[0] * (markers + 1) for _ in range(groups + 1)]
     for g in range(groups + 1):
         row = best[g]
-        for m in range(empty + 1):
+        for m in range(markers + 1):
             for tg, tm in sizes:
                 if tg <= g and tm <= m:
                     row[m] = max(row[m], best[g - tg][m - tm] + 2 * tg - tm)
-    return best[groups][empty]
+    return tuple(map(tuple, best))
 
 
-def _saves_too_little(live: int, empty: int, templates: Iterable[ConfigTemplate]) -> bool:
-    """Whether no certificate from these templates can exist.
+def _sizes(templates: Iterable[ConfigTemplate]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted({(t.num_groups, t.num_markers) for t in templates}))
 
-    A certificate's embeddings hold distinct live groups and distinct empty
-    marker cells, and its residual pairing takes two further empty cells
-    per live group left over, so its templates must save (by reduction) at
-    least 2*live - empty cells.
+
+def _saves_too_little(live: int, cells: int, saved: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether no certificate covers `live` live groups from `cells` cells.
+
+    A certificate's embeddings hold distinct live groups and distinct marker
+    cells, and its residual pairing takes two further cells per live group
+    left over.  Every such cell is empty and lies in one of the groups (each
+    template marker lies in a template group), so its templates must save
+    (by reduction) at least 2*live - cells of the empty cells in those
+    groups.  saved is a _reductions table reaching (live, cells).
     """
-    need = 2 * live - empty
-    if need <= 0:
-        return False
-    sizes = tuple(sorted({(t.num_groups, t.num_markers) for t in templates}))
-    return need > _max_reduction(live, empty, sizes)
+    need = 2 * live - cells
+    return need > 0 and need > saved[live][cells]
 
 
 def prove_draw(
@@ -826,8 +830,9 @@ def prove_draw(
     """Cover all live Black groups by independent embeddings plus a residual pairing.
 
     Sound but deliberately incomplete: None proves nothing.  Positions whose
-    templates cannot save enough cells (_saves_too_little) are refuted
-    before any search, and again over the templates that embedded.
+    templates cannot save enough of the empty cells in live groups
+    (_saves_too_little) are refuted before any search, and again over the
+    templates that embedded.
 
     A plain pairing of every live group is returned first.  Otherwise the
     cover pass (exact_cover) seeks covers by embeddings alone and keeps the
@@ -835,30 +840,50 @@ def prove_draw(
     bindings), so a full tiling of the empty cells wins whenever it finds
     one.  Failing that, the residual pass (search) returns the first set of
     embeddings whose leftover groups a residual pairing completes.
-    max_attempts caps the nodes of each of the two passes; there is no floor.
+    max_attempts caps the nodes each of the two passes searches; there is no
+    floor.  Both passes skip a child whose subtree cannot hold a better
+    result (a cover that beats the best held, or any certificate), and a
+    skipped subtree costs no node, so a pass that finishes within budget
+    returns what the full search would.
     """
     if pos.to_move != BLACK:
         return None
     if templates is None:
         templates = catalog()
     live = live_black_groups(pos)
+    group_index = _group_index(pos.spec)
+    live_bits = [1 << group_index[g] for g in live]
+    all_mask = sum(live_bits)
     empty_mask = state_mask(pos, EMPTY)
     total_empty = empty_mask.bit_count()
-    if _saves_too_little(len(live), total_empty, templates):
+    masks = group_masks(pos.spec)
+    group_cells = [cells & empty_mask for cells in masks]
+
+    @functools.lru_cache(maxsize=None)
+    def open_cells(groups: int) -> int:
+        """The empty cells of the groups in a bitset over enumerate_groups."""
+        out = 0
+        for i in _bits_idx(groups):
+            out |= group_cells[i]
+        return out
+
+    live_cells = open_cells(all_mask)
+    cells = live_cells.bit_count()
+    if _saves_too_little(len(live), cells, _reductions(len(live), cells, _sizes(templates))):
         return None
     residual = find_hj_pairing(pos, live)
     if residual is not None:
         return DrawCertificate(pos, (), residual)
     embeddings = detect(pos, templates)
+    if not embeddings:
+        return None
     embedded = {id(e.template): e.template for e in embeddings}
-    if not embeddings or _saves_too_little(len(live), total_empty, embedded.values()):
+    saved = _reductions(len(live), cells, _sizes(embedded.values()))
+    if _saves_too_little(len(live), cells, saved):
         return None
 
     rank = {t.name: (-t.reduction, -t.num_groups) for t in templates}
     embeddings.sort(key=lambda e: rank[e.template.name])
-    group_index = _group_index(pos.spec)
-    live_bits = [1 << group_index[g] for g in live]
-    all_mask = sum(live_bits)
 
     def certificate(chosen: list[Embedding], residual: Pairing) -> DrawCertificate:
         entries = tuple(CertEntry(e.template.name, e.to_matching_set()) for e in chosen)
@@ -888,8 +913,18 @@ def prove_draw(
     # reply to as many moves as possible; ties fall to the lexicographically
     # smallest template-name combination for reproducible output.
     columns, clash = _bitsets(cands, pos.spec)
+    shift = len(masks)
+    cell_columns = [(1 << b, columns[shift + b]) for b in _bits_idx(live_cells)]
     branch_order = sorted(_bits_idx(all_mask), key=lambda i: (columns[i].bit_count(), i))
     cover_budget = [max_attempts]
+
+    def marked_by(pool: int, marked: int) -> int:
+        """marked with every live cell that some candidate of pool marks."""
+        for bit, column in cell_columns:
+            if pool & column:
+                marked |= bit
+        return marked
+
     best_cover: list[tuple[tuple, list[Embedding]]] = []
 
     def exact_cover(pool: int, chosen: list[Embedding], covered: int, markers: int) -> None:
@@ -906,10 +941,45 @@ def prove_draw(
                 best_cover[:] = [(key, list(chosen))]
             return
         i = next(i for i in branch_order if not covered >> i & 1)
+        # Once a cover is held, skip a child when no cover below it can beat
+        # the best.  A child's pool drops every other holder of group i, so
+        # each candidate taken below it comes from rest, and a cell left
+        # unmarked by the choices, the child and every candidate of rest
+        # stays uncovered.  Each of the fewer than k candidates taken below
+        # has a name no less than least, so no names below sort before the
+        # child's names with k copies of least added, or with none when
+        # none of those names is above least.  That bound grows with the
+        # child's name, and the children come in name order: when the best
+        # leaves no cell uncovered, no later child can beat it either, so
+        # the loop stops.  A child that passes is checked once more on the
+        # cells its own pool can mark.
+        reach = -1
         for j in _bits_idx(pool & columns[i]):
             e = cands[j]
+            marked = markers | e.marker_mask
+            if best_cover:
+                if reach < 0:
+                    rest = pool & ~columns[i]
+                    reach = marked_by(rest, markers)
+                    least = cands[(rest & -rest).bit_length() - 1].template.name if rest else ""
+                    k = (all_mask & ~covered).bit_count()
+                (best_uncovered, best_names, _), _ = best_cover[0]
+                uncovered = total_empty - (reach | e.marker_mask).bit_count()
+                if uncovered > best_uncovered:
+                    continue
+                if uncovered == best_uncovered:
+                    below = sorted([c.template.name for c in chosen] + [e.template.name])
+                    if rest and below[-1] > least:
+                        below = sorted(below + [least] * k)
+                    if tuple(below) > best_names:
+                        if best_uncovered:
+                            continue
+                        break
+            child = pool & ~clash(j)
+            if best_cover and total_empty - marked_by(child, marked).bit_count() > best_uncovered:
+                continue
             chosen.append(e)
-            exact_cover(pool & ~clash(j), chosen, covered | e.group_mask, markers | e.marker_mask)
+            exact_cover(child, chosen, covered | e.group_mask, marked)
             chosen.pop()
             if cover_budget[0] <= 0:
                 return
@@ -923,10 +993,11 @@ def prove_draw(
     # left over.  A node's pool is the bitset of later embeddings compatible
     # with its choices.  The pairing is only sought when every uncovered
     # group keeps two empty cells off the chosen markers; otherwise none
-    # exists.
+    # exists.  A child is skipped when the templates that embedded cannot
+    # save enough of the unmarked empty cells in its uncovered groups
+    # (_saves_too_little): no certificate then extends its choices.
     cell_of = list(pos.spec.cells())  # marker_mask bit -> cell
-    masks = group_masks(pos.spec)
-    room = [(1 << i, masks[i] & empty_mask) for i in (group_index[g] for g in live)]
+    room = [(bit, group_cells[bit.bit_length() - 1]) for bit in live_bits]
     clash = _bitsets(embeddings, pos.spec)[1]
     budget = [max_attempts]
 
@@ -947,6 +1018,10 @@ def prove_draw(
             pool ^= low
             j = low.bit_length() - 1
             e = embeddings[j]
+            uncovered = all_mask & ~(covered | e.group_mask)
+            free = open_cells(uncovered) & ~(markers | e.marker_mask)
+            if _saves_too_little(uncovered.bit_count(), free.bit_count(), saved):
+                continue
             chosen.append(e)
             found = search(pool & ~clash(j), chosen, covered | e.group_mask, markers | e.marker_mask)
             chosen.pop()

@@ -181,14 +181,14 @@ def _verify(
         used = {x, y}
         bad_pairs = False
         for u, w in cov.pairs:
-            for node in (u, w):
+            if u == w:
+                v.append((loc, "degenerate pair"))
+                bad_pairs = True
+            for node in dict.fromkeys((u, w)):
                 if node in used:
                     v.append((loc, f"pair marker {name(node)} reused"))
                     bad_pairs = True
                 used.add(node)
-            if u == w:
-                v.append((loc, "degenerate pair"))
-                bad_pairs = True
         if bad_pairs:
             continue
         for g, nodes in zip(m.groups, node_sets):

@@ -23,7 +23,7 @@ from kinarow.certio import certificate_from_json, certificate_to_json
 from kinarow.configs import (
     CertEntry,
     DrawCertificate,
-    _max_reduction,
+    _reductions,
     catalog,
     check_certificate,
     cycle_line_template,
@@ -116,7 +116,7 @@ TIES_4X4 = "4 4 4 B\n..O.\n..X.\nX...\n.O..\n"
 # prove_draw(pos, max_attempts=b) for b = 1, 3, 10, 100: the first 16 hex
 # digits of the SHA-256 of the certificate JSON, or None for NotFound.
 BUDGET_RESULTS = {
-    "empty4x4": [None, None, None, "d102e0d9ba14e5d0"],
+    "empty4x4": [None, None, None, "364233186cb61d57"],
     "fig1": [None] + ["fbf21a4b3d33d0f5"] * 3,
     "fig2": [None] + ["4a0e29857ae83d63"] * 3,
     "fig3": [None] + ["8e359bd1b90d8f0d"] * 3,
@@ -134,25 +134,43 @@ BUDGET_RESULTS = {
 }
 
 # prove_draw(pos, max_attempts=b) for b = 100, 300, 1000, 5000 on
-# positions whose result changes past 100 nodes, where BUDGET_RESULTS stops.
+# positions whose searches can run past the 100 nodes where BUDGET_RESULTS
+# stops.
 # The 4x4 opening has several Square + Square tilings: the cover search
 # lists a tiling's entries in branch order and, given the nodes, keeps the
 # least by sorted bindings.
 DEEP_BUDGET_RESULTS = {
-    "4 4 4 B\n....\n....\n....\n.O.X\n": ["07f78ace1e18b439"] + ["35f066ed7d5a1f1c"] * 3,
-    "5 4 4 B\n.O...\n.....\n.....\n..XOX\n": [None] + ["d8d5f194f2236255"] * 3,
+    "4 4 4 B\n....\n....\n....\n.O.X\n": ["35f066ed7d5a1f1c"] * 4,
+    "5 4 4 B\n.O...\n.....\n.....\n..XOX\n": ["d8d5f194f2236255"] * 4,
     "5 4 4 B\n....X\nXO...\n...O.\n.....\n": [None] + ["496d93e75d8b0e74"] * 3,
     "5 4 4 B\nO.X..\n..O..\n.....\nX....\n": [None] + ["a8c7dbf9d4052cac"] * 3,
 }
 
-# Pass-3 proofs found late in the residual search, keyed by board: budget ->
-# digest.  The proof lies one node past the first budget, so these pin the
-# node order of that search: a child pool that also drops the next candidate
-# finds this proof one node sooner, and one that keeps the earlier siblings
-# needs 52 more nodes.
+# Residual-pass proofs, keyed by board: budget -> digest.  Each proof lies
+# one node past the first budget, so these pin the node order of that
+# search.  A child pool that keeps the earlier siblings needs 2 more nodes
+# for the first proof.  One that also drops the next candidate loses the
+# second proof, which takes an embedding and the next one in its pool.
 PASS3_ORDER_RESULTS = {
-    "5 4 4 B\n.X...\nXO...\n...O.\n.....\n": {608: None, 609: "4908b3ad21ea8e0a"},
+    "5 4 4 B\n.X...\nXO...\n...O.\n.....\n": {208: None, 209: "4908b3ad21ea8e0a"},
+    "5 4 4 B\n.....\n..XOX\n.O...\nO..X.\n": {11: None, 12: "706a9b3c6ad26aa6"},
 }
+
+# prove_draw(pos) at the default budget, which the skipped subtrees of both
+# passes must leave as they are: the empty 4x4 board, and the two 16-empty
+# 5x4 openings of the benchmark that no certificate proves, whose residual
+# passes finish within budget only by skipping the subtrees that no
+# certificate can extend.
+DEFAULT_BUDGET_RESULTS = {
+    "empty4x4": "364233186cb61d57",
+    "5 4 4 B\nX..O.\nO....\n...X.\n.....\n": None,
+    "5 4 4 B\nX...O\nX..O.\n.....\n.....\n": None,
+}
+
+# Seeded random positions, as (m, n, plies, count, seed), whose results must
+# never lose a certificate as the budget grows.
+MONOTONE_BUDGETS = (1, 3, 10, 30, 100, 300, 1000, 5000)
+MONOTONE_POSITIONS = ((4, 4, 2, 10, 5), (5, 4, 4, 20, 8), (5, 4, 6, 20, 8), (5, 5, 12, 10, 9))
 
 
 def board_of(name: str) -> str:
@@ -358,6 +376,29 @@ class TestProveDraw:
         got = {b: cert_digest(prove_draw(pos, max_attempts=b)) for b in expected}
         assert got == expected
 
+    @pytest.mark.parametrize("name", sorted(DEFAULT_BUDGET_RESULTS))
+    def test_default_budget_results(self, name):
+        pos = parse_position(board_of(name))
+        assert cert_digest(prove_draw(pos)) == DEFAULT_BUDGET_RESULTS[name]
+
+    def test_a_larger_budget_keeps_the_certificate(self):
+        # Each pass searches a prefix of the same node order at every budget,
+        # so a certificate found within some budget is found within any
+        # larger one.  Some positions on each of the first two boards gain a
+        # certificate along the way, so the check is not empty there.
+        gained = set()
+        for m, n, plies, count, seed in MONOTONE_POSITIONS:
+            rng = random.Random(seed)
+            for _ in range(count):
+                pos = random_legal_position(rng, BoardSpec(m, n, 4), plies)
+                if winner(pos) is not None:
+                    continue
+                found = [prove_draw(pos, max_attempts=b) is not None for b in MONOTONE_BUDGETS]
+                assert found == sorted(found), pos
+                if found[-1] and not found[0]:
+                    gained.add((m, n))
+        assert gained >= {(4, 4), (5, 4)}
+
     def test_residual_search_proof(self):
         cert = prove_draw(parse_position(RESIDUAL_5X4))
         assert [e.template_name for e in cert.entries] == ["Square", "Triangle"]
@@ -418,7 +459,8 @@ class TestMarkerBudget:
     def test_knapsack_matches_brute_force(self, templates):
         sizes = sorted({(t.num_groups, t.num_markers) for t in templates})
         expected = brute_max_reductions(sizes, 12, 16)
-        got = {key: _max_reduction(*key, tuple(sizes)) for key in expected}
+        table = _reductions(12, 16, tuple(sizes))
+        got = {(lg, em): table[lg][em] for lg, em in expected}
         assert got == expected
 
     def test_certificates_fit_the_empty_cells(self):

@@ -82,8 +82,7 @@ class TestVerifyAbstract:
             ),
             (
                 Covering("a", "b", (("c", "c"),)),
-                [("a", "pair marker c reused"), ("a", "degenerate pair"),
-                 ("b", "pair marker c reused"), ("b", "degenerate pair")],
+                [("a", "degenerate pair"), ("b", "degenerate pair")],
             ),
         ],
         ids=["response-is-first-move", "pair-reuses-response", "pairs-share-a-marker",
