@@ -1,12 +1,13 @@
 """CLI dispatch, exit codes, and output formats."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
 
 import pytest
 
-from kinarow.cli import _parser, main
+from kinarow.cli import FIXTURE_NAMES, _parser, main
 from tests.test_board import load_fixture
 
 
@@ -250,3 +251,50 @@ class TestDeterminism:
         first = capsys.readouterr().out
         main(["prove", "--board", fixture_path("fig9c.board")])
         assert capsys.readouterr().out == first
+
+
+# SHA-256 prefixes of the full stdout of `render` and of `prove --pretty` on
+# every bundled fixture.
+RENDER_DIGESTS = {
+    "empty4x4": "01646524efc8af93",
+    "fig1": "4d0e1ec0bf89d139",
+    "fig2": "1dab6018d398a178",
+    "fig3": "ee631097f6db2d17",
+    "fig4": "ec166d5b212f252f",
+    "fig5": "7ab7bf95f9e72939",
+    "fig7": "3cbb6d0dba8eb96b",
+    "fig8": "6f18995cc3cecb85",
+    "fig9a": "eaff06fcd1e0a6fa",
+    "fig9b": "4e5d61dbc9efd69f",
+    "fig9c": "114b0a976fa9dc2c",
+    "fig10": "95b5c6c97f0c956f",
+    "fig11": "c3d7f5f19f5eea08",
+}
+PRETTY_DIGESTS = {
+    "empty4x4": "2edbd416c049081a",
+    "fig1": "000b66f3a8953d17",
+    "fig2": "14cf89cdb2999103",
+    "fig3": "72b979806d248d0d",
+    "fig4": "06b7705ce3e3c009",
+    "fig5": "a87170a7c2e4751d",
+    "fig7": "1045bce9de3540e2",
+    "fig8": "b0f662b4e19bc252",
+    "fig9a": "bef05b54c34fc366",
+    "fig9b": "4459b5ac9df98de2",
+    "fig9c": "b743681ada4d0a75",
+    "fig10": "41122c5f638934c0",
+    "fig11": "deb40a091c2b8a00",
+}
+
+
+class TestPinnedText:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize(
+        "argv,digests",
+        [(["render"], RENDER_DIGESTS), (["prove", "--pretty"], PRETTY_DIGESTS)],
+        ids=["render", "pretty"],
+    )
+    def test_output_is_pinned(self, capsys, name, argv, digests):
+        assert main([argv[0], "--board", f"fixture:{name}", *argv[1:]]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digests[name]
