@@ -132,22 +132,25 @@ def enumerate_groups(spec: BoardSpec) -> tuple[Group, ...]:
 
 @dataclass(frozen=True)
 class Position:
-    """An immutable board position.  rows[r][c] holds the state of cell (c, r)."""
+    """An immutable board position: the cells each side holds as a bitmask,
+    bit r*m+c for the cell (c, r)."""
 
     spec: BoardSpec
-    rows: tuple[str, ...]
+    black: int
+    white: int
     to_move: str
 
     def __post_init__(self) -> None:
-        if len(self.rows) != self.spec.n or any(len(r) != self.spec.m for r in self.rows):
-            raise BoardFormatError("row grid does not match board dimensions")
-        bad = set("".join(self.rows)) - {EMPTY, BLACK, WHITE}
-        if bad:
-            raise BoardFormatError(f"bad cell characters: {sorted(bad)}")
+        if self.black < 0 or self.white < 0:
+            raise BoardFormatError("stone masks must not be negative")
+        if (self.black | self.white) >> self.spec.m * self.spec.n:
+            raise BoardFormatError("stone mask has a bit beyond the board")
+        if self.black & self.white:
+            raise BoardFormatError("a cell holds both a black and a white stone")
         if self.to_move not in (BLACK, WHITE):
             raise BoardFormatError(f"bad side to move: {self.to_move!r}")
-        blacks = self.count(BLACK)
-        whites = self.count(WHITE)
+        blacks = self.black.bit_count()
+        whites = self.white.bit_count()
         expected = blacks - (1 if self.to_move == WHITE else 0)
         if whites != expected:
             raise IllegalPositionError(
@@ -155,50 +158,45 @@ class Position:
                 f"{blacks} black vs {whites} white"
             )
 
+    @property
+    def empty(self) -> int:
+        """The empty cells as a bitmask."""
+        return (1 << self.spec.m * self.spec.n) - 1 & ~(self.black | self.white)
+
     def at(self, cell: Cell) -> str:
         if not self.spec.in_bounds(cell):
             raise MoveError(f"cell {cell} out of bounds")
-        return self.rows[cell[1]][cell[0]]
+        bit = 1 << cell[1] * self.spec.m + cell[0]
+        return BLACK if self.black & bit else WHITE if self.white & bit else EMPTY
 
     def is_empty(self, cell: Cell) -> bool:
         return self.at(cell) == EMPTY
 
     def count(self, state: str) -> int:
-        return sum(r.count(state) for r in self.rows)
+        return {BLACK: self.black, WHITE: self.white, EMPTY: self.empty}[state].bit_count()
 
     def empties(self) -> list[Cell]:
-        return [c for c in self.spec.cells() if self.is_empty(c)]
-
-
-def other(side: str) -> str:
-    return WHITE if side == BLACK else BLACK
+        m, empty = self.spec.m, self.empty
+        return [(i % m, i // m) for i in range(empty.bit_length()) if empty >> i & 1]
 
 
 def empty_position(spec: BoardSpec, to_move: str = BLACK) -> Position:
-    return Position(spec, (EMPTY * spec.m,) * spec.n, to_move)
+    return Position(spec, 0, 0, to_move)
 
 
 def apply_move(pos: Position, cell: Cell) -> Position:
     """Place a stone of the side to move and flip the turn."""
-    if not pos.spec.in_bounds(cell):
-        raise MoveError(f"cell {cell} out of bounds")
     if not pos.is_empty(cell):
         raise MoveError(f"cell {cell_name(cell)} is occupied")
-    col, row = cell
-    rows = list(pos.rows)
-    rows[row] = rows[row][:col] + pos.to_move + rows[row][col + 1 :]
-    return Position(pos.spec, tuple(rows), other(pos.to_move))
-
-
-def state_mask(pos: Position, state: str) -> int:
-    """The cells of pos holding state as a bitmask: bit r*m+c for the cell (c, r)."""
-    digits = {ord(s): "1" if s == state else "0" for s in (EMPTY, BLACK, WHITE)}
-    return int("".join(pos.rows)[::-1].translate(digits), 2)
+    bit = 1 << cell[1] * pos.spec.m + cell[0]
+    if pos.to_move == BLACK:
+        return Position(pos.spec, pos.black | bit, pos.white, WHITE)
+    return Position(pos.spec, pos.black, pos.white | bit, BLACK)
 
 
 @functools.lru_cache(maxsize=None)
 def group_masks(spec: BoardSpec) -> tuple[int, ...]:
-    """The cells of each enumerate_groups(spec) entry as a state_mask bitmask."""
+    """The cells of each enumerate_groups(spec) entry as a bitmask like Position.black."""
     return tuple(
         sum(1 << (r * spec.m + c) for c, r in g.cells) for g in enumerate_groups(spec)
     )
@@ -206,21 +204,19 @@ def group_masks(spec: BoardSpec) -> tuple[int, ...]:
 
 def live_black_groups(pos: Position) -> list[Group]:
     """Groups containing no White stone: the only lines Black could complete."""
-    white = state_mask(pos, WHITE)
     return [
         g
         for g, mask in zip(enumerate_groups(pos.spec), group_masks(pos.spec))
-        if not mask & white
+        if not mask & pos.white
     ]
 
 
 def winner(pos: Position) -> str | None:
-    """BLACK or WHITE if a completed group exists, else None."""
-    for g in enumerate_groups(pos.spec):
-        states = {pos.at(c) for c in g}
-        if states == {BLACK}:
+    """BLACK or WHITE for the first completed group in enumerate_groups order, else None."""
+    for mask in group_masks(pos.spec):
+        if mask & pos.black == mask:
             return BLACK
-        if states == {WHITE}:
+        if mask & pos.white == mask:
             return WHITE
     return None
 
@@ -250,12 +246,22 @@ def parse_position(text: str) -> Position:
     for ln in body:
         if len(ln) != m:
             raise BoardFormatError(f"row {ln!r} is not {m} characters wide")
-    rows = tuple(reversed(body))
-    return Position(spec, rows, BLACK if header[3] == "B" else WHITE)
+    bad = set("".join(body)) - {EMPTY, BLACK, WHITE}
+    if bad:
+        raise BoardFormatError(f"bad cell characters: {sorted(bad)}")
+    # Top row first, each right to left: the cells from the highest bit down.
+    digits = "".join(ln[::-1] for ln in body)
+    black, white = (
+        int("".join("1" if s == state else "0" for s in digits), 2) for state in (BLACK, WHITE)
+    )
+    return Position(spec, black, white, BLACK if header[3] == "B" else WHITE)
 
 
 def render_position(pos: Position) -> str:
     """Inverse of parse_position."""
     side = "B" if pos.to_move == BLACK else "W"
     header = f"{pos.spec.m} {pos.spec.n} {pos.spec.k} {side}"
-    return "\n".join([header, *reversed(pos.rows)]) + "\n"
+    rows = (
+        "".join(pos.at((c, r)) for c in range(pos.spec.m)) for r in reversed(range(pos.spec.n))
+    )
+    return "\n".join([header, *rows]) + "\n"

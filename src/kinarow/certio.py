@@ -121,4 +121,6 @@ def certificate_from_json(text: str) -> DrawCertificate:
         )
     except _WRONG_SHAPE as exc:
         raise CertificateFormatError(f"bad residual pairing: {exc}") from exc
+    if any(len(pair) != 2 for pair in residual.pairs()):
+        raise CertificateFormatError("bad residual pairing: a pair must hold exactly two cells")
     return DrawCertificate(pos, tuple(entries), residual)

@@ -20,17 +20,14 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .board import (
     BLACK,
-    EMPTY,
     BoardSpec,
     Cell,
     Group,
     Position,
-    WHITE,
     cell_key,
     enumerate_groups,
     group_masks,
     live_black_groups,
-    state_mask,
 )
 from .pairing import Pairing, find_hj_pairing, smallest_pairing, verify_pairing
 from .setmatch import (
@@ -432,12 +429,6 @@ class Embedding:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _group_index(spec: BoardSpec) -> dict[Group, int]:
-    """The position of every group in enumerate_groups(spec)."""
-    return {g: i for i, g in enumerate(enumerate_groups(spec))}
-
-
 def _assignment_order(groups: Sequence[AbstractGroup]) -> list[int]:
     """Order abstract groups so each new one shares as many labels as possible."""
     remaining = set(range(len(groups)))
@@ -529,16 +520,16 @@ class PlacementTable(NamedTuple):
     """Every placement of one template on a region of one board.
 
     The region is a set of groups (bit i for enumerate_groups(spec)[i]) and
-    a set of empty cells (a state_mask); a placement on it puts the
-    template's markers on region cells and its groups on region groups.
-    Rows come in _placement_table order.  rows holds each row's marker
-    cells by label (as bit indices), then its groups by template.groups
-    order; keys holds each row's marker_mask << shift | group_mask, where
-    shift is the spec's group count, in _columns packing.  columns[i] is
-    the bitset of rows holding group i, and columns[shift + b] that of rows
-    with a marker on cell b.  orbit[j] is the first row whose marker cells
-    are an image of row j's under the template's symmetries, or -1 when no
-    other row's are.
+    a set of empty cells (a cell bitmask like Position.empty); a placement
+    on it puts the template's markers on region cells and its groups on
+    region groups.  Rows come in _placement_table order.  rows holds each
+    row's marker cells by label (as bit indices), then its groups by
+    template.groups order; keys holds each row's marker_mask << shift |
+    group_mask, where shift is the spec's group count, in _columns packing.
+    columns[i] is the bitset of rows holding group i, and columns[shift + b]
+    that of rows with a marker on cell b.  orbit[j] is the first row whose
+    marker cells are an image of row j's under the template's symmetries,
+    or -1 when no other row's are.
     """
 
     groups: int
@@ -554,15 +545,15 @@ def _placement_table(
 ) -> PlacementTable:
     """Every placement of template on the live groups and empty cells.
 
-    live is a bitset over enumerate_groups(spec) and empty a state_mask.
-    Abstract groups take live groups in _assignment_order, each in
-    enumerate_groups order.  A label shared by two placed groups is bound to
-    their one common empty cell; a label held by a single group (an edge
-    label) then takes each free empty cell of that group in turn.  An
-    assignment of groups that a symmetry of the template maps to an earlier
-    one is skipped: each of its placements is an image of a placement of
-    that earlier assignment on the same groups and cells, which comes first
-    wherever both lie, so _embed_template would drop it.
+    live is a bitset over enumerate_groups(spec) and empty a cell bitmask
+    like Position.empty.  Abstract groups take live groups in
+    _assignment_order, each in enumerate_groups order.  A label shared by two
+    placed groups is bound to their one common empty cell; a label held by a
+    single group (an edge label) then takes each free empty cell of that
+    group in turn.  An assignment of groups that a symmetry of the template
+    maps to an earlier one is skipped: each of its placements is an image of
+    a placement of that earlier assignment on the same groups and cells,
+    which comes first wherever both lie, so _embed_template would drop it.
     """
     steps, edges, images, ranked, mirrors = template.embed_plan
     masks = group_masks(spec)
@@ -667,14 +658,15 @@ def _embed_template(
     orbit of their marker cells (as a label-to-cell tuple) under the
     template's symmetries, the first in _placement_table order.
 
-    live is a bitset over enumerate_groups(spec) and empty a state_mask.
-    The rows come from the template's placement table for spec, whose region
-    grows to the union of every live set and empty set seen so far: a
-    placement lies on this position exactly when it lies on the region, its
-    groups are live and its markers empty, and the region's rows hold this
-    position's placements in the same order, because both walk the groups in
-    enumerate_groups order.  So the rows holding a dead group or a non-empty
-    cell are cleared, and only the rows left become Embeddings.
+    live is a bitset over enumerate_groups(spec) and empty a cell bitmask
+    like Position.empty.  The rows come from the template's placement table
+    for spec, whose region grows to the union of every live set and empty
+    set seen so far: a placement lies on this position exactly when it lies
+    on the region, its groups are live and its markers empty, and the
+    region's rows hold this position's placements in the same order, because
+    both walk the groups in enumerate_groups order.  So the rows holding a
+    dead group or a non-empty cell are cleared, and only the rows left
+    become Embeddings.
     """
     table = template.tables.get(spec)
     if table is None:
@@ -721,6 +713,12 @@ def _embed_template(
     return found
 
 
+def _live(pos: Position) -> int:
+    """The live Black groups of pos (those holding no White stone) as a
+    bitset over enumerate_groups."""
+    return sum(1 << i for i, g in enumerate(group_masks(pos.spec)) if not g & pos.white)
+
+
 def detect(
     pos: Position, templates: Sequence[ConfigTemplate] | None = None
 ) -> list[Embedding]:
@@ -728,14 +726,11 @@ def detect(
     label-to-cell tuple under its symmetries (_embed_template)."""
     if templates is None:
         templates = catalog()
-    group_index = _group_index(pos.spec)
-    live = live_black_groups(pos)
-    live_mask = sum(1 << group_index[g] for g in live)
-    empty = state_mask(pos, EMPTY)
+    live = _live(pos)
     out: list[Embedding] = []
     for t in templates:
-        if len(t.groups) <= len(live):
-            out.extend(_embed_template(pos.spec, t, live_mask, empty))
+        if len(t.groups) <= live.bit_count():
+            out.extend(_embed_template(pos.spec, t, live, pos.empty))
     return out
 
 
@@ -850,11 +845,10 @@ def prove_draw(
         return None
     if templates is None:
         templates = catalog()
-    live = live_black_groups(pos)
-    group_index = _group_index(pos.spec)
-    live_bits = [1 << group_index[g] for g in live]
-    all_mask = sum(live_bits)
-    empty_mask = state_mask(pos, EMPTY)
+    all_mask = _live(pos)
+    live = [enumerate_groups(pos.spec)[i] for i in _bits_idx(all_mask)]
+    live_bits = [1 << i for i in _bits_idx(all_mask)]
+    empty_mask = pos.empty
     total_empty = empty_mask.bit_count()
     masks = group_masks(pos.spec)
     group_cells = [cells & empty_mask for cells in masks]

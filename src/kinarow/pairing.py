@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .board import Cell, Group, Position, EMPTY, WHITE, cell_name, state_mask
+from .board import Cell, Group, MoveError, Position, EMPTY, cell_name
 
 T = TypeVar("T")
 
@@ -101,14 +101,18 @@ def find_hj_pairing(
     Cells in `excluded` are off-limits as markers (already reserved elsewhere).
     Pairs are the smallest in cell_key order, which is ascending bit order.
     """
-    for g in groups:
-        if any(pos.at(c) == WHITE for c in g):
-            raise DeadGroupError(f"group {g} already contains a White stone")
     m = pos.spec.m
-    usable = state_mask(pos, EMPTY)
+    masks = []
+    for g in groups:
+        if not all(map(pos.spec.in_bounds, g)):
+            raise MoveError(f"group {g} is off the board")
+        masks.append(sum(1 << (r * m + c) for c, r in g))
+        if masks[-1] & pos.white:
+            raise DeadGroupError(f"group {g} already contains a White stone")
+    usable = pos.empty
     for c, r in filter(pos.spec.in_bounds, excluded):
         usable &= ~(1 << (r * m + c))
-    rooms = [sum(1 << (r * m + c) for c, r in g) & usable for g in groups]
+    rooms = [mask & usable for mask in masks]
     pairs = smallest_pairing(rooms)
     if pairs is None:
         return None
@@ -129,7 +133,9 @@ def verify_pairing(
     violations = []
     seen: dict[Cell, Group] = {}
     for g, pair in pairing.assignments:
-        if pair[0] == pair[1]:
+        if len(pair) != 2:
+            violations.append(f"group {g}: pair holds {len(pair)} cells, not 2")
+        elif pair[0] == pair[1]:
             violations.append(f"group {g}: pair uses a single marker")
         for c in pair:
             if c not in g:

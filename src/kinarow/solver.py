@@ -1,14 +1,15 @@
 """Brute-force game solver with optional draw-certificate pruning.
 
 Depth-unbounded negamax with alpha-beta and a per-call transposition table.
-The search state is two ints, the stone masks (`board.state_mask`) of the
-side to move and of its opponent, and the table key is one int, `own << m*n |
-opp`: each move adds one stone, so within one search the stone count fixes the
-side to move and the key names the same position as the (Black, White) pair.
-Scores are from the side to move: +1 win, 0 draw, -1 loss.  With pruning
-enabled, a Black-to-move node whose window admits a draw (alpha at least 0) is
-probed; a draw certificate there proves Black cannot win (value at most 0) and
-is a sound fail-low cutoff, so verdicts are identical across pruning modes.
+The search state is two ints, the stone masks (`Position.black` and
+`Position.white`) of the side to move and of its opponent, and the table key
+is one int, `own << m*n | opp`: each move adds one stone, so within one search
+the stone count fixes the side to move and the key names the same position as
+the (Black, White) pair.  Scores are from the side to move: +1 win, 0 draw, -1
+loss.  With pruning enabled, a Black-to-move node whose window admits a draw
+(alpha at least 0) is probed; a draw certificate there proves Black cannot win
+(value at most 0) and is a sound fail-low cutoff, so verdicts are identical
+across pruning modes.
 
 The search follows the threat rules of k-in-a-row solvers.  A side's threats
 are the empty cells that would complete a group holding no stone of the other
@@ -65,16 +66,7 @@ from time import perf_counter
 from typing import Sequence
 
 from . import configs
-from .board import (
-    BLACK,
-    EMPTY,
-    WHITE,
-    BoardSpec,
-    IllegalPositionError,
-    Position,
-    group_masks,
-    state_mask,
-)
+from .board import BLACK, BoardSpec, IllegalPositionError, Position, group_masks
 from .pairing import pairing_exists
 
 
@@ -106,16 +98,6 @@ class SearchStats:
     cert_seconds: float = 0.0  # inside certificate probes
 
 
-def to_position(spec: BoardSpec, black: int, white: int) -> Position:
-    """The Black-to-move position holding these stones."""
-    m = spec.m
-    cells = "".join(
-        BLACK if black >> i & 1 else WHITE if white >> i & 1 else EMPTY
-        for i in range(m * spec.n)
-    )
-    return Position(spec, tuple(cells[r * m : (r + 1) * m] for r in range(spec.n)), BLACK)
-
-
 def _probe(spec: BoardSpec, groups: Sequence[int], black: int, white: int, pruning: str) -> bool:
     """Whether a certificate proves that Black, to move, cannot complete any of the group masks."""
     free = ~(black | white)
@@ -126,7 +108,7 @@ def _probe(spec: BoardSpec, groups: Sequence[int], black: int, white: int, pruni
         return True
     # Looked up per call, so a rebound `configs.prove_draw` is the one used.
     return pruning == "setmatch" and (
-        configs.prove_draw(to_position(spec, black, white)) is not None
+        configs.prove_draw(Position(spec, black, white, BLACK)) is not None
     )
 
 
@@ -143,7 +125,7 @@ def solve(
     spec = pos.spec
     groups = group_masks(spec)
     stats = SearchStats()
-    black, white = state_mask(pos, BLACK), state_mask(pos, WHITE)
+    black, white = pos.black, pos.white
     # A finished game needs no search.
     done = [v for v, mask in ((Verdict.BLACK_WIN, black), (Verdict.WHITE_WIN, white))
             if any(g & mask == g for g in groups)]
@@ -153,10 +135,11 @@ def solve(
         stats.nodes_examined = 1
         stats.seconds = perf_counter() - started
         return done[0], stats
-    empt = pos.empties()
-    if len(empt) > guard:
+    empty = pos.empty
+    n_empty = empty.bit_count()
+    if n_empty > guard:
         raise SearchGuardError(
-            f"{len(empt)} empty cells exceeds guard of {guard}"
+            f"{n_empty} empty cells exceeds guard of {guard}"
         )
 
     m, n = spec.m, spec.n
@@ -170,7 +153,7 @@ def solve(
     live = black_live | white_live
     center = ((m - 1) / 2, (n - 1) / 2)
     ordered = sorted(
-        (c[1] * m + c[0] for c in empt),
+        (i for i in range(m * n) if empty >> i & 1),
         key=lambda i: (
             -(line_bits[i] & live).bit_count(),
             (i % m - center[0]) ** 2 + (i // m - center[1]) ** 2,
@@ -184,7 +167,7 @@ def solve(
     shift = m * n
     probing = pruning != "none"
     # Black is to move at the nodes whose empty count has this parity.
-    black_parity = len(empt) & 1 ^ (pos.to_move != BLACK)
+    black_parity = n_empty & 1 ^ (pos.to_move != BLACK)
     table: dict[int, tuple[int, int]] = {}
     lookup = table.get
     nodes = hits = probes = prunes = 0
@@ -281,7 +264,7 @@ def solve(
         nodes, score = 1, 0
     else:
         score = negamax(
-            own, opp, own_live, opp_live, threat_cells(groups, opp, own), -1, 1, len(empt)
+            own, opp, own_live, opp_live, threat_cells(groups, opp, own), -1, 1, n_empty
         )
     if pos.to_move != BLACK:
         score = -score

@@ -159,6 +159,57 @@ class TestLiveGroups:
         assert len(live_black_groups(pos)) == 8
 
 
+def grid_of(text: str) -> dict[tuple[int, int], str]:
+    """The cells of render_position's text, read as characters: (col, row) -> state."""
+    _, *lines = text.splitlines()
+    grid = {}
+    for r, line in enumerate(reversed(lines)):
+        for c, ch in enumerate(line):
+            grid[(c, r)] = ch
+    return grid
+
+
+class TestMaskPosition:
+    @pytest.mark.parametrize(
+        "black,white,to_move,message",
+        [
+            (-1, 0, WHITE, "negative"),
+            (1, -2, BLACK, "negative"),
+            (1 << 9, 0, WHITE, "beyond the board"),
+            (1, 1 << 12, BLACK, "beyond the board"),
+            (1, 1, BLACK, "both"),
+        ],
+        ids=["negative-black", "negative-white", "black-off-board", "white-off-board", "overlap"],
+    )
+    def test_bad_masks_rejected(self, black, white, to_move, message):
+        with pytest.raises(BoardFormatError, match=message):
+            Position(BoardSpec(3, 3, 3), black, white, to_move)
+
+    def test_masks_of_a_parsed_board(self):
+        pos = parse_position("3 2 3 W\nX..\n.OX\n")
+        assert (pos.black, pos.white, pos.empty) == (0b001100, 0b000010, 0b110001)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(2, 4), st.data())
+    def test_board_api_agrees_with_a_character_grid(self, m, n, k, data):
+        # Play goes on past a completed group, so winner's order is tested too.
+        spec = BoardSpec(m, n, k)
+        pos = empty_position(spec)
+        for _ in range(data.draw(st.integers(0, m * n))):
+            pos = apply_move(pos, data.draw(st.sampled_from(pos.empties())))
+        grid = grid_of(render_position(pos))
+        cells = [(c, r) for r in range(n) for c in range(m)]
+        assert [pos.at(cell) for cell in cells] == [grid[cell] for cell in cells]
+        for state in (EMPTY, BLACK, WHITE):
+            assert pos.count(state) == list(grid.values()).count(state)
+        assert pos.empties() == [cell for cell in cells if grid[cell] == EMPTY]
+        groups = enumerate_groups(spec)
+        live = [g for g in groups if all(grid[cell] != WHITE for cell in g)]
+        assert live_black_groups(pos) == live
+        done = [grid[g.cells[0]] for g in groups if len({grid[cell] for cell in g}) == 1]
+        expected = next((s for s in done if s != EMPTY), None)
+        assert winner(pos) == expected
+
+
 def test_position_is_immutable():
     pos = empty_position(BoardSpec(3, 3, 3))
     with pytest.raises(AttributeError):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kinarow import BoardSpec, certificate_to_json, empty_position, prove_draw
 from kinarow.cli import FIXTURE_NAMES, _parser, main
 from tests.test_board import load_fixture
 
@@ -25,6 +26,14 @@ def fixture_path(name: str) -> str:
     from importlib import resources
 
     return str(resources.files("kinarow") / "fixtures" / name)
+
+
+def three_cell_residual_pair(obj: dict) -> None:
+    """Replace obj by the certificate of the empty 4x3, k=4 board with one
+    residual pair grown to three cells of its group."""
+    obj.clear()
+    obj.update(json.loads(certificate_to_json(prove_draw(empty_position(BoardSpec(4, 3, 4))))))
+    obj["residual_pairing"][0]["pair"] = ["a1", "b1", "c1"]
 
 
 class TestSolve:
@@ -138,6 +147,10 @@ class TestVerifyCert:
             lambda obj: obj["matching_sets"][0].update(template_name=[1, {"a": 2}]),
             lambda obj: obj["matching_sets"][0].update(template_name="Pentagon"),
             lambda obj: obj["matching_sets"][0].pop("template_name"),
+            lambda obj: obj["residual_pairing"].append(
+                {"group": ["a1", "b1", "c1", "d1"], "pair": ["a1"]}
+            ),
+            three_cell_residual_pair,
         ],
         ids=[
             "matching-set-string",
@@ -148,6 +161,8 @@ class TestVerifyCert:
             "template-name-list",
             "template-name-unknown",
             "template-name-missing",
+            "residual-pair-1-cell",
+            "residual-pair-3-cells",
         ],
     )
     def test_wrongly_typed_json_is_usage_error(self, board_file, capsys, mutate):

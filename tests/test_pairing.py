@@ -10,6 +10,7 @@ from kinarow.board import (
     cell_key,
     BoardSpec,
     Group,
+    MoveError,
     apply_move,
     empty_position,
     live_black_groups,
@@ -17,6 +18,7 @@ from kinarow.board import (
 )
 from kinarow.pairing import (
     DeadGroupError,
+    Pairing,
     PairResponder,
     find_hj_pairing,
     smallest_pairing,
@@ -69,6 +71,12 @@ class TestFindPairing:
         with pytest.raises(DeadGroupError):
             find_hj_pairing(pos, [dead])
 
+    def test_off_board_group_rejected(self):
+        # (4, 0) lies off the 4-wide board, and its bit 0*4+4 would be a2's.
+        pos = empty_position(BoardSpec(4, 2, 4))
+        with pytest.raises(MoveError):
+            find_hj_pairing(pos, [Group(tuple((c, 0) for c in range(1, 5)))])
+
     def test_excluded_cells_respected(self):
         pos = empty_position(BoardSpec(4, 1, 4))
         [group] = live_black_groups(pos)
@@ -109,6 +117,15 @@ class TestVerifyPairing:
 
         wrong = Pairing(((row1, pairing.pair_for(row0)),))
         assert any("outside" in v for v in verify_pairing(pos, wrong, [row1]))
+
+    @pytest.mark.parametrize(
+        "pair", [((0, 0),), ((0, 0), (1, 0), (2, 0))], ids=["1-cell", "3-cells"]
+    )
+    def test_pair_of_wrong_size_reported(self, pair):
+        pos = empty_position(BoardSpec(4, 1, 4))
+        [group] = live_black_groups(pos)
+        violations = verify_pairing(pos, Pairing(((group, pair),)), [group])
+        assert f"group {group}: pair holds {len(pair)} cells, not 2" in violations
 
 
 class TestHallCondition:

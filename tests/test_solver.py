@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import kinarow.configs
 from kinarow.board import (
     BLACK,
-    EMPTY,
     WHITE,
     BoardSpec,
     IllegalPositionError,
@@ -18,9 +17,7 @@ from kinarow.board import (
     empty_position,
     group_masks,
     live_black_groups,
-    other,
     parse_position,
-    state_mask,
     winner,
 )
 from kinarow.pairing import find_hj_pairing
@@ -186,15 +183,10 @@ def random_fill(rng: random.Random, spec: BoardSpec, empties: int) -> Position:
     """Stones on random cells, Black's and White's alternately, leaving empties empty."""
     cells = list(spec.cells())
     stones = rng.sample(cells, len(cells) - empties)
-    black, white = set(stones[::2]), set(stones[1::2])
-    rows = tuple(
-        "".join(
-            BLACK if (c, r) in black else WHITE if (c, r) in white else EMPTY
-            for c in range(spec.m)
-        )
-        for r in range(spec.n)
+    black, white = (
+        sum(1 << r * spec.m + c for c, r in side) for side in (stones[::2], stones[1::2])
     )
-    return Position(spec, rows, BLACK if len(stones) % 2 == 0 else WHITE)
+    return Position(spec, black, white, BLACK if len(stones) % 2 == 0 else WHITE)
 
 
 class TestExactValues:
@@ -280,7 +272,7 @@ class TestAgainstPlainMinimax:
             pos = random_fill(rng, spec, rng.randint(4, 7))
             if winner(pos) is not None:
                 continue
-            own, opp = state_mask(pos, pos.to_move), state_mask(pos, other(pos.to_move))
+            own, opp = (pos.black, pos.white) if pos.to_move == BLACK else (pos.white, pos.black)
             free = ~(own | opp)
             if any(not g & opp and (g & free).bit_count() == 1 for g in groups):
                 continue
@@ -401,9 +393,8 @@ class TestProbe:
             pos = random_position(rng, spec, 2 * rng.randrange(spec.m * spec.n // 2))
             if pos.to_move != BLACK:
                 continue
-            black, white = state_mask(pos, BLACK), state_mask(pos, WHITE)
             expected = find_hj_pairing(pos, live_black_groups(pos)) is not None
-            assert _probe(spec, group_masks(spec), black, white, "hj") == expected, pos
+            assert _probe(spec, group_masks(spec), pos.black, pos.white, "hj") == expected, pos
             outcomes.append(expected)
         assert len(outcomes) >= 1000
         assert 100 <= sum(outcomes) <= len(outcomes) - 100
@@ -418,8 +409,7 @@ class TestProbe:
     def test_group_one_move_from_done_skips_prove_draw(self, no_prove_draw):
         # Black threatens d1: no certificate can exist, and none is sought.
         pos = parse_position("4 4 4 B\n....\nO...\nOO..\nXXX.\n")
-        black, white = state_mask(pos, BLACK), state_mask(pos, WHITE)
-        assert not _probe(pos.spec, group_masks(pos.spec), black, white, "setmatch")
+        assert not _probe(pos.spec, group_masks(pos.spec), pos.black, pos.white, "setmatch")
 
     def test_failed_pairing_falls_back_to_prove_draw(self, no_prove_draw):
         # The empty 4x4 board has no pairing (10 groups, 16 cells), and every
