@@ -202,6 +202,12 @@ def group_masks(spec: BoardSpec) -> tuple[int, ...]:
     )
 
 
+def live_groups(spec: BoardSpec, stones: int) -> int:
+    """The groups holding none of stones (a cell bitmask) as a bitset over
+    enumerate_groups(spec): the groups the other side can still complete."""
+    return sum(1 << i for i, g in enumerate(group_masks(spec)) if not g & stones)
+
+
 def live_black_groups(pos: Position) -> list[Group]:
     """Groups containing no White stone: the only lines Black could complete."""
     return [

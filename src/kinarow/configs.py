@@ -28,6 +28,7 @@ from .board import (
     enumerate_groups,
     group_masks,
     live_black_groups,
+    live_groups,
 )
 from .pairing import Pairing, find_hj_pairing, smallest_pairing, verify_pairing
 from .setmatch import (
@@ -713,12 +714,6 @@ def _embed_template(
     return found
 
 
-def _live(pos: Position) -> int:
-    """The live Black groups of pos (those holding no White stone) as a
-    bitset over enumerate_groups."""
-    return sum(1 << i for i, g in enumerate(group_masks(pos.spec)) if not g & pos.white)
-
-
 def detect(
     pos: Position, templates: Sequence[ConfigTemplate] | None = None
 ) -> list[Embedding]:
@@ -726,7 +721,7 @@ def detect(
     label-to-cell tuple under its symmetries (_embed_template)."""
     if templates is None:
         templates = catalog()
-    live = _live(pos)
+    live = live_groups(pos.spec, pos.white)
     out: list[Embedding] = []
     for t in templates:
         if len(t.groups) <= live.bit_count():
@@ -845,7 +840,7 @@ def prove_draw(
         return None
     if templates is None:
         templates = catalog()
-    all_mask = _live(pos)
+    all_mask = live_groups(pos.spec, pos.white)
     live = [enumerate_groups(pos.spec)[i] for i in _bits_idx(all_mask)]
     live_bits = [1 << i for i in _bits_idx(all_mask)]
     empty_mask = pos.empty

@@ -66,7 +66,7 @@ from time import perf_counter
 from typing import Sequence
 
 from . import configs
-from .board import BLACK, BoardSpec, IllegalPositionError, Position, group_masks
+from .board import BLACK, BoardSpec, IllegalPositionError, Position, group_masks, live_groups
 from .pairing import pairing_exists
 
 
@@ -148,8 +148,7 @@ def solve(
     lines = [[g for g in groups if g >> i & 1] for i in range(m * n)]
     line_bits = [sum(1 << j for j, g in enumerate(groups) if g >> i & 1) for i in range(m * n)]
     # Live groups, as bitsets: those holding no stone of the other side.
-    black_live = sum(1 << j for j, g in enumerate(groups) if not g & white)
-    white_live = sum(1 << j for j, g in enumerate(groups) if not g & black)
+    black_live, white_live = live_groups(spec, white), live_groups(spec, black)
     live = black_live | white_live
     center = ((m - 1) / 2, (n - 1) / 2)
     ordered = sorted(
