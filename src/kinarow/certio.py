@@ -30,6 +30,14 @@ def _cells(names: Any) -> tuple:
     return tuple(parse_cell(s) for s in names)
 
 
+def _pair(names: Any) -> tuple:
+    """A covering's remainder pair or a residual pair: exactly two cells."""
+    pair = _cells(names)
+    if len(pair) != 2:
+        raise CertificateFormatError("a pair must hold exactly two cells")
+    return pair
+
+
 def _matching_to_obj(ms: MatchingSet) -> dict:
     return {
         "markers": sorted((cell_name(c) for c in ms.markers)),
@@ -69,7 +77,7 @@ def _covering_from_obj(obj: dict) -> Covering:
     return Covering(
         parse_cell(obj["black"]),
         parse_cell(obj["white"]),
-        tuple((a, b) for a, b in (tuple(_cells(p)) for p in pairs)),
+        tuple(_pair(p) for p in pairs),
     )
 
 
@@ -115,12 +123,10 @@ def certificate_from_json(text: str) -> DrawCertificate:
     try:
         residual = Pairing(
             tuple(
-                (Group(_cells(r["group"])), tuple(_cells(r["pair"])))
+                (Group(_cells(r["group"])), _pair(r["pair"]))
                 for r in obj.get("residual_pairing", [])
             )
         )
     except _WRONG_SHAPE as exc:
         raise CertificateFormatError(f"bad residual pairing: {exc}") from exc
-    if any(len(pair) != 2 for pair in residual.pairs()):
-        raise CertificateFormatError("bad residual pairing: a pair must hold exactly two cells")
     return DrawCertificate(pos, tuple(entries), residual)

@@ -76,14 +76,6 @@ class ConfigTemplate:
         return Fraction(self.num_markers, self.num_groups)
 
     @functools.cached_property
-    def embed_plan(self) -> EmbedPlan:
-        """How _embed_template walks this template, worked out on first use.
-
-        It depends on the template alone, so it holds nothing about any board.
-        """
-        return _embed_plan(self)
-
-    @functools.cached_property
     def tables(self) -> dict[BoardSpec, PlacementTable]:
         """The placement table of each board this template was detected on.
 
@@ -446,59 +438,6 @@ def _assignment_order(groups: Sequence[AbstractGroup]) -> list[int]:
     return order
 
 
-class EmbedPlan(NamedTuple):
-    """The board-independent part of embedding one template.
-
-    Labels are numbered by their place in sorted(template.markers).  steps
-    places the abstract groups in _assignment_order, one (group, size,
-    checks, binds) tuple each: checks are its labels bound at earlier steps,
-    whose cell must lie in the new group; binds pair each label it shares
-    with exactly one earlier group with that group, and the label is bound
-    to the cell where the two meet.  edges pairs each label held by a single
-    group with that group.  images map a binding, as a tuple of cells by
-    label, to each of its symmetric images.  ranked reads an assignment
-    (the board group of each abstract group) in step order, and mirrors
-    read it the same way after each symmetry that moves the groups.
-    """
-
-    steps: tuple[tuple[int, int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
-    edges: tuple[tuple[int, int], ...]
-    images: tuple[itemgetter, ...]
-    ranked: itemgetter
-    mirrors: tuple[itemgetter, ...]
-
-
-def _embed_plan(template: ConfigTemplate) -> EmbedPlan:
-    groups = template.groups
-    labels = sorted(template.markers)
-    index = {label: i for i, label in enumerate(labels)}
-    order = _assignment_order(groups)
-    steps = []
-    for step, i in enumerate(order):
-        checks, binds = [], []
-        for label in sorted(groups[i]):
-            earlier = [j for j in order[:step] if label in groups[j]]
-            if len(earlier) >= 2:
-                checks.append(index[label])
-            elif earlier:
-                binds.append((index[label], earlier[0]))
-        steps.append((i, len(groups[i]), tuple(checks), tuple(binds)))
-    edges = []
-    for label in labels:
-        holders = [j for j, g in enumerate(groups) if label in g]
-        if len(holders) == 1:
-            edges.append((index[label], holders[0]))
-    perms = symmetry_closure(template.markers, template.matching.symmetry)
-    images = tuple(itemgetter(*(index[perm[label]] for label in labels)) for perm in perms)
-    group_at = {g: i for i, g in enumerate(groups)}
-    moved = {
-        tuple(group_at[frozenset(perm[label] for label in groups[i])] for i in order)
-        for perm in perms
-    } - {tuple(order)}
-    mirrors = tuple(itemgetter(*m) for m in sorted(moved))
-    return EmbedPlan(tuple(steps), tuple(edges), images, itemgetter(*order), mirrors)
-
-
 def _columns(packed: bytes, width: int) -> list[int]:
     """Bitsets over keys packed side by side in (width + 7) // 8 little-endian
     bytes each: bit j of columns[b] is bit b of key j."""
@@ -556,7 +495,40 @@ def _placement_table(
     a placement of that earlier assignment on the same groups and cells,
     which comes first wherever both lie, so _embed_template would drop it.
     """
-    steps, edges, images, ranked, mirrors = template.embed_plan
+    abstract = template.groups
+    labels = sorted(template.markers)  # label i is labels[i]
+    index = {label: i for i, label in enumerate(labels)}
+    order = _assignment_order(abstract)
+    # One (group, size, checks, binds) step per abstract group in order:
+    # checks are its labels bound at earlier steps, whose cell must lie in the
+    # new group; binds pair each label it shares with exactly one earlier
+    # group with that group, and the label is bound to the cell where the two
+    # meet.  edges pairs each label held by a single group with that group.
+    steps = []
+    for step, i in enumerate(order):
+        checks, binds = [], []
+        for label in sorted(abstract[i]):
+            earlier = [j for j in order[:step] if label in abstract[j]]
+            if len(earlier) >= 2:
+                checks.append(index[label])
+            elif earlier:
+                binds.append((index[label], earlier[0]))
+        steps.append((i, len(abstract[i]), checks, binds))
+    holders = [[j for j, g in enumerate(abstract) if label in g] for label in labels]
+    edges = [(i, held[0]) for i, held in enumerate(holders) if len(held) == 1]
+    # images map a binding (cells by label) to each of its symmetric images;
+    # ranked reads an assignment (the live group of each abstract group) in
+    # step order, and mirrors read it after each symmetry moving the groups.
+    perms = symmetry_closure(template.markers, template.matching.symmetry)
+    images = [itemgetter(*(index[perm[label]] for label in labels)) for perm in perms]
+    ranked = itemgetter(*order)
+    group_at = {g: i for i, g in enumerate(abstract)}
+    moved = {
+        tuple(group_at[frozenset(perm[label] for label in abstract[i])] for i in order)
+        for perm in perms
+    } - {tuple(order)}
+    mirrors = [itemgetter(*m) for m in sorted(moved)]
+
     masks = group_masks(spec)
     shift = len(masks)
     live_index = list(_bits_idx(live))
@@ -863,16 +835,15 @@ def prove_draw(
     residual = find_hj_pairing(pos, live)
     if residual is not None:
         return DrawCertificate(pos, (), residual)
-    embeddings = detect(pos, templates)
+    # Embeddings by template (reduction, group count), the residual pass's
+    # order; the sort is stable, so tied templates keep the caller's order.
+    embeddings = detect(pos, sorted(templates, key=lambda t: (-t.reduction, -t.num_groups)))
     if not embeddings:
         return None
     embedded = {id(e.template): e.template for e in embeddings}
     saved = _reductions(len(live), cells, _sizes(embedded.values()))
     if _saves_too_little(len(live), cells, saved):
         return None
-
-    rank = {t.name: (-t.reduction, -t.num_groups) for t in templates}
-    embeddings.sort(key=lambda e: rank[e.template.name])
 
     def certificate(chosen: list[Embedding], residual: Pairing) -> DrawCertificate:
         entries = tuple(CertEntry(e.template.name, e.to_matching_set()) for e in chosen)
@@ -882,14 +853,10 @@ def prove_draw(
     # collapse to one candidate per (marker cells, bound groups) signature,
     # the first in (template name, sorted binding) order; the cover pass
     # branches over candidates in that order.
-    best_of: dict[tuple[int, int], tuple[tuple, Embedding]] = {}
-    for e in embeddings:
-        key = (e.template.name, e.cells)
-        sig = (e.group_mask, e.marker_mask)
-        prev = best_of.get(sig)
-        if prev is None or key < prev[0]:
-            best_of[sig] = (key, e)
-    cands = [e for key, e in sorted(best_of.values(), key=lambda ke: ke[0])]
+    first: dict[tuple[int, int], Embedding] = {}
+    for e in sorted(embeddings, key=lambda e: (e.template.name, e.cells)):
+        first.setdefault((e.group_mask, e.marker_mask), e)
+    cands = list(first.values())
 
     # Cover pass: cover every live group with matching sets alone (empty
     # residual), branching on the least-flexible uncovered group: the one
@@ -1049,8 +1016,7 @@ def check_certificate(cert: DrawCertificate) -> ProofResult:
             v.append((loc, "independence violated: shared marker cells"))
         seen_markers |= ms.markers
         for g in ms.groups:
-            if not isinstance(g, Group):
-                v.append((loc, f"group {g!r} is not a board group"))
+            if not isinstance(g, Group):  # verify_matching_set reports it
                 continue
             if g in seen_groups:
                 v.append((loc, f"independence violated: group {g} reused"))

@@ -10,6 +10,7 @@ import pytest
 from kinarow import BoardSpec, certificate_to_json, empty_position, prove_draw
 from kinarow.cli import FIXTURE_NAMES, _parser, main
 from tests.test_board import load_fixture
+from tests.test_configs import RESIDUAL_5X4
 
 
 @pytest.fixture
@@ -34,6 +35,13 @@ def three_cell_residual_pair(obj: dict) -> None:
     obj.clear()
     obj.update(json.loads(certificate_to_json(prove_draw(empty_position(BoardSpec(4, 3, 4))))))
     obj["residual_pairing"][0]["pair"] = ["a1", "b1", "c1"]
+
+
+def first_remainder_pair(obj: dict) -> list:
+    return obj["matching_sets"][0]["coverings"][0]["remainder"]["pairs"][0]
+
+
+PAIR_SIZE = "a pair must hold exactly two cells"
 
 
 class TestSolve:
@@ -137,20 +145,25 @@ class TestVerifyCert:
         assert main(["verify-cert", "--cert", path]) == 2
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate,message",
         [
-            lambda obj: obj.update(matching_sets=["x"]),
-            lambda obj: obj.update(board=5),
-            lambda obj: obj["matching_sets"][0]["coverings"][0].update(black=7),
-            lambda obj: obj.update(board=""),
-            lambda obj: obj.update(board="a0"),
-            lambda obj: obj["matching_sets"][0].update(template_name=[1, {"a": 2}]),
-            lambda obj: obj["matching_sets"][0].update(template_name="Pentagon"),
-            lambda obj: obj["matching_sets"][0].pop("template_name"),
-            lambda obj: obj["residual_pairing"].append(
-                {"group": ["a1", "b1", "c1", "d1"], "pair": ["a1"]}
+            (lambda obj: obj.update(matching_sets=["x"]), ""),
+            (lambda obj: obj.update(board=5), ""),
+            (lambda obj: obj["matching_sets"][0]["coverings"][0].update(black=7), ""),
+            (lambda obj: obj.update(board=""), ""),
+            (lambda obj: obj.update(board="a0"), ""),
+            (lambda obj: obj["matching_sets"][0].update(template_name=[1, {"a": 2}]), ""),
+            (lambda obj: obj["matching_sets"][0].update(template_name="Pentagon"), ""),
+            (lambda obj: obj["matching_sets"][0].pop("template_name"), ""),
+            (
+                lambda obj: obj["residual_pairing"].append(
+                    {"group": ["a1", "b1", "c1", "d1"], "pair": ["a1"]}
+                ),
+                PAIR_SIZE,
             ),
-            three_cell_residual_pair,
+            (three_cell_residual_pair, PAIR_SIZE),
+            (lambda obj: first_remainder_pair(obj).pop(), PAIR_SIZE),
+            (lambda obj: first_remainder_pair(obj).append("d1"), PAIR_SIZE),
         ],
         ids=[
             "matching-set-string",
@@ -163,14 +176,17 @@ class TestVerifyCert:
             "template-name-missing",
             "residual-pair-1-cell",
             "residual-pair-3-cells",
+            "remainder-pair-1-cell",
+            "remainder-pair-3-cells",
         ],
     )
-    def test_wrongly_typed_json_is_usage_error(self, board_file, capsys, mutate):
+    def test_wrongly_typed_json_is_usage_error(self, board_file, capsys, mutate, message):
         obj = json.loads(load_fixture("fig1.cert"))
         mutate(obj)
         path = board_file("typed.cert", json.dumps(obj))
         assert main(["verify-cert", "--cert", path]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
 
     @pytest.mark.parametrize(
         "mutate",
@@ -313,3 +329,9 @@ class TestPinnedText:
         assert main([argv[0], "--board", f"fixture:{name}", *argv[1:]]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digests[name]
+
+    def test_residual_pairs_are_pinned(self, board_file, capsys):
+        # Square + Triangle + 2 residual pairs: the pair overlay and legend.
+        assert main(["prove", "--board", board_file("res.board", RESIDUAL_5X4), "--pretty"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "9a6ac8fe0dcf20e9"

@@ -33,6 +33,7 @@ from kinarow.configs import (
     template_by_name,
     validate_catalog,
 )
+from kinarow.setmatch import MatchingSet
 from tests.test_acceptance import random_legal_position
 from tests.test_board import load_fixture
 
@@ -533,6 +534,17 @@ class TestCheckCertificate:
                 "(markers, groups, coverings) (5, 3, 3) are not the template's (7, 4, 4)",
             ),
         )
+
+    def test_non_board_group_reported_once(self):
+        cert = certificate_from_json(load_fixture("fig1.cert"))
+        ms = cert.entries[0].matching
+        bad = MatchingSet(ms.markers, (("a",),) + ms.groups[1:], ms.coverings, ms.symmetry)
+        result = check_certificate(
+            DrawCertificate(cert.position, (CertEntry("Triangle", bad),), cert.residual)
+        )
+        assert [v for v in result.violations if "not a board group" in v[1]] == [
+            ("embedding 0 (Triangle)/matching set", "group ('a',) is not a board group")
+        ]
 
     def test_unknown_template_name_is_a_violation(self):
         cert = certificate_from_json(load_fixture("fig1.cert"))

@@ -9,6 +9,7 @@ from kinarow.configs import catalog, template_by_name
 from kinarow.setmatch import (
     Covering,
     MatchingSet,
+    MatchResponder,
     coverage_ratio,
     exhaustive_marker_adversary,
     expand_coverings,
@@ -197,3 +198,28 @@ class TestAdversary:
             m.symmetry,
         )
         assert exhaustive_marker_adversary(bad) != []
+
+
+class TestMatchResponder:
+    """The Triangle's coverings answer a with b, b with a, c and d with a, e with b."""
+
+    def test_non_marker_move_gets_lowest_empty_non_marker(self):
+        resp = MatchResponder(template_by_name("Triangle").matching)
+        assert resp.respond("z", set("abcdefg")) == "f"
+
+    def test_only_markers_left_gets_lowest_covering_response(self):
+        # The reversed key puts e lowest among the markers and b lowest
+        # among the responses; with neither response empty, the lowest empty
+        # cell, e, is played.
+        matching = template_by_name("Triangle").matching
+        reversed_key = lambda n: -ord(n)
+        assert MatchResponder(matching, key=reversed_key).respond("z", set("abcde")) == "b"
+        assert MatchResponder(matching, key=reversed_key).respond("z", set("cde")) == "e"
+
+    def test_taken_response_falls_back_to_the_pair_responder(self):
+        # a's covering answers with b and pairs c with d.  With b taken, the
+        # pair responder plays e, the empty cell outside the pair, and then
+        # answers c with d.
+        resp = MatchResponder(template_by_name("Triangle").matching)
+        assert resp.respond("a", set("cde")) == "e"
+        assert resp.respond("c", set("d")) == "d"
