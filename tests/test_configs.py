@@ -168,6 +168,90 @@ DEFAULT_BUDGET_RESULTS = {
     "5 4 4 B\nX...O\nX..O.\n.....\n.....\n": None,
 }
 
+# Template lists given to prove_draw: the catalog reversed (templates of equal
+# rank keep the caller's order), a three-template subset, the catalog with
+# cycle templates, and the catalog with two templates repeated.
+TEMPLATE_LISTS = {
+    "reversed": lambda: catalog()[::-1],
+    "subset": lambda: [template_by_name(n) for n in ("Triangle", "Square/Line", "BiTriangle")],
+    "cycles": lambda: catalog((3, 4, 5)),
+    "repeats": lambda: [*catalog(), template_by_name("BiTriangle"), template_by_name("Triangle")],
+}
+
+# prove_draw(pos, templates, max_attempts=b) for b = 10, 100, 5000 under each
+# of TEMPLATE_LISTS, as in BUDGET_RESULTS.  These pin how the candidates of
+# the templates merge into the order each pass searches.
+TEMPLATE_LIST_RESULTS = {
+    "reversed": {
+        "empty4x4": [None, "364233186cb61d57", "364233186cb61d57"],
+        "fig1": ["fbf21a4b3d33d0f5"] * 3,
+        "fig2": ["4a0e29857ae83d63"] * 3,
+        "fig3": ["8e359bd1b90d8f0d"] * 3,
+        "fig4": ["d248fb7eec711172"] * 3,
+        "fig5": ["ad9a0746d8197085"] * 3,
+        "fig7": ["7b82b54c803a070d"] * 3,
+        "fig8": ["933fd9a4e0597fb7"] * 3,
+        "fig9a": ["eb6845454073812a"] * 3,
+        "fig9b": ["6ccc4e0091ecb91b"] * 3,
+        "fig9c": ["aa81b72f27f0b5a9"] * 3,
+        "fig10": ["43e3bb845accc42e", "272f01a037e1a3c8", "272f01a037e1a3c8"],
+        "fig11": ["50473701eab88cc2"] * 3,
+        "residual5x4": [None, None, "b4dfe08ce75c3285"],
+        "ties4x4": ["447dc3ff2765a4c5", "744414a14b6107f8", "744414a14b6107f8"],
+    },
+    "subset": {
+        "empty4x4": [None, "364233186cb61d57", "364233186cb61d57"],
+        "fig1": ["fbf21a4b3d33d0f5"] * 3,
+        "fig2": [None] * 3,
+        "fig3": [None] * 3,
+        "fig4": ["d248fb7eec711172"] * 3,
+        "fig5": ["ad9a0746d8197085"] * 3,
+        "fig7": [None] * 3,
+        "fig8": [None] * 3,
+        "fig9a": [None] * 3,
+        "fig9b": [None] * 3,
+        "fig9c": [None] * 3,
+        "fig10": [None] * 3,
+        "fig11": [None] * 3,
+        "residual5x4": [None, "331473e6794539ee", "331473e6794539ee"],
+        "ties4x4": ["307ada262ecb53d0"] * 3,
+    },
+    "cycles": {
+        "empty4x4": [None, "364233186cb61d57", "364233186cb61d57"],
+        "fig1": ["12a6af31d23474db"] * 3,
+        "fig2": ["cc6712e6cc5f5ce7"] * 3,
+        "fig3": ["70588d1f8c41fd4b"] * 3,
+        "fig4": ["6b543845c97fb0c8"] * 3,
+        "fig5": ["ad9a0746d8197085"] * 3,
+        "fig7": ["7b82b54c803a070d"] * 3,
+        "fig8": ["64349e5aa6caf8bb", "933fd9a4e0597fb7", "933fd9a4e0597fb7"],
+        "fig9a": ["eb6845454073812a"] * 3,
+        "fig9b": ["6ccc4e0091ecb91b"] * 3,
+        "fig9c": ["aa81b72f27f0b5a9"] * 3,
+        "fig10": ["43e3bb845accc42e", "272f01a037e1a3c8", "272f01a037e1a3c8"],
+        "fig11": ["50473701eab88cc2"] * 3,
+        "residual5x4": [None, None, "b9c056391c7768d8"],
+        "ties4x4": ["68085357f74b4f62"] * 3,
+    },
+    "repeats": {
+        "empty4x4": [None, "364233186cb61d57", "364233186cb61d57"],
+        "fig1": ["fbf21a4b3d33d0f5"] * 3,
+        "fig2": ["4a0e29857ae83d63"] * 3,
+        "fig3": ["8e359bd1b90d8f0d"] * 3,
+        "fig4": ["d248fb7eec711172"] * 3,
+        "fig5": ["ad9a0746d8197085"] * 3,
+        "fig7": ["7b82b54c803a070d"] * 3,
+        "fig8": ["933fd9a4e0597fb7"] * 3,
+        "fig9a": ["eb6845454073812a"] * 3,
+        "fig9b": ["6ccc4e0091ecb91b"] * 3,
+        "fig9c": ["aa81b72f27f0b5a9"] * 3,
+        "fig10": ["43e3bb845accc42e", "272f01a037e1a3c8", "272f01a037e1a3c8"],
+        "fig11": ["50473701eab88cc2"] * 3,
+        "residual5x4": [None, None, "b4dfe08ce75c3285"],
+        "ties4x4": ["447dc3ff2765a4c5", "744414a14b6107f8", "744414a14b6107f8"],
+    },
+}
+
 # Seeded random positions, as (m, n, plies, count, seed), whose results must
 # never lose a certificate as the budget grows.
 MONOTONE_BUDGETS = (1, 3, 10, 30, 100, 300, 1000, 5000)
@@ -363,6 +447,18 @@ class TestProveDraw:
         pos = parse_position(extra.get(name) or load_fixture(f"{name}.board"))
         got = [cert_digest(prove_draw(pos, max_attempts=b)) for b in (1, 3, 10, 100)]
         assert got == BUDGET_RESULTS[name]
+
+    @pytest.mark.parametrize("templates", sorted(TEMPLATE_LISTS))
+    def test_template_list_results(self, templates):
+        extra = {"residual5x4": RESIDUAL_5X4, "ties4x4": TIES_4X4}
+        got = {}
+        for name in TEMPLATE_LIST_RESULTS[templates]:
+            pos = parse_position(extra.get(name) or board_of(name))
+            got[name] = [
+                cert_digest(prove_draw(pos, TEMPLATE_LISTS[templates](), max_attempts=b))
+                for b in (10, 100, 5000)
+            ]
+        assert got == TEMPLATE_LIST_RESULTS[templates]
 
     @pytest.mark.parametrize("board", sorted(DEEP_BUDGET_RESULTS))
     def test_deep_budget_results(self, board):
