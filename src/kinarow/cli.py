@@ -280,7 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, BoardFormatError, IllegalPositionError, CertificateFormatError,
             SearchGuardError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"error: {exc}", file=sys.stderr)

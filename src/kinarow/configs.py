@@ -11,7 +11,9 @@ from __future__ import annotations
 import functools
 import string
 import struct
+import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
@@ -469,7 +471,9 @@ class PlacementTable(NamedTuple):
     columns[i] is the bitset of rows holding group i, and columns[shift + b]
     that of rows with a marker on cell b.  orbit[j] is the first row whose
     marker cells are an image of row j's under the template's symmetries,
-    or -1 when no other row's are.
+    or -1 when no other row's are.  rank[j] is row j's place when the rows
+    are sorted by their marker cells as Embedding.cells (a stable sort), so
+    prove_draw orders rows by cells without building them.
     """
 
     groups: int
@@ -478,6 +482,7 @@ class PlacementTable(NamedTuple):
     keys: bytes
     columns: list[int]
     orbit: array
+    rank: array
 
 
 def _placement_table(
@@ -621,25 +626,44 @@ def _placement_table(
 
     assign(0, 0, 0, 0)
     keys = bytes(keys)
-    return PlacementTable(live, empty, array(code, rows), keys, _columns(keys, width), orbit)
+    rows = array(code, rows)
+    # Cell b = r*m+c is the place[b]-th cell in Cell (column, row) order, so
+    # a row's marker cells read as places, big-endian, compare as bytes in
+    # that order.  One-byte rows translate in one call; two-byte rows (past
+    # 256 cells or groups) map entry by entry.  No slice reads a group entry.
+    place = [b % spec.m * spec.n + b // spec.m for b in range(spec.m * spec.n)] + [0] * shift
+    if code == "B":
+        placed = rows.tobytes().translate(bytes(place[:256]).ljust(256, b"\0"))
+    else:
+        wide = array(code, map(place.__getitem__, rows))
+        if sys.byteorder == "little":
+            wide.byteswap()
+        placed = wide.tobytes()
+    span = len(template.markers) * rows.itemsize
+    step = (len(template.markers) + len(steps)) * rows.itemsize
+    by_cells = [placed[o : o + span] for o in range(0, len(placed), step)]
+    rank = array("i", [0]) * len(orbit)
+    for i, j in enumerate(sorted(range(len(orbit)), key=by_cells.__getitem__)):
+        rank[j] = i
+    return PlacementTable(live, empty, rows, keys, _columns(keys, width), orbit, rank)
 
 
-def _embed_template(
+def _kept_rows(
     spec: BoardSpec, template: ConfigTemplate, live: int, empty: int
-) -> list[Embedding]:
-    """The placements of template on the live groups and empty cells, one per
-    orbit of their marker cells (as a label-to-cell tuple) under the
-    template's symmetries, the first in _placement_table order.
+) -> tuple[PlacementTable, list[int]]:
+    """The template's placement table for spec and, in table order, its rows
+    that place the template on the live groups and empty cells, one per orbit
+    of their marker cells (as a label-to-cell tuple) under the template's
+    symmetries, the first in _placement_table order.
 
     live is a bitset over enumerate_groups(spec) and empty a cell bitmask
-    like Position.empty.  The rows come from the template's placement table
-    for spec, whose region grows to the union of every live set and empty
-    set seen so far: a placement lies on this position exactly when it lies
-    on the region, its groups are live and its markers empty, and the
-    region's rows hold this position's placements in the same order, because
-    both walk the groups in enumerate_groups order.  So the rows holding a
-    dead group or a non-empty cell are cleared, and only the rows left
-    become Embeddings.
+    like Position.empty.  The table's region grows to the union of every
+    live set and empty set seen so far: a placement lies on this position
+    exactly when it lies on the region, its groups are live and its markers
+    empty, and the region's rows hold this position's placements in the same
+    order, because both walk the groups in enumerate_groups order.  So the
+    rows holding a dead group or a non-empty cell are cleared, and the rows
+    left are kept.
     """
     table = template.tables.get(spec)
     if table is None:
@@ -657,33 +681,53 @@ def _embed_template(
         dead |= columns[shift + b]
     # alive[j] is 1 when row j is left, as a byte.
     alive = format((1 << len(table.orbit)) - 1 & ~dead, "b")[::-1].encode().translate(_DIGITS)
-    rows, keys, orbit = table.rows, table.keys, table.orbit
-    cell_of = list(spec.cells())  # bit index r*m+c -> cell (c, r)
-    group_of = enumerate_groups(spec)
-    nm = template.num_markers
-    width = nm + template.num_groups
-    size = (shift + spec.m * spec.n + 7) // 8
-    low = (1 << shift) - 1
+    orbit = table.orbit
     seen: set[int] = set()
-    found = []
+    kept = []
     for j in compress(range(len(orbit)), alive):
         first = orbit[j]
         if first >= 0:
             if first in seen:
                 continue
             seen.add(first)
+        kept.append(j)
+    return table, kept
+
+
+def _embeddings(
+    spec: BoardSpec, template: ConfigTemplate, table: PlacementTable, rows: Iterable[int]
+) -> list[Embedding]:
+    """An Embedding for each of the given rows of the template's placement table."""
+    cell_of = list(spec.cells())  # bit index r*m+c -> cell (c, r)
+    group_of = enumerate_groups(spec)
+    shift = len(group_of)
+    nm = template.num_markers
+    width = nm + template.num_groups
+    size = (shift + spec.m * spec.n + 7) // 8
+    low = (1 << shift) - 1
+    data, keys = table.rows, table.keys
+    found = []
+    for j in rows:
         o = j * width
         key = int.from_bytes(keys[j * size : j * size + size], "little")
         found.append(
             Embedding(
                 template,
-                tuple(map(cell_of.__getitem__, rows[o : o + nm])),
-                tuple(map(group_of.__getitem__, rows[o + nm : o + width])),
+                tuple(map(cell_of.__getitem__, data[o : o + nm])),
+                tuple(map(group_of.__getitem__, data[o + nm : o + width])),
                 key >> shift,
                 key & low,
             )
         )
     return found
+
+
+def _embed_template(
+    spec: BoardSpec, template: ConfigTemplate, live: int, empty: int
+) -> list[Embedding]:
+    """The placements of template on the live groups and empty cells, one per
+    orbit of their marker cells under the template's symmetries (_kept_rows)."""
+    return _embeddings(spec, template, *_kept_rows(spec, template, live, empty))
 
 
 def detect(
@@ -721,33 +765,6 @@ def _bits_idx(mask: int) -> Iterator[int]:
         bit = mask & -mask
         yield bit.bit_length() - 1
         mask ^= bit
-
-
-def _bitsets(items: Sequence[Embedding], spec: BoardSpec) -> tuple[list[int], Callable[[int], int]]:
-    """Bitsets over items: bit j stands for items[j].
-
-    columns[b] holds the items whose key (marker_mask over group_mask) has
-    bit b, so columns[i] holds group i's holders.  clash(j) ORs the columns
-    of items[j]'s key: the items sharing a group or a marker cell with it,
-    itself included.
-    """
-    shift = len(group_masks(spec))
-    width = shift + spec.m * spec.n
-    size = (width + 7) // 8
-    columns = _columns(
-        b"".join([(e.marker_mask << shift | e.group_mask).to_bytes(size, "little") for e in items]),
-        width,
-    )
-
-    # Each clash set is as long as the item list, so only recent ones are kept.
-    @functools.lru_cache(maxsize=64)
-    def clash(j: int) -> int:
-        out = 0
-        for b in _bits_idx(items[j].marker_mask << shift | items[j].group_mask):
-            out |= columns[b]
-        return out
-
-    return columns, clash
 
 
 @functools.lru_cache(maxsize=256)
@@ -796,6 +813,13 @@ def prove_draw(
     (_saves_too_little) are refuted before any search, and again over the
     templates that embedded.
 
+    Both passes search the rows that the templates' placement tables keep
+    for pos (_kept_rows), each held as its key int, and only the rows of the
+    returned certificate become Embeddings.  The residual pass's candidates
+    are the rows of what detect lists for the templates in (reduction, group
+    count) order, and the cover pass's are those rows in (template name,
+    cells) order, one per key.
+
     A plain pairing of every live group is returned first.  Otherwise the
     cover pass (exact_cover) seeks covers by embeddings alone and keeps the
     least by (uncovered empty cells, sorted template names, sorted
@@ -835,28 +859,89 @@ def prove_draw(
     residual = find_hj_pairing(pos, live)
     if residual is not None:
         return DrawCertificate(pos, (), residual)
-    # Embeddings by template (reduction, group count), the residual pass's
-    # order; the sort is stable, so tied templates keep the caller's order.
-    embeddings = detect(pos, sorted(templates, key=lambda t: (-t.reduction, -t.num_groups)))
-    if not embeddings:
+    # The rows each template's placement table keeps for pos, the templates
+    # by (reduction, group count), the residual pass's order; the sort is
+    # stable, so tied templates keep the caller's order.
+    spec = pos.spec
+    found: list[tuple[ConfigTemplate, PlacementTable, list[int]]] = []
+    for t in sorted(templates, key=lambda t: (-t.reduction, -t.num_groups)):
+        if t.num_groups <= len(live):
+            table, rows = _kept_rows(spec, t, all_mask, empty_mask)
+            if rows:
+                found.append((t, table, rows))
+    if not found:
         return None
-    embedded = {id(e.template): e.template for e in embeddings}
-    saved = _reductions(len(live), cells, _sizes(embedded.values()))
+    saved = _reductions(len(live), cells, _sizes(t for t, _, _ in found))
     if _saves_too_little(len(live), cells, saved):
         return None
 
-    def certificate(chosen: list[Embedding], residual: Pairing) -> DrawCertificate:
-        entries = tuple(CertEntry(e.template.name, e.to_matching_set()) for e in chosen)
-        return DrawCertificate(pos, entries, residual)
+    # Candidates are found rows, held as their keys (marker_mask << shift |
+    # group_mask): keys lists them in found order, the rows of found[f]
+    # from starts[f] on.  Only a certificate's rows become Embeddings.
+    shift = len(masks)
+    low = (1 << shift) - 1
+    width = shift + spec.m * spec.n
+    size = (width + 7) // 8
+    cell_of = list(spec.cells())  # marker_mask bit -> cell
+    starts: list[int] = []
+    keys: list[int] = []
+    for _, table, rows in found:
+        starts.append(len(keys))
+        packed = table.keys
+        keys += [int.from_bytes(packed[j * size : j * size + size], "little") for j in rows]
+
+    def row_of(i: int) -> tuple[ConfigTemplate, PlacementTable, int]:
+        f = bisect_right(starts, i) - 1
+        t, table, rows = found[f]
+        return t, table, rows[i - starts[f]]
+
+    def binding(i: int) -> list[tuple[Label, Cell]]:
+        """Embedding.binding of candidate i, as sorted items."""
+        t, table, j = row_of(i)
+        o = j * (t.num_markers + t.num_groups)
+        return list(zip(sorted(t.markers), map(cell_of.__getitem__, table.rows[o : o + t.num_markers])))
+
+    def certificate(chosen: list[int], residual: Pairing) -> DrawCertificate:
+        entries = []
+        for i in chosen:
+            t, table, j = row_of(i)
+            entries.append(CertEntry(t.name, _embeddings(spec, t, table, [j])[0].to_matching_set()))
+        return DrawCertificate(pos, tuple(entries), residual)
+
+    def bitsets(keys: list[int]) -> tuple[list[int], Callable[[int], int]]:
+        """Bitsets over keys: bit j stands for keys[j].  columns[b] holds the
+        keys with bit b, so columns[i] holds group i's holders; clash(j) ORs
+        the columns of keys[j]: the candidates sharing a group or a marker
+        cell with it, itself included."""
+        columns = _columns(b"".join([k.to_bytes(size, "little") for k in keys]), width)
+
+        # Each clash set is as long as the key list, so only recent ones are kept.
+        @functools.lru_cache(maxsize=64)
+        def clash(j: int) -> int:
+            out = 0
+            for b in _bits_idx(keys[j]):
+                out |= columns[b]
+            return out
+
+        return columns, clash
 
     # Candidates of the cover pass.  Interchangeable label assignments
-    # collapse to one candidate per (marker cells, bound groups) signature,
-    # the first in (template name, sorted binding) order; the cover pass
-    # branches over candidates in that order.
-    first: dict[tuple[int, int], Embedding] = {}
-    for e in sorted(embeddings, key=lambda e: (e.template.name, e.cells)):
-        first.setdefault((e.group_mask, e.marker_mask), e)
-    cands = list(first.values())
+    # collapse to one candidate per key, the first in (template name, cells)
+    # order: templates by name (a stable sort), the rows of each by the
+    # table's rank.  The cover pass branches over candidates in that order;
+    # cover[j] is candidate j's index into keys, and names[j] its template's.
+    first: dict[int, int] = {}
+    names: list[str] = []
+    for f in sorted(range(len(found)), key=lambda f: found[f][0].name):
+        t, table, rows = found[f]
+        rank = table.rank
+        for p in sorted(range(len(rows)), key=[rank[j] for j in rows].__getitem__):
+            i = starts[f] + p
+            if keys[i] not in first:
+                first[keys[i]] = i
+                names.append(t.name)
+    cover = list(first.values())
+    cover_keys = list(first)
 
     # Cover pass: cover every live group with matching sets alone (empty
     # residual), branching on the least-flexible uncovered group: the one
@@ -868,8 +953,7 @@ def prove_draw(
     # of every empty cell first), so the resulting strategy prescribes a
     # reply to as many moves as possible; ties fall to the lexicographically
     # smallest template-name combination for reproducible output.
-    columns, clash = _bitsets(cands, pos.spec)
-    shift = len(masks)
+    columns, clash = bitsets(cover_keys)
     cell_columns = [(1 << b, columns[shift + b]) for b in _bits_idx(live_cells)]
     branch_order = sorted(_bits_idx(all_mask), key=lambda i: (columns[i].bit_count(), i))
     cover_budget = [max_attempts]
@@ -881,17 +965,17 @@ def prove_draw(
                 marked |= bit
         return marked
 
-    best_cover: list[tuple[tuple, list[Embedding]]] = []
+    best_cover: list[tuple[tuple, list[int]]] = []
 
-    def exact_cover(pool: int, chosen: list[Embedding], covered: int, markers: int) -> None:
+    def exact_cover(pool: int, chosen: list[int], covered: int, markers: int) -> None:
         if cover_budget[0] <= 0:
             return
         cover_budget[0] -= 1
         if covered == all_mask:
             key = (
                 total_empty - markers.bit_count(),
-                tuple(sorted(e.template.name for e in chosen)),
-                tuple(sorted(sorted(e.binding.items()) for e in chosen)),
+                tuple(sorted(names[j] for j in chosen)),
+                tuple(sorted(binding(cover[j]) for j in chosen)),
             )
             if not best_cover or key < best_cover[0][0]:
                 best_cover[:] = [(key, list(chosen))]
@@ -911,20 +995,20 @@ def prove_draw(
         # cells its own pool can mark.
         reach = -1
         for j in _bits_idx(pool & columns[i]):
-            e = cands[j]
-            marked = markers | e.marker_mask
+            mark = cover_keys[j] >> shift
+            marked = markers | mark
             if best_cover:
                 if reach < 0:
                     rest = pool & ~columns[i]
                     reach = marked_by(rest, markers)
-                    least = cands[(rest & -rest).bit_length() - 1].template.name if rest else ""
+                    least = names[(rest & -rest).bit_length() - 1] if rest else ""
                     k = (all_mask & ~covered).bit_count()
                 (best_uncovered, best_names, _), _ = best_cover[0]
-                uncovered = total_empty - (reach | e.marker_mask).bit_count()
+                uncovered = total_empty - (reach | mark).bit_count()
                 if uncovered > best_uncovered:
                     continue
                 if uncovered == best_uncovered:
-                    below = sorted([c.template.name for c in chosen] + [e.template.name])
+                    below = sorted([names[c] for c in chosen] + [names[j]])
                     if rest and below[-1] > least:
                         below = sorted(below + [least] * k)
                     if tuple(below) > best_names:
@@ -934,30 +1018,29 @@ def prove_draw(
             child = pool & ~clash(j)
             if best_cover and total_empty - marked_by(child, marked).bit_count() > best_uncovered:
                 continue
-            chosen.append(e)
-            exact_cover(child, chosen, covered | e.group_mask, marked)
+            chosen.append(j)
+            exact_cover(child, chosen, covered | cover_keys[j] & low, marked)
             chosen.pop()
             if cover_budget[0] <= 0:
                 return
 
-    exact_cover((1 << len(cands)) - 1, [], 0, 0)
+    exact_cover((1 << len(cover)) - 1, [], 0, 0)
     if best_cover:
-        return certificate(best_cover[0][1], Pairing(()))
+        return certificate([cover[j] for j in best_cover[0][1]], Pairing(()))
 
-    # Residual pass: independent embeddings in (reduction, group count)
-    # order, each combination completed by a residual pairing of the groups
-    # left over.  A node's pool is the bitset of later embeddings compatible
-    # with its choices.  The pairing is only sought when every uncovered
-    # group keeps two empty cells off the chosen markers; otherwise none
-    # exists.  A child is skipped when the templates that embedded cannot
-    # save enough of the unmarked empty cells in its uncovered groups
-    # (_saves_too_little): no certificate then extends its choices.
-    cell_of = list(pos.spec.cells())  # marker_mask bit -> cell
+    # Residual pass: independent candidates in keys order, each combination
+    # completed by a residual pairing of the groups left over.  A node's pool
+    # is the bitset of later candidates compatible with its choices.  The
+    # pairing is only sought when every uncovered group keeps two empty
+    # cells off the chosen markers; otherwise none exists.  A child is
+    # skipped when the templates that embedded cannot save enough of the
+    # unmarked empty cells in its uncovered groups (_saves_too_little): no
+    # certificate then extends its choices.
     room = [(bit, group_cells[bit.bit_length() - 1]) for bit in live_bits]
-    clash = _bitsets(embeddings, pos.spec)[1]
+    clash = bitsets(keys)[1]
     budget = [max_attempts]
 
-    def search(pool: int, chosen: list[Embedding], covered: int, markers: int) -> DrawCertificate | None:
+    def search(pool: int, chosen: list[int], covered: int, markers: int) -> DrawCertificate | None:
         if budget[0] <= 0:
             return None
         budget[0] -= 1
@@ -970,22 +1053,22 @@ def prove_draw(
             if residual is not None:
                 return certificate(chosen, residual)
         while pool:
-            low = pool & -pool
-            pool ^= low
-            j = low.bit_length() - 1
-            e = embeddings[j]
-            uncovered = all_mask & ~(covered | e.group_mask)
-            free = open_cells(uncovered) & ~(markers | e.marker_mask)
+            low_bit = pool & -pool
+            pool ^= low_bit
+            j = low_bit.bit_length() - 1
+            group_mask, marker_mask = keys[j] & low, keys[j] >> shift
+            uncovered = all_mask & ~(covered | group_mask)
+            free = open_cells(uncovered) & ~(markers | marker_mask)
             if _saves_too_little(uncovered.bit_count(), free.bit_count(), saved):
                 continue
-            chosen.append(e)
-            found = search(pool & ~clash(j), chosen, covered | e.group_mask, markers | e.marker_mask)
+            chosen.append(j)
+            proof = search(pool & ~clash(j), chosen, covered | group_mask, markers | marker_mask)
             chosen.pop()
-            if found is not None or budget[0] <= 0:
-                return found
+            if proof is not None or budget[0] <= 0:
+                return proof
         return None
 
-    return search((1 << len(embeddings)) - 1, [], 0, 0)
+    return search((1 << len(keys)) - 1, [], 0, 0)
 
 
 def check_certificate(cert: DrawCertificate) -> ProofResult:

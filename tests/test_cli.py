@@ -257,6 +257,14 @@ class TestDetect:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["detect", "prove"])
+    def test_unknown_template_message_is_unquoted(self, command, capsys):
+        code = main(
+            [command, "--board", fixture_path("fig1.board"), "--templates", "Triangle,Pentagon"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown configuration 'Pentagon'\n"
+
 
 class TestTable1:
     def test_json_report(self, capsys):

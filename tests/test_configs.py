@@ -13,6 +13,7 @@ from kinarow.board import (
     BoardSpec,
     apply_move,
     empty_position,
+    group_masks,
     live_black_groups,
     parse_cell,
     parse_position,
@@ -413,6 +414,93 @@ class TestPlacementTables:
         del cycle
         gc.collect()
         assert ref() is None
+
+
+class TestProveDrawTables:
+    """prove_draw searches the rows of the same placement tables, ordered by
+    each table's rank, so its certificates must not depend on what was asked
+    before either."""
+
+    BOARDS = [*COLLAPSE_5X4, RESIDUAL_5X4]
+
+    @staticmethod
+    def results(pos, templates):
+        return [cert_digest(prove_draw(pos, templates, max_attempts=b)) for b in (10, 100, 1000, 5000)]
+
+    def fresh(self, pos):
+        templates = configs._fixed_templates()
+        assert all("tables" not in vars(t) for t in templates)
+        return self.results(pos, templates)
+
+    def test_some_board_is_proved(self):
+        assert any(self.fresh(parse_position(board))[-1] for board in self.BOARDS)
+
+    @pytest.mark.parametrize("board", BOARDS)
+    def test_after_the_region_grew_on_the_same_board(self, board):
+        pos = parse_position(board)
+        templates = configs._fixed_templates()
+        assert self.results(pos, templates) == self.fresh(pos)
+        region = templates[0].tables[pos.spec]
+        for other in [*OTHER_5X4, *COLLAPSE_5X4]:
+            if other != board:
+                prove_draw(parse_position(other), templates)
+        assert templates[0].tables[pos.spec].empty != region.empty
+        assert self.results(pos, templates) == self.fresh(pos)
+
+    @pytest.mark.parametrize("board", BOARDS)
+    def test_after_other_boards(self, board):
+        pos = parse_position(board)
+        templates = configs._fixed_templates()
+        for other in OTHER_SPECS:
+            prove_draw(parse_position(other), templates)
+        assert self.results(pos, templates) == self.fresh(pos)
+
+    @staticmethod
+    def rows_by_rank_and_by_cells(spec, t, table):
+        # A stable sort of every row of the table by its Embedding.cells.
+        cells = [e.cells for e in configs._embeddings(spec, t, table, range(len(table.rank)))]
+        by_cells = sorted(range(len(cells)), key=cells.__getitem__)
+        return sorted(range(len(cells)), key=table.rank.__getitem__), by_cells
+
+    @pytest.mark.parametrize("board", ["4 4 4 B\n....\n....\n....\n....\n", *OTHER_5X4])
+    def test_rank_sorts_rows_by_cells(self, board):
+        pos = parse_position(board)
+        detect(pos)
+        for t in catalog():
+            by_rank, by_cells = self.rows_by_rank_and_by_cells(pos.spec, t, t.tables[pos.spec])
+            assert by_rank == by_cells, t.name
+
+    def test_rank_of_two_byte_rows(self):
+        # A 17x16 board has 272 cells, so its rows hold two bytes per entry;
+        # a region of the groups inside a 5x5 corner keeps them small, and
+        # the corner's cells lie on both sides of the 256th in Cell order.
+        spec = BoardSpec(17, 16, 5)
+        corner = sum(1 << r * 17 + c for r in range(5) for c in range(12, 17))
+        live = sum(1 << i for i, g in enumerate(group_masks(spec)) if not g & ~corner)
+        for name in ("Triangle", "BiTriangle", "BiTriangle/Line"):
+            t = template_by_name(name)
+            table = configs._placement_table(spec, t, live, corner)
+            assert table.rows.typecode == "H"
+            by_rank, by_cells = self.rows_by_rank_and_by_cells(spec, t, table)
+            assert by_rank == by_cells, name
+            assert len(by_rank) > 1000
+
+    def test_embeddings_only_for_the_certificate(self, monkeypatch):
+        built = []
+
+        def counted(template, *args):
+            built.append(template.name)
+            return embedding(template, *args)
+
+        embedding = configs.Embedding
+        monkeypatch.setattr(configs, "Embedding", counted)
+        assert prove_draw(parse_position(COLLAPSE_5X4[0])) is None
+        assert built == []
+        for board, residual in (("4 4 4 B\n....\n....\n....\n....\n", False), (RESIDUAL_5X4, True)):
+            cert = prove_draw(parse_position(board))
+            assert bool(cert.residual.assignments) == residual
+            assert built == [e.template_name for e in cert.entries]
+            built.clear()
 
 
 class TestProveDraw:
