@@ -292,8 +292,8 @@ class TestDeterminism:
         assert capsys.readouterr().out == first
 
 
-# SHA-256 prefixes of the full stdout of `render` and of `prove --pretty` on
-# every bundled fixture.
+# SHA-256 prefixes of the full stdout of `render`, `prove --pretty` and
+# `detect` on every bundled fixture.
 RENDER_DIGESTS = {
     "empty4x4": "01646524efc8af93",
     "fig1": "4d0e1ec0bf89d139",
@@ -324,14 +324,33 @@ PRETTY_DIGESTS = {
     "fig10": "41122c5f638934c0",
     "fig11": "deb40a091c2b8a00",
 }
+DETECT_DIGESTS = {
+    "empty4x4": "5321aa47467d1f89",
+    "fig1": "5b1567ca9455e157",
+    "fig2": "7a6b91af8db5a1f6",
+    "fig3": "e55c1198f6842efe",
+    "fig4": "337112b0fd7eecd0",
+    "fig5": "c2991f475d9963a4",
+    "fig7": "a9d92e19bfbd482b",
+    "fig8": "282007d1f162afc5",
+    "fig9a": "270025bac26ea07a",
+    "fig9b": "f0da8a63950594be",
+    "fig9c": "b68035e11ec02f06",
+    "fig10": "e9bd10ef8f143c32",
+    "fig11": "4096d003c1d2fc00",
+}
 
 
 class TestPinnedText:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     @pytest.mark.parametrize(
         "argv,digests",
-        [(["render"], RENDER_DIGESTS), (["prove", "--pretty"], PRETTY_DIGESTS)],
-        ids=["render", "pretty"],
+        [
+            (["render"], RENDER_DIGESTS),
+            (["prove", "--pretty"], PRETTY_DIGESTS),
+            (["detect"], DETECT_DIGESTS),
+        ],
+        ids=["render", "pretty", "detect"],
     )
     def test_output_is_pinned(self, capsys, name, argv, digests):
         assert main([argv[0], "--board", f"fixture:{name}", *argv[1:]]) == 0

@@ -86,26 +86,25 @@ EMPTY_4X4_EMBEDDINGS = {
 }
 
 # detect(pos) in full: the first 16 hex digits of the SHA-256 of one line per
-# embedding (template name, cells, groups, marker_mask, group_mask), and the
-# embedding count.  On the three 5x4 positions some marker cells are held by
+# embedding (template name, cells, groups), and the embedding count.  On the three 5x4 positions some marker cells are held by
 # placements on different groups, and only the first of those is kept.
 DETECT_DIGESTS = {
-    "empty4x4": ("c0af2b3046912f06", 7128),
-    "fig1": ("0bc85215a193954e", 1),
-    "fig2": ("4ff19be9bc23bf2a", 1),
-    "fig3": ("41b5f3231f92e213", 5),
-    "fig4": ("bda95163917911c9", 8),
-    "fig5": ("e9bd010daa8c8693", 7),
-    "fig7": ("9502bdf59cb31b01", 14),
-    "fig8": ("28353437bee2f2ec", 57),
-    "fig9a": ("7e0f8332b9fc482d", 13),
-    "fig9b": ("6feae2e6f1675957", 23),
-    "fig9c": ("08ed670eaf380777", 60),
-    "fig10": ("da125e963cea7fff", 75),
-    "fig11": ("25b930bbd5004e88", 31),
-    "5 4 4 B\nX..O.\nO....\n...X.\n.....\n": ("a09199c117f10911", 1984),
-    "5 4 4 B\n....X\n..X..\n.O...\nO....\n": ("18b4de46089e29c4", 431),
-    "5 4 4 B\nX.O..\nO....\nOXOX.\nX.O.X\n": ("bba923c8cb0de058", 4),
+    "empty4x4": ("002d98d0e8ece044", 7128),
+    "fig1": ("6fe4e69d3d96cf63", 1),
+    "fig2": ("1e378d17446172e8", 1),
+    "fig3": ("4795e0eb3ee96f61", 5),
+    "fig4": ("a6f8cec300ccd1f7", 8),
+    "fig5": ("f9e984d46275484d", 7),
+    "fig7": ("bb301d2e14230c21", 14),
+    "fig8": ("3a7524625f6d9f88", 57),
+    "fig9a": ("8fb65e56e70cdbfe", 13),
+    "fig9b": ("30e0a70a2475ec89", 23),
+    "fig9c": ("1ddd8e2285be2aa8", 60),
+    "fig10": ("695fd504db6a05c4", 75),
+    "fig11": ("f159304080862b90", 31),
+    "5 4 4 B\nX..O.\nO....\n...X.\n.....\n": ("c6b1b172a07fb0d1", 1984),
+    "5 4 4 B\n....X\n..X..\n.O...\nO....\n": ("f425ef8df7cb2b12", 431),
+    "5 4 4 B\nX.O..\nO....\nOXOX.\nX.O.X\n": ("fa5cbca5d701c45a", 4),
 }
 
 # A 5x4 position (Black to move) that only the residual search proves:
@@ -265,7 +264,7 @@ def board_of(name: str) -> str:
 
 def embedding_lines(found) -> list[str]:
     return [
-        f"{e.template.name} {e.cells} {[g.cells for g in e.groups]} {e.marker_mask} {e.group_mask}\n"
+        f"{e.template.name} {e.cells} {[g.cells for g in e.groups]}\n"
         for e in found
     ]
 
