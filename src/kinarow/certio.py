@@ -81,7 +81,7 @@ def _covering_from_obj(obj: dict) -> Covering:
     )
 
 
-def certificate_to_json(cert: DrawCertificate, indent: int | None = 2) -> str:
+def certificate_to_json(cert: DrawCertificate) -> str:
     obj = {
         "board": render_position(cert.position),
         "matching_sets": [
@@ -96,7 +96,7 @@ def certificate_to_json(cert: DrawCertificate, indent: int | None = 2) -> str:
             for g, (a, b) in cert.residual.assignments
         ],
     }
-    return json.dumps(obj, indent=indent) + "\n"
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def certificate_from_json(text: str) -> DrawCertificate:

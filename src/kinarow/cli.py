@@ -97,9 +97,20 @@ def _fixture_text(name: str, suffix: str) -> str | None:
     return ref.read_text(encoding="utf-8")
 
 
+def _grid(pos: Position, overlay: dict[tuple[int, int], str]) -> list[str]:
+    """The board's rows, top first, with row numbers and then column
+    letters; a cell in overlay shows its tag instead of its stone."""
+    m, n = pos.spec.m, pos.spec.n
+    lines = []
+    for r in range(n - 1, -1, -1):
+        row = [overlay.get((c, r), pos.at((c, r))) for c in range(m)]
+        lines.append(f"{r + 1:2d} " + " ".join(row))
+    lines.append("   " + " ".join(string.ascii_lowercase[:m]))
+    return lines
+
+
 def _pretty_certificate(cert: DrawCertificate) -> str:
     pos = cert.position
-    m, n = pos.spec.m, pos.spec.n
     overlay: dict[tuple[int, int], str] = {}
     letters = iter(string.ascii_lowercase)
     legend: list[str] = []
@@ -117,12 +128,7 @@ def _pretty_certificate(cert: DrawCertificate) -> str:
         for cell in pair:
             overlay[cell] = tag
         legend.append(f"pair {tag}: {cell_name(pair[0])},{cell_name(pair[1])} for {g}")
-    lines = []
-    for r in range(n - 1, -1, -1):
-        row = [overlay.get((c, r), pos.at((c, r))) for c in range(m)]
-        lines.append(f"{r + 1:2d} " + " ".join(row))
-    lines.append("   " + " ".join(string.ascii_lowercase[:m]))
-    return "\n".join(lines + legend)
+    return "\n".join(_grid(pos, overlay) + legend)
 
 
 def _cmd_solve(args) -> int:
@@ -220,18 +226,8 @@ def _cmd_table1(args) -> int:
 
 def _cmd_render(args) -> int:
     pos = _load_board(args.board)
-    m, n = pos.spec.m, pos.spec.n
     live = live_black_groups(pos)
-    in_live = {c for g in live for c in g}
-    for r in range(n - 1, -1, -1):
-        cells = []
-        for c in range(m):
-            s = pos.at((c, r))
-            if s == "." and (c, r) in in_live:
-                s = "+"
-            cells.append(s)
-        print(f"{r + 1:2d} " + " ".join(cells))
-    print("   " + " ".join(string.ascii_lowercase[:m]))
+    print("\n".join(_grid(pos, {c: "+" for g in live for c in g if pos.is_empty(c)})))
     print(f"to move: {'B' if pos.to_move == BLACK else 'W'}")
     for g in live:
         print(f"live: {g}")

@@ -32,7 +32,7 @@ from .board import (
     live_black_groups,
     live_groups,
 )
-from .pairing import Pairing, find_hj_pairing, smallest_pairing, verify_pairing
+from .pairing import Pairing, smallest_pairing, verify_pairing
 from .setmatch import (
     Covering,
     MatchingSet,
@@ -81,7 +81,7 @@ class ConfigTemplate:
     def tables(self) -> dict[BoardSpec, PlacementTable]:
         """The placement table of each board this template was detected on.
 
-        Built by _embed_template on first use, and dropped with the template.
+        Built by _kept_rows on first use, and dropped with the template.
         """
         return {}
 
@@ -385,16 +385,12 @@ class Embedding:
     """A template placed on a board.
 
     cells holds the marker cells in sorted label order and groups the board
-    groups in template.groups order.  marker_mask and group_mask hold the
-    same placement as bitmasks: bit r*m+c for the cell (c, r), and bit i for
-    enumerate_groups(spec)[i].
+    groups in template.groups order.
     """
 
     template: ConfigTemplate
     cells: tuple[Cell, ...]
     groups: tuple[Group, ...]
-    marker_mask: int
-    group_mask: int
 
     @property
     def binding(self) -> dict[Label, Cell]:
@@ -498,7 +494,7 @@ def _placement_table(
     group in turn.  An assignment of groups that a symmetry of the template
     maps to an earlier one is skipped: each of its placements is an image of
     a placement of that earlier assignment on the same groups and cells,
-    which comes first wherever both lie, so _embed_template would drop it.
+    which comes first wherever both lie, so _kept_rows would drop it.
     """
     abstract = template.groups
     labels = sorted(template.markers)  # label i is labels[i]
@@ -700,48 +696,34 @@ def _embeddings(
     """An Embedding for each of the given rows of the template's placement table."""
     cell_of = list(spec.cells())  # bit index r*m+c -> cell (c, r)
     group_of = enumerate_groups(spec)
-    shift = len(group_of)
     nm = template.num_markers
     width = nm + template.num_groups
-    size = (shift + spec.m * spec.n + 7) // 8
-    low = (1 << shift) - 1
-    data, keys = table.rows, table.keys
+    data = table.rows
     found = []
     for j in rows:
         o = j * width
-        key = int.from_bytes(keys[j * size : j * size + size], "little")
         found.append(
             Embedding(
                 template,
                 tuple(map(cell_of.__getitem__, data[o : o + nm])),
                 tuple(map(group_of.__getitem__, data[o + nm : o + width])),
-                key >> shift,
-                key & low,
             )
         )
     return found
-
-
-def _embed_template(
-    spec: BoardSpec, template: ConfigTemplate, live: int, empty: int
-) -> list[Embedding]:
-    """The placements of template on the live groups and empty cells, one per
-    orbit of their marker cells under the template's symmetries (_kept_rows)."""
-    return _embeddings(spec, template, *_kept_rows(spec, template, live, empty))
 
 
 def detect(
     pos: Position, templates: Sequence[ConfigTemplate] | None = None
 ) -> list[Embedding]:
     """All template embeddings in pos, one per orbit of each template's
-    label-to-cell tuple under its symmetries (_embed_template)."""
+    label-to-cell tuple under its symmetries (_kept_rows)."""
     if templates is None:
         templates = catalog()
     live = live_groups(pos.spec, pos.white)
     out: list[Embedding] = []
     for t in templates:
         if len(t.groups) <= live.bit_count():
-            out.extend(_embed_template(pos.spec, t, live, pos.empty))
+            out.extend(_embeddings(pos.spec, t, *_kept_rows(pos.spec, t, live, pos.empty)))
     return out
 
 
@@ -820,7 +802,9 @@ def prove_draw(
     count) order, and the cover pass's are those rows in (template name,
     cells) order, one per key.
 
-    A plain pairing of every live group is returned first.  Otherwise the
+    Every certificate comes from complete, which adds a residual pairing
+    of the groups left over (smallest_pairing) to the chosen rows.  A plain
+    pairing of every live group is returned first.  Otherwise the
     cover pass (exact_cover) seeks covers by embeddings alone and keeps the
     least by (uncovered empty cells, sorted template names, sorted
     bindings), so a full tiling of the empty cells wins whenever it finds
@@ -836,12 +820,12 @@ def prove_draw(
         return None
     if templates is None:
         templates = catalog()
-    all_mask = live_groups(pos.spec, pos.white)
-    live = [enumerate_groups(pos.spec)[i] for i in _bits_idx(all_mask)]
-    live_bits = [1 << i for i in _bits_idx(all_mask)]
+    spec = pos.spec
+    all_mask = live_groups(spec, pos.white)
+    n_live = all_mask.bit_count()
     empty_mask = pos.empty
     total_empty = empty_mask.bit_count()
-    masks = group_masks(pos.spec)
+    masks = group_masks(spec)
     group_cells = [cells & empty_mask for cells in masks]
 
     @functools.lru_cache(maxsize=None)
@@ -854,59 +838,72 @@ def prove_draw(
 
     live_cells = open_cells(all_mask)
     cells = live_cells.bit_count()
-    if _saves_too_little(len(live), cells, _reductions(len(live), cells, _sizes(templates))):
-        return None
-    residual = find_hj_pairing(pos, live)
-    if residual is not None:
-        return DrawCertificate(pos, (), residual)
-    # The rows each template's placement table keeps for pos, the templates
-    # by (reduction, group count), the residual pass's order; the sort is
-    # stable, so tied templates keep the caller's order.
-    spec = pos.spec
-    found: list[tuple[ConfigTemplate, PlacementTable, list[int]]] = []
-    for t in sorted(templates, key=lambda t: (-t.reduction, -t.num_groups)):
-        if t.num_groups <= len(live):
-            table, rows = _kept_rows(spec, t, all_mask, empty_mask)
-            if rows:
-                found.append((t, table, rows))
-    if not found:
-        return None
-    saved = _reductions(len(live), cells, _sizes(t for t, _, _ in found))
-    if _saves_too_little(len(live), cells, saved):
+    if _saves_too_little(n_live, cells, _reductions(n_live, cells, _sizes(templates))):
         return None
 
-    # Candidates are found rows, held as their keys (marker_mask << shift |
-    # group_mask): keys lists them in found order, the rows of found[f]
-    # from starts[f] on.  Only a certificate's rows become Embeddings.
-    shift = len(masks)
-    low = (1 << shift) - 1
-    width = shift + spec.m * spec.n
-    size = (width + 7) // 8
-    cell_of = list(spec.cells())  # marker_mask bit -> cell
+    # Candidates are the rows each template's placement table keeps for pos,
+    # held as their keys (marker_mask << shift | group_mask): keys lists them
+    # in found order, the rows of found[f] from starts[f] on.  Only a
+    # certificate's rows become Embeddings.
+    found: list[tuple[ConfigTemplate, PlacementTable, list[int]]] = []
     starts: list[int] = []
     keys: list[int] = []
-    for _, table, rows in found:
-        starts.append(len(keys))
-        packed = table.keys
-        keys += [int.from_bytes(packed[j * size : j * size + size], "little") for j in rows]
+    cell_of = list(spec.cells())  # cell bit -> cell
 
     def row_of(i: int) -> tuple[ConfigTemplate, PlacementTable, int]:
         f = bisect_right(starts, i) - 1
         t, table, rows = found[f]
         return t, table, rows[i - starts[f]]
 
+    def complete(chosen: list[int], covered: int, markers: int) -> DrawCertificate | None:
+        """The certificate of the chosen candidates and a residual pairing
+        of the live groups outside covered on their empty cells off markers,
+        or None when no such pairing exists."""
+        left = list(_bits_idx(all_mask & ~covered))
+        rooms = [group_cells[i] & ~markers for i in left]
+        if any(room.bit_count() < 2 for room in rooms):  # no pair fits
+            return None
+        pairs = smallest_pairing(rooms)
+        if pairs is None:
+            return None
+        entries = []
+        for i in chosen:
+            t, table, j = row_of(i)
+            entries.append(CertEntry(t.name, _embeddings(spec, t, table, [j])[0].to_matching_set()))
+        groups = enumerate_groups(spec)
+        residual = [(groups[i], (cell_of[a], cell_of[b])) for i, (a, b) in zip(left, pairs)]
+        return DrawCertificate(pos, tuple(entries), Pairing(tuple(residual)))
+
+    proof = complete([], 0, 0)
+    if proof is not None:
+        return proof
+    # The templates by (reduction, group count), the residual pass's order;
+    # the sort is stable, so tied templates keep the caller's order.
+    for t in sorted(templates, key=lambda t: (-t.reduction, -t.num_groups)):
+        if t.num_groups <= n_live:
+            table, rows = _kept_rows(spec, t, all_mask, empty_mask)
+            if rows:
+                found.append((t, table, rows))
+    if not found:
+        return None
+    saved = _reductions(n_live, cells, _sizes(t for t, _, _ in found))
+    if _saves_too_little(n_live, cells, saved):
+        return None
+
+    shift = len(masks)
+    low = (1 << shift) - 1
+    width = shift + spec.m * spec.n
+    size = (width + 7) // 8
+    for _, table, rows in found:
+        starts.append(len(keys))
+        packed = table.keys
+        keys += [int.from_bytes(packed[j * size : j * size + size], "little") for j in rows]
+
     def binding(i: int) -> list[tuple[Label, Cell]]:
         """Embedding.binding of candidate i, as sorted items."""
         t, table, j = row_of(i)
         o = j * (t.num_markers + t.num_groups)
         return list(zip(sorted(t.markers), map(cell_of.__getitem__, table.rows[o : o + t.num_markers])))
-
-    def certificate(chosen: list[int], residual: Pairing) -> DrawCertificate:
-        entries = []
-        for i in chosen:
-            t, table, j = row_of(i)
-            entries.append(CertEntry(t.name, _embeddings(spec, t, table, [j])[0].to_matching_set()))
-        return DrawCertificate(pos, tuple(entries), residual)
 
     def bitsets(keys: list[int]) -> tuple[list[int], Callable[[int], int]]:
         """Bitsets over keys: bit j stands for keys[j].  columns[b] holds the
@@ -915,8 +912,6 @@ def prove_draw(
         cell with it, itself included."""
         columns = _columns(b"".join([k.to_bytes(size, "little") for k in keys]), width)
 
-        # Each clash set is as long as the key list, so only recent ones are kept.
-        @functools.lru_cache(maxsize=64)
         def clash(j: int) -> int:
             out = 0
             for b in _bits_idx(keys[j]):
@@ -1026,17 +1021,14 @@ def prove_draw(
 
     exact_cover((1 << len(cover)) - 1, [], 0, 0)
     if best_cover:
-        return certificate([cover[j] for j in best_cover[0][1]], Pairing(()))
+        return complete([cover[j] for j in best_cover[0][1]], all_mask, 0)
 
     # Residual pass: independent candidates in keys order, each combination
     # completed by a residual pairing of the groups left over.  A node's pool
-    # is the bitset of later candidates compatible with its choices.  The
-    # pairing is only sought when every uncovered group keeps two empty
-    # cells off the chosen markers; otherwise none exists.  A child is
-    # skipped when the templates that embedded cannot save enough of the
-    # unmarked empty cells in its uncovered groups (_saves_too_little): no
-    # certificate then extends its choices.
-    room = [(bit, group_cells[bit.bit_length() - 1]) for bit in live_bits]
+    # is the bitset of later candidates compatible with its choices.  A
+    # child is skipped when the templates that embedded cannot save enough
+    # of the unmarked empty cells in its uncovered groups
+    # (_saves_too_little): no certificate then extends its choices.
     clash = bitsets(keys)[1]
     budget = [max_attempts]
 
@@ -1044,14 +1036,10 @@ def prove_draw(
         if budget[0] <= 0:
             return None
         budget[0] -= 1
-        if chosen and all(
-            (cells & ~markers).bit_count() >= 2 for bit, cells in room if not covered & bit
-        ):
-            left = [g for g, bit in zip(live, live_bits) if not covered & bit]
-            excluded = frozenset(cell_of[b] for b in _bits_idx(markers))
-            residual = find_hj_pairing(pos, left, excluded=excluded)
-            if residual is not None:
-                return certificate(chosen, residual)
+        if chosen:
+            proof = complete(chosen, covered, markers)
+            if proof is not None:
+                return proof
         while pool:
             low_bit = pool & -pool
             pool ^= low_bit

@@ -91,14 +91,9 @@ class Pairing:
         return [pair for _, pair in self.assignments]
 
 
-def find_hj_pairing(
-    pos: Position,
-    groups: Sequence[Group],
-    excluded: frozenset[Cell] = frozenset(),
-) -> Pairing | None:
+def find_hj_pairing(pos: Position, groups: Sequence[Group]) -> Pairing | None:
     """An exact HJ-pairing for the given live groups, or None if none exists.
 
-    Cells in `excluded` are off-limits as markers (already reserved elsewhere).
     Pairs are the smallest in cell_key order, which is ascending bit order.
     """
     m = pos.spec.m
@@ -109,11 +104,7 @@ def find_hj_pairing(
         masks.append(sum(1 << (r * m + c) for c, r in g))
         if masks[-1] & pos.white:
             raise DeadGroupError(f"group {g} already contains a White stone")
-    usable = pos.empty
-    for c, r in filter(pos.spec.in_bounds, excluded):
-        usable &= ~(1 << (r * m + c))
-    rooms = [mask & usable for mask in masks]
-    pairs = smallest_pairing(rooms)
+    pairs = smallest_pairing([mask & pos.empty for mask in masks])
     if pairs is None:
         return None
     return Pairing(

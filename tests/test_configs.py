@@ -666,11 +666,12 @@ class TestMarkerBudget:
     def test_empty_board_refuted_before_detect(self, monkeypatch, m, n):
         # 5x4: 17 live groups, 20 empty cells, and 2*17 - 20 = 14 exceeds the
         # 12 cells two FlatStar/Line save; 5x5: 28 groups need 31 of at most 18.
+        # The bound must come before the root pairing and the placement rows.
         def fail(*args, **kwargs):
             raise AssertionError("the marker budget should refute this position first")
 
-        monkeypatch.setattr(configs, "detect", fail)
-        monkeypatch.setattr(configs, "find_hj_pairing", fail)
+        monkeypatch.setattr(configs, "_kept_rows", fail)
+        monkeypatch.setattr(configs, "smallest_pairing", fail)
         assert prove_draw(empty_position(BoardSpec(m, n, 4))) is None
 
 

@@ -77,19 +77,6 @@ class TestFindPairing:
         with pytest.raises(MoveError):
             find_hj_pairing(pos, [Group(tuple((c, 0) for c in range(1, 5)))])
 
-    def test_excluded_cells_respected(self):
-        pos = empty_position(BoardSpec(4, 1, 4))
-        [group] = live_black_groups(pos)
-        pairing = find_hj_pairing(pos, [group], excluded=frozenset({(0, 0)}))
-        assert (0, 0) not in pairing.pair_for(group)
-
-    def test_off_board_excluded_cells_ignored(self):
-        # (4, 0) lies off the 4-wide board, but its bit 0*4+4 is a2's.
-        pos = empty_position(BoardSpec(4, 2, 4))
-        row1 = next(g for g in live_black_groups(pos) if all(r == 1 for _, r in g))
-        pairing = find_hj_pairing(pos, [row1], excluded=frozenset({(4, 0)}))
-        assert pairing.pair_for(row1) == ((0, 1), (1, 1))
-
 
 class TestVerifyPairing:
     def test_valid_pairing_has_no_violations(self):
