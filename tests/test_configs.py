@@ -86,8 +86,9 @@ EMPTY_4X4_EMBEDDINGS = {
 }
 
 # detect(pos) in full: the first 16 hex digits of the SHA-256 of one line per
-# embedding (template name, cells, groups), and the embedding count.  On the three 5x4 positions some marker cells are held by
-# placements on different groups, and only the first of those is kept.
+# embedding (template name, cells, groups), and the embedding count.  On the
+# three 5x4 positions some marker cells are held by placements on different
+# groups, and only the first of those is kept.
 DETECT_DIGESTS = {
     "empty4x4": ("002d98d0e8ece044", 7128),
     "fig1": ("6fe4e69d3d96cf63", 1),
