@@ -15,6 +15,7 @@ from kinarow.board import (
     empty_position,
     group_masks,
     live_black_groups,
+    live_groups,
     parse_cell,
     parse_position,
     winner,
@@ -34,7 +35,7 @@ from kinarow.configs import (
     template_by_name,
     validate_catalog,
 )
-from kinarow.setmatch import MatchingSet
+from kinarow.setmatch import MatchingSet, symmetry_closure
 from tests.test_acceptance import random_legal_position
 from tests.test_board import load_fixture
 
@@ -167,6 +168,33 @@ DEFAULT_BUDGET_RESULTS = {
     "empty4x4": "364233186cb61d57",
     "5 4 4 B\nX..O.\nO....\n...X.\n.....\n": None,
     "5 4 4 B\nX...O\nX..O.\n.....\n.....\n": None,
+}
+
+# prove_draw(pos, max_attempts=b) for b = 10, 100, 5000 on positions drawn by
+# random_legal_position: 4x4 openings with 2 stones (seed 7042), whose proofs
+# come from the cover pass, and 5x4 openings with 4 and 6 stones (seeds 7104
+# and 7106), 5x4 midgames with 8 and 10 stones (seeds 7108 and 7110) and one
+# 5x4 opening with 4 stones (seed 7054), all of whose placement tables hold
+# orbit classes of which more than one row is alive.
+SEEDED_RESULTS = {
+    "4 4 4 B\n....\n....\n.X..\n..O.\n": ["f1c7a94ea76907cc", "cadc7364237afad8", "cadc7364237afad8"],
+    "4 4 4 B\n...X\n....\nO...\n....\n": ["4ad9d89fe1102403", "29de988c110b897c", "29de988c110b897c"],
+    "4 4 4 B\n.O..\n.X..\n....\n....\n": ["fb33ade7a9fb77c4", "cbc974d67b55934c", "cbc974d67b55934c"],
+    "4 4 4 B\n....\n..X.\n...O\n....\n": ["f81349f929784b5b", "7cf732b45518e74a", "7cf732b45518e74a"],
+    "4 4 4 B\n....\n...O\n.X..\n....\n": ["6189d49448b9388f", "ce2b9811ffe09fc6", "ce2b9811ffe09fc6"],
+    "4 4 4 B\n....\n..X.\n....\n.O..\n": ["e6ed8cb10fd960e0", "051124a1c7895247", "051124a1c7895247"],
+    "5 4 4 B\n..O..\n.....\n.....\nX.XO.\n": ["88defd6cd1d52a10"] * 3,
+    "5 4 4 B\n...O.\nX.OX.\n.....\n.....\n": ["e3c499ad413af906"] * 3,
+    "5 4 4 B\n.....\n..O.X\n..XO.\n.....\n": [None, None, "d77f1c518de3cf97"],
+    "5 4 4 B\n.....\n..O.X\nX....\n.O...\n": [None, "fffdaef90d602449", "fffdaef90d602449"],
+    "5 4 4 B\n...O.\n.....\nXO..X\nOX...\n": ["559e06da194e9130"] * 3,
+    "5 4 4 B\n..X.O\n.....\n..OOX\n...X.\n": [None, "8781f4dd6df74a72", "8781f4dd6df74a72"],
+    "5 4 4 B\nXO...\nX.O..\nO.X..\n.....\n": [None, "6133b675f97e4756", "6133b675f97e4756"],
+    "5 4 4 B\nOX.X.\nX..OO\n.....\n..O.X\n": ["f3217d23dca0783b"] * 3,
+    "5 4 4 B\n.X.O.\n.OX.X\n.....\n.XOO.\n": ["1ecfb0ddd06d6a1f"] * 3,
+    "5 4 4 B\nX.OOO\nX..OX\n.....\n.X.OX\n": ["4e7fffddecafabac"] * 3,
+    "5 4 4 B\nOX..X\n.....\nX.OOX\n.XO.O\n": ["0aec10149576e198"] * 3,
+    "5 4 4 B\n....O\n.....\nX...X\nO....\n": [None] * 3,
 }
 
 # Template lists given to prove_draw: the catalog reversed (templates of equal
@@ -503,6 +531,70 @@ class TestProveDrawTables:
             built.clear()
 
 
+class TestKeptRows:
+    """_kept_rows keeps, in table order, each row whose groups are live and
+    whose markers are empty, unless an earlier such row's marker cells are
+    an image of its own under the template's symmetries."""
+
+    @staticmethod
+    def reference(t, table, live, empty):
+        """The kept rows, and how many alive rows share an earlier one's orbit."""
+        labels = sorted(t.markers)
+        index = {label: i for i, label in enumerate(labels)}
+        perms = symmetry_closure(t.markers, t.matching.symmetry)
+        nm, width = len(labels), len(labels) + len(t.groups)
+        seen, kept, dropped = set(), [], 0
+        for o in range(0, len(table.rows), width):
+            cells, groups = table.rows[o : o + nm], table.rows[o + nm : o + width]
+            if all(live >> g & 1 for g in groups) and all(empty >> b & 1 for b in cells):
+                orbit = min(tuple(cells[index[p[label]]] for label in labels) for p in perms)
+                if orbit in seen:
+                    dropped += 1
+                else:
+                    seen.add(orbit)
+                    kept.append(o // width)
+        return kept, dropped
+
+    @classmethod
+    def check(cls, pos, templates):
+        """Compare every template's kept rows with the reference; return the
+        tables' row counts and the alive rows dropped as orbit repeats."""
+        live = live_groups(pos.spec, pos.white)
+        counts, dropped = [], 0
+        for t in templates:
+            table, kept = configs._kept_rows(pos.spec, t, live, pos.empty)
+            expected, repeats = cls.reference(t, table, live, pos.empty)
+            assert list(kept) == expected, t.name
+            counts.append(len(table.rows) // (len(t.markers) + len(t.groups)))
+            dropped += repeats
+        return counts, dropped
+
+    @pytest.mark.parametrize(
+        "board",
+        ["4 4 4 B\n....\n....\n....\n....\n", *SEEDED_RESULTS, *OTHER_5X4],
+    )
+    def test_matches_reference(self, board):
+        _, dropped = self.check(parse_position(board), configs._fixed_templates())
+        if board in SEEDED_RESULTS and board.startswith("5"):
+            assert dropped
+
+    @pytest.mark.parametrize("fig", ["fig8", "fig11"])
+    def test_keys_past_64_bits(self, fig):
+        pos = parse_position(load_fixture(f"{fig}.board"))
+        assert len(group_masks(pos.spec)) + pos.spec.m * pos.spec.n > 64
+        self.check(pos, configs._fixed_templates())
+
+    def test_region_grown_by_earlier_positions(self):
+        templates = configs._fixed_templates()
+        for other in OTHER_5X4:
+            self.check(parse_position(other), templates)
+        pos = parse_position(RESIDUAL_5X4)
+        assert templates[0].tables[pos.spec].empty != pos.empty
+        counts, _ = self.check(pos, templates)
+        # Some table's rows do not fill the last byte of its alive bitset.
+        assert any(n % 8 for n in counts)
+
+
 class TestProveDraw:
     def test_trivial_residual_only_certificate(self):
         # Two disjoint far-apart rows: a plain pairing suffices, no embeddings
@@ -553,6 +645,12 @@ class TestProveDraw:
         pos = parse_position(board)
         got = [cert_digest(prove_draw(pos, max_attempts=b)) for b in (100, 300, 1000, 5000)]
         assert got == DEEP_BUDGET_RESULTS[board]
+
+    @pytest.mark.parametrize("board", sorted(SEEDED_RESULTS))
+    def test_seeded_results(self, board):
+        pos = parse_position(board)
+        got = [cert_digest(prove_draw(pos, max_attempts=b)) for b in (10, 100, 5000)]
+        assert got == SEEDED_RESULTS[board]
 
     @pytest.mark.parametrize("board", sorted(PASS3_ORDER_RESULTS))
     def test_residual_search_node_order(self, board):
