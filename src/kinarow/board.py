@@ -39,6 +39,7 @@ def cell_key(cell: Cell) -> tuple[int, int]:
     return (cell[1], cell[0])
 
 
+@functools.lru_cache(maxsize=1024)
 def cell_name(cell: Cell) -> str:
     col, row = cell
     if col >= 26:
@@ -46,6 +47,7 @@ def cell_name(cell: Cell) -> str:
     return f"{chr(ord('a') + col)}{row + 1}"
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_cell(name: str) -> Cell:
     name = name.strip()
     if len(name) < 2 or not name.isascii() or not name[0].isalpha() or not name[1:].isdigit():

@@ -109,25 +109,30 @@ def _grid(pos: Position, overlay: dict[tuple[int, int], str]) -> list[str]:
     return lines
 
 
+# Grid tags beside the first nine pairs' 1-9; none is X, O, "." or "?" (a tag run out).
+_TAGS = string.ascii_letters.replace("O", "").replace("X", "") + "0"
+
+
 def _pretty_certificate(cert: DrawCertificate) -> str:
     pos = cert.position
     overlay: dict[tuple[int, int], str] = {}
-    letters = iter(string.ascii_lowercase)
+    free = list(_TAGS)  # markers take tags from the front, pairs past the ninth from the back
     legend: list[str] = []
     for entry in cert.entries:
         tags = []
         for cell in sorted(entry.matching.markers):
-            tag = next(letters, "?")
+            tag = free.pop(0) if free else "?"
             overlay[cell] = tag
             tags.append(f"{tag}={cell_name(cell)}")
         groups = ", ".join(str(g) for g in entry.matching.groups)
         legend.append(f"{entry.template_name}: {' '.join(tags)}")
         legend.append(f"  groups: {groups}")
     for i, (g, pair) in enumerate(cert.residual.assignments, start=1):
-        tag = str(i % 10)
+        tag = str(i) if i <= 9 else free.pop() if free else "?"
         for cell in pair:
             overlay[cell] = tag
-        legend.append(f"pair {tag}: {cell_name(pair[0])},{cell_name(pair[1])} for {g}")
+        number = str(i) if tag == str(i) else f"{i} ({tag})"
+        legend.append(f"pair {number}: {cell_name(pair[0])},{cell_name(pair[1])} for {g}")
     return "\n".join(_grid(pos, overlay) + legend)
 
 

@@ -16,9 +16,9 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from itertools import accumulate, repeat
+from operator import add, itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .board import (
     BLACK,
@@ -60,15 +60,20 @@ class ConfigTemplate:
     def groups(self) -> tuple[AbstractGroup, ...]:
         return self.matching.groups
 
-    @property
+    @functools.cached_property
+    def labels(self) -> tuple[Label, ...]:
+        """The marker labels in sorted order: label i is bit or entry i."""
+        return tuple(sorted(self.matching.markers))
+
+    @functools.cached_property
     def num_markers(self) -> int:
         return len(self.matching.markers)
 
-    @property
+    @functools.cached_property
     def num_groups(self) -> int:
         return len(self.matching.groups)
 
-    @property
+    @functools.cached_property
     def reduction(self) -> int:
         """Markers saved versus a plain two-per-group pairing."""
         return 2 * self.num_groups - self.num_markers
@@ -394,7 +399,7 @@ class Embedding:
 
     @property
     def binding(self) -> dict[Label, Cell]:
-        return dict(zip(sorted(self.template.markers), self.cells))
+        return dict(zip(self.template.labels, self.cells))
 
     def to_matching_set(self) -> MatchingSet:
         b = self.binding
@@ -451,7 +456,10 @@ def _columns(packed: bytes, width: int) -> list[int]:
     return columns
 
 
-_DIGITS = bytes.maketrans(b"01", b"\0\1")
+def _ones(mask: int) -> list[int]:
+    """The indices of mask's 1 bits, ascending, from the runs of 0s between them."""
+    runs = format(mask, "b")[::-1].split("1")
+    return list(accumulate(map(add, map(len, runs), repeat(1)), initial=-1))[1:-1]
 
 
 class PlacementTable(NamedTuple):
@@ -466,8 +474,9 @@ class PlacementTable(NamedTuple):
     group_mask, where shift is the spec's group count, in _columns packing.
     columns[i] is the bitset of rows holding group i, and columns[shift + b]
     that of rows with a marker on cell b.  orbit[j] is the first row whose
-    marker cells are an image of row j's under the template's symmetries,
-    or -1 when no other row's are.  rank[j] is row j's place when the rows
+    marker cells are an image of row j's under the template's symmetries (j
+    itself when no earlier row's are), and shared the bitset of rows whose
+    orbit class holds another row.  rank[j] is row j's place when the rows
     are sorted by their marker cells as Embedding.cells (a stable sort), so
     prove_draw orders rows by cells without building them.
     """
@@ -478,6 +487,7 @@ class PlacementTable(NamedTuple):
     keys: bytes
     columns: list[int]
     orbit: array
+    shared: int
     rank: array
 
 
@@ -497,7 +507,7 @@ def _placement_table(
     which comes first wherever both lie, so _kept_rows would drop it.
     """
     abstract = template.groups
-    labels = sorted(template.markers)  # label i is labels[i]
+    labels = template.labels
     index = {label: i for i, label in enumerate(labels)}
     order = _assignment_order(abstract)
     # One (group, size, checks, binds) step per abstract group in order:
@@ -532,10 +542,10 @@ def _placement_table(
 
     masks = group_masks(spec)
     shift = len(masks)
-    live_index = list(_bits_idx(live))
+    live_index = _ones(live)
     cell_masks = [masks[i] for i in live_index]
     # Empty cells of each live group as bit indices, in canonical cell order.
-    empties = [list(_bits_idx(cm & empty)) for cm in cell_masks]
+    empties = [_ones(cm & empty) for cm in cell_masks]
     # clash[a]: live groups sharing two or more cells with a.  meet[a][b]: the
     # one cell a and b share when that cell is empty, else -1; meets[a]: the
     # live groups b with such a cell.  through[c]: the live groups holding c.
@@ -555,7 +565,7 @@ def _placement_table(
                 meets[b] |= 1 << a
     through = [0] * (spec.m * spec.n)
     for gi, cm in enumerate(cell_masks):
-        for b in _bits_idx(cm):
+        for b in _ones(cm):
             through[b] |= 1 << gi
     # roomy[size]: the live groups with at least size empty cells.
     roomy = {
@@ -571,6 +581,7 @@ def _placement_table(
     rows = bytearray()
     keys = bytearray()
     orbit = array("i")
+    shared = bytearray()  # b"1" at j when row j's orbit class holds another row, else b"0"
     first: dict[bytes, int] = {}  # least image of a row's cells, packed -> first such row
     assigned = [0] * len(steps)  # abstract group -> live group index
     cells = [0] * len(template.markers)  # label index -> cell bit index
@@ -587,9 +598,9 @@ def _placement_table(
         rows.extend(pack(*cells, *groups))
         keys.extend((used << shift | gmask).to_bytes(key_bytes, "little"))
         j = first.setdefault(pack_cells(*min([image(cells) for image in images])), n)
-        orbit.append(-1 if j == n else j)
-        if j != n:
-            orbit[j] = j
+        orbit.append(j)
+        shared.append(ord("0") + (j != n))
+        shared[j] |= j != n  # ord("0") | 1 is ord("1")
 
     def assign(step: int, blocked: int, used: int, gmask: int) -> None:
         if step == len(steps):
@@ -641,7 +652,8 @@ def _placement_table(
     rank = array("i", [0]) * len(orbit)
     for i, j in enumerate(sorted(range(len(orbit)), key=by_cells.__getitem__)):
         rank[j] = i
-    return PlacementTable(live, empty, rows, keys, _columns(keys, width), orbit, rank)
+    shared = int(b"0" + shared[::-1], 2)
+    return PlacementTable(live, empty, rows, keys, _columns(keys, width), orbit, shared, rank)
 
 
 def _kept_rows(
@@ -658,8 +670,10 @@ def _kept_rows(
     exactly when it lies on the region, its groups are live and its markers
     empty, and the region's rows hold this position's placements in the same
     order, because both walk the groups in enumerate_groups order.  So the
-    rows holding a dead group or a non-empty cell are cleared, and the rows
-    left are kept.
+    rows holding a dead group or a non-empty cell are cleared, and of the
+    rows left those alone in their orbit class are kept, with the first of
+    the others in each class (the dict keeps the last row written, and the
+    rows are written from the last).  No Python step runs per row.
     """
     table = template.tables.get(spec)
     if table is None:
@@ -671,23 +685,15 @@ def _kept_rows(
     shift = len(group_masks(spec))
     columns = table.columns
     dead = 0
-    for i in _bits_idx(table.groups & ~live):
+    for i in _ones(table.groups & ~live):
         dead |= columns[i]
-    for b in _bits_idx(table.empty & ~empty):
+    for b in _ones(table.empty & ~empty):
         dead |= columns[shift + b]
-    # alive[j] is 1 when row j is left, as a byte.
-    alive = format((1 << len(table.orbit)) - 1 & ~dead, "b")[::-1].encode().translate(_DIGITS)
-    orbit = table.orbit
-    seen: set[int] = set()
-    kept = []
-    for j in compress(range(len(orbit)), alive):
-        first = orbit[j]
-        if first >= 0:
-            if first in seen:
-                continue
-            seen.add(first)
-        kept.append(j)
-    return table, kept
+    alive = (1 << len(table.orbit)) - 1 & ~dead
+    shared = alive & table.shared
+    rows = _ones(shared)
+    first = dict(zip(map(table.orbit.__getitem__, reversed(rows)), reversed(rows)))
+    return table, sorted(_ones(alive ^ shared) + list(first.values()))
 
 
 def _embeddings(
@@ -740,13 +746,6 @@ class DrawCertificate:
     position: Position
     entries: tuple[CertEntry, ...]
     residual: Pairing
-
-
-def _bits_idx(mask: int) -> Iterator[int]:
-    while mask:
-        bit = mask & -mask
-        yield bit.bit_length() - 1
-        mask ^= bit
 
 
 @functools.lru_cache(maxsize=256)
@@ -832,8 +831,9 @@ def prove_draw(
     def open_cells(groups: int) -> int:
         """The empty cells of the groups in a bitset over enumerate_groups."""
         out = 0
-        for i in _bits_idx(groups):
-            out |= group_cells[i]
+        while groups:
+            out |= group_cells[(groups & -groups).bit_length() - 1]
+            groups &= groups - 1
         return out
 
     live_cells = open_cells(all_mask)
@@ -843,11 +843,12 @@ def prove_draw(
 
     # Candidates are the rows each template's placement table keeps for pos,
     # held as their keys (marker_mask << shift | group_mask): keys lists them
-    # in found order, the rows of found[f] from starts[f] on.  Only a
-    # certificate's rows become Embeddings.
+    # in found order, the rows of found[f] from starts[f] on, and chunks
+    # their key bytes as the table packs them.  Only a certificate's rows
+    # become Embeddings.
     found: list[tuple[ConfigTemplate, PlacementTable, list[int]]] = []
     starts: list[int] = []
-    keys: list[int] = []
+    chunks: list[bytes] = []
     cell_of = list(spec.cells())  # cell bit -> cell
 
     def row_of(i: int) -> tuple[ConfigTemplate, PlacementTable, int]:
@@ -859,10 +860,15 @@ def prove_draw(
         """The certificate of the chosen candidates and a residual pairing
         of the live groups outside covered on their empty cells off markers,
         or None when no such pairing exists."""
-        left = list(_bits_idx(all_mask & ~covered))
-        rooms = [group_cells[i] & ~markers for i in left]
-        if any(room.bit_count() < 2 for room in rooms):  # no pair fits
+        left, rooms, rest = [], [], all_mask & ~covered
+        if 2 * rest.bit_count() > (open_cells(rest) & ~markers).bit_count():  # too few cells for pairs
             return None
+        while rest:
+            left.append((rest & -rest).bit_length() - 1)
+            rest &= rest - 1
+            rooms.append(group_cells[left[-1]] & ~markers)
+            if rooms[-1].bit_count() < 2:  # no pair fits
+                return None
         pairs = smallest_pairing(rooms)
         if pairs is None:
             return None
@@ -894,28 +900,33 @@ def prove_draw(
     low = (1 << shift) - 1
     width = shift + spec.m * spec.n
     size = (width + 7) // 8
-    for _, table, rows in found:
-        starts.append(len(keys))
+    name_of: list[str] = []  # each candidate's template name
+    for t, table, rows in found:
+        starts.append(len(chunks))
         packed = table.keys
-        keys += [int.from_bytes(packed[j * size : j * size + size], "little") for j in rows]
+        chunks += [packed[j * size : j * size + size] for j in rows]
+        name_of += [t.name] * len(rows)
+    keys = list(map(int.from_bytes, chunks, repeat("little")))
 
     def binding(i: int) -> list[tuple[Label, Cell]]:
         """Embedding.binding of candidate i, as sorted items."""
         t, table, j = row_of(i)
         o = j * (t.num_markers + t.num_groups)
-        return list(zip(sorted(t.markers), map(cell_of.__getitem__, table.rows[o : o + t.num_markers])))
+        return list(zip(t.labels, map(cell_of.__getitem__, table.rows[o : o + t.num_markers])))
 
-    def bitsets(keys: list[int]) -> tuple[list[int], Callable[[int], int]]:
-        """Bitsets over keys: bit j stands for keys[j].  columns[b] holds the
-        keys with bit b, so columns[i] holds group i's holders; clash(j) ORs
-        the columns of keys[j]: the candidates sharing a group or a marker
-        cell with it, itself included."""
-        columns = _columns(b"".join([k.to_bytes(size, "little") for k in keys]), width)
+    def bitsets(keys: list[int], packed: bytes) -> tuple[list[int], Callable[[int], int]]:
+        """Bitsets over keys, which packed holds side by side: bit j stands for
+        keys[j].  columns[b] holds the keys with bit b, so columns[i] holds
+        group i's holders; clash(j) ORs the columns of keys[j]: the candidates
+        sharing a group or a marker cell with it, itself included."""
+        columns = _columns(packed, width)
 
         def clash(j: int) -> int:
             out = 0
-            for b in _bits_idx(keys[j]):
-                out |= columns[b]
+            key = keys[j]
+            while key:
+                out |= columns[(key & -key).bit_length() - 1]
+                key &= key - 1
             return out
 
         return columns, clash
@@ -925,18 +936,18 @@ def prove_draw(
     # order: templates by name (a stable sort), the rows of each by the
     # table's rank.  The cover pass branches over candidates in that order;
     # cover[j] is candidate j's index into keys, and names[j] its template's.
-    first: dict[int, int] = {}
-    names: list[str] = []
+    order: list[int] = []
     for f in sorted(range(len(found)), key=lambda f: found[f][0].name):
-        t, table, rows = found[f]
-        rank = table.rank
-        for p in sorted(range(len(rows)), key=[rank[j] for j in rows].__getitem__):
-            i = starts[f] + p
-            if keys[i] not in first:
-                first[keys[i]] = i
-                names.append(t.name)
-    cover = list(first.values())
+        rows, rank = found[f][2], found[f][1].rank
+        by_rank = sorted(range(len(rows)), key=[rank[j] for j in rows].__getitem__)
+        order += map(add, by_rank, repeat(starts[f]))
+    # fromkeys orders the keys as they first come; the update, from the back, maps each to that one.
+    ordered_keys = list(map(keys.__getitem__, order))
+    first = dict.fromkeys(ordered_keys)
+    first.update(zip(reversed(ordered_keys), reversed(order)))
     cover_keys = list(first)
+    cover = list(first.values())
+    names = list(map(name_of.__getitem__, cover))
 
     # Cover pass: cover every live group with matching sets alone (empty
     # residual), branching on the least-flexible uncovered group: the one
@@ -948,15 +959,15 @@ def prove_draw(
     # of every empty cell first), so the resulting strategy prescribes a
     # reply to as many moves as possible; ties fall to the lexicographically
     # smallest template-name combination for reproducible output.
-    columns, clash = bitsets(cover_keys)
-    cell_columns = [(1 << b, columns[shift + b]) for b in _bits_idx(live_cells)]
-    branch_order = sorted(_bits_idx(all_mask), key=lambda i: (columns[i].bit_count(), i))
+    columns, clash = bitsets(cover_keys, b"".join(map(chunks.__getitem__, cover)))
+    cell_columns = [(1 << b, columns[shift + b]) for b in _ones(live_cells)]
+    branch_order = sorted(_ones(all_mask), key=lambda i: (columns[i].bit_count(), i))
     cover_budget = [max_attempts]
 
     def marked_by(pool: int, marked: int) -> int:
         """marked with every live cell that some candidate of pool marks."""
         for bit, column in cell_columns:
-            if pool & column:
+            if not marked & bit and pool & column:
                 marked |= bit
         return marked
 
@@ -989,7 +1000,10 @@ def prove_draw(
         # the loop stops.  A child that passes is checked once more on the
         # cells its own pool can mark.
         reach = -1
-        for j in _bits_idx(pool & columns[i]):
+        holders = pool & columns[i]
+        while holders:  # XOR clears the low bit of a wide bitset in fewer passes
+            j = (bit := holders & -holders).bit_length() - 1
+            holders ^= bit
             mark = cover_keys[j] >> shift
             marked = markers | mark
             if best_cover:
@@ -1029,7 +1043,7 @@ def prove_draw(
     # child is skipped when the templates that embedded cannot save enough
     # of the unmarked empty cells in its uncovered groups
     # (_saves_too_little): no certificate then extends its choices.
-    clash = bitsets(keys)[1]
+    clash = bitsets(keys, b"".join(chunks))[1]
     budget = [max_attempts]
 
     def search(pool: int, chosen: list[int], covered: int, markers: int) -> DrawCertificate | None:
@@ -1041,9 +1055,8 @@ def prove_draw(
             if proof is not None:
                 return proof
         while pool:
-            low_bit = pool & -pool
-            pool ^= low_bit
-            j = low_bit.bit_length() - 1
+            j = (bit := pool & -pool).bit_length() - 1
+            pool ^= bit
             group_mask, marker_mask = keys[j] & low, keys[j] >> shift
             uncovered = all_mask & ~(covered | group_mask)
             free = open_cells(uncovered) & ~(markers | marker_mask)

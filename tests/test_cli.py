@@ -8,7 +8,11 @@ from pathlib import Path
 import pytest
 
 from kinarow import BoardSpec, certificate_to_json, empty_position, prove_draw
-from kinarow.cli import FIXTURE_NAMES, _parser, main
+from kinarow.board import Group
+from kinarow.cli import FIXTURE_NAMES, _parser, _pretty_certificate, main
+from kinarow.configs import CertEntry, DrawCertificate
+from kinarow.pairing import Pairing
+from kinarow.setmatch import MatchingSet
 from tests.test_board import load_fixture
 from tests.test_configs import RESIDUAL_5X4
 
@@ -362,3 +366,36 @@ class TestPinnedText:
         assert main(["prove", "--board", board_file("res.board", RESIDUAL_5X4), "--pretty"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == "9a6ac8fe0dcf20e9"
+
+    def test_fifteen_residual_pairs_are_pinned(self, board_file, capsys):
+        # The empty 12x3, k=8 board: 15 residual pairs, the tenth on "0" and
+        # the rest on letters from the back.
+        board = board_file("wide.board", "12 3 8 B\n" + "............\n" * 3)
+        assert main(["prove", "--board", board, "--pretty"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:3] == [
+            " 3 Z Z Y Y W W V V U U . .",
+            " 2 6 6 7 7 8 8 9 9 0 0 . .",
+            " 1 1 1 2 2 3 3 4 4 5 5 . .",
+        ]
+        assert "pair 9: g2,h2 for d2-e2-f2-g2-h2-i2-j2-k2" in out
+        assert "pair 15 (U): i3,j3 for e3-f3-g3-h3-i3-j3-k3-l3" in out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "be409a7c6c229e5d"
+
+    def test_every_marker_and_pair_has_its_own_tag(self):
+        # 30 markers and 15 residual pairs on an empty 12x5 board.
+        pos = empty_position(BoardSpec(12, 5, 8))
+        cells = [(c, r) for r in range(5) for c in range(12)]
+        entry = CertEntry("Square", MatchingSet(frozenset(cells[:30]), (), ()))
+        pairs = [(Group(tuple(cells[i : i + 2])), (cells[i], cells[i + 1])) for i in range(30, 60, 2)]
+        text = _pretty_certificate(DrawCertificate(pos, (entry,), Pairing(tuple(pairs))))
+        rows = [line.split()[1:] for line in text.splitlines()[:5]]  # top row first
+        grid = {(c, 4 - r): tag for r, row in enumerate(rows) for c, tag in enumerate(row)}
+        marker_tags = [grid[cell] for cell in cells[:30]]
+        pair_tags = [grid[a] for _, (a, b) in pairs if grid[a] == grid[b]]
+        assert len(pair_tags) == 15
+        assert len(set(marker_tags + pair_tags)) == 45
+        assert not set(marker_tags + pair_tags) & set("XO.?")
+        assert [line.split(":")[0] for line in text.splitlines() if line.startswith("pair")] == [
+            f"pair {i}" if i <= 9 else f"pair {i} ({grid[pairs[i - 1][1][0]]})" for i in range(1, 16)
+        ]
