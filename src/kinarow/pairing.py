@@ -5,7 +5,8 @@ distinct across groups.  One matcher decides it, on rooms: a room is the
 bitmask of the cells a group may use, and on a board bit r*m+c stands for
 the cell (c, r).  Feasibility is an exact bipartite matching in which every
 room demands two units and every usable cell supplies one, so a None result
-means no pairing exists at all.
+means no pairing exists at all.  The same matcher decides a one-ply
+covering: a pairing after every Black move and some White reply to it.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ class DeadGroupError(ValueError):
     """Raised when a pairing is requested for a group already containing White."""
 
 
-def pairing_exists(rooms: Sequence[int]) -> bool:
-    """Whether two cells of each room (a bitmask of usable cells) can be reserved, none twice.
+def _match(rooms: Sequence[int]) -> tuple[bool, int]:
+    """Reserve two cells of each room (a bitmask of usable cells), none twice.
 
-    Augmenting paths, where slot s takes a cell of rooms[s // 2].
+    Augmenting paths, where slot s takes a cell of rooms[s // 2].  Returns
+    (True, the reserved cells), or (False, the cells seen by the failed
+    augmenting search): the rooms it visited lie inside them and their slots
+    outnumber them, so taking cells away never yields a pairing unless a
+    room through one of those cells leaves play.
     """
     owner: dict[int, int] = {}  # cell bit -> the slot holding it
     seen = 0  # cells visited by the current augmenting search
@@ -44,6 +49,47 @@ def pairing_exists(rooms: Sequence[int]) -> bool:
     for slot in range(2 * len(rooms)):
         seen = 0
         if not augment(slot):
+            return False, seen
+    return True, sum(owner)
+
+
+def pairing_exists(rooms: Sequence[int]) -> bool:
+    """Whether two cells of each room (a bitmask of usable cells) can be reserved, none twice."""
+    return _match(rooms)[0]
+
+
+def covering_exists(rooms: Sequence[int], free: int) -> bool:
+    """Whether pairings prove that Black, to move on `free`, completes no room's group.
+
+    The rooms pair now, or one ply deep: after every Black move b some White
+    reply w leaves the rooms that miss w a pairing on free minus b and w.
+    Only a cell the failed root matching saw can be a useful w, and only when
+    the rooms that miss it fit in the cells left.  One pairing for (b, w)
+    also covers every other b off its reserved cells.
+    """
+    rooms = sorted(rooms, key=int.bit_count)  # small rooms first: failures surface early
+    paired, hall = _match(rooms)
+    if paired:
+        return True
+    cells_left = free.bit_count() - 2
+    replies = []
+    while hall:
+        w = hall & -hall
+        hall ^= w
+        rest = [r & ~w for r in rooms if not r & w]
+        if 2 * len(rest) <= cells_left:
+            replies.append((w, rest))
+    replies.sort(key=lambda reply: len(reply[1]))  # replies that kill most rooms first
+    uncovered = free
+    while uncovered:
+        b = uncovered & -uncovered
+        for w, rest in replies:
+            if w != b:
+                paired, cells = _match([r & ~b for r in rest])
+                if paired:
+                    uncovered &= cells | w
+                    break
+        else:
             return False
     return True
 

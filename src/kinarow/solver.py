@@ -54,7 +54,10 @@ the centre, then by (row, col).
 A probe works on the masks.  A live Black group (no White stone) with at most
 one empty cell means Black completes it next move, so no certificate exists.
 Otherwise a probe holds when a pairing reserves two empty cells of every live
-group (`pairing.pairing_exists`), or in `setmatch` mode when `prove_draw` does.
+group (`pairing.pairing_exists`).  In `setmatch` mode it also holds on a
+whole-board matching set one ply deep (`pairing.covering_exists`): every
+empty cell is a marker, and each Black move has a White reply after which a
+pairing covers every live group the reply does not kill.
 """
 
 from __future__ import annotations
@@ -65,9 +68,8 @@ from enum import Enum
 from time import perf_counter
 from typing import Sequence
 
-from . import configs
 from .board import BLACK, BoardSpec, IllegalPositionError, Position, group_masks, live_groups
-from .pairing import pairing_exists
+from .pairing import covering_exists, pairing_exists
 
 
 class SearchGuardError(RuntimeError):
@@ -100,16 +102,13 @@ class SearchStats:
 
 def _probe(spec: BoardSpec, groups: Sequence[int], black: int, white: int, pruning: str) -> bool:
     """Whether a certificate proves that Black, to move, cannot complete any of the group masks."""
-    free = ~(black | white)
+    free = (1 << spec.m * spec.n) - 1 & ~(black | white)
     rooms = [g & free for g in groups if not g & white]
     if any(room.bit_count() < 2 for room in rooms):
         return False
-    if pairing_exists(rooms):
-        return True
-    # Looked up per call, so a rebound `configs.prove_draw` is the one used.
-    return pruning == "setmatch" and (
-        configs.prove_draw(Position(spec, black, white, BLACK)) is not None
-    )
+    if pruning == "setmatch":
+        return covering_exists(rooms, free)
+    return pairing_exists(rooms)
 
 
 def solve(

@@ -54,9 +54,9 @@ def random_legal_position(rng: random.Random, spec: BoardSpec, plies: int) -> Po
 def test_1_headline_4x4_proof():
     """Empty 4x4: two independent 8-marker embeddings, then a 1-node solve.
 
-    The 1.0 s budget covers two full prove_draw runs (this test's own, and
-    the one solve(pruning="setmatch") makes at the empty root), plus
-    check_certificate and the 1-node solve.
+    The 1.0 s budget covers one full prove_draw run, check_certificate and
+    the 1-node solve, whose root probe is a mask-level covering, not a
+    second prove_draw run.
     """
     start = time.perf_counter()
     pos = empty_position(BoardSpec(4, 4, 4))

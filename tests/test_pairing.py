@@ -1,6 +1,7 @@
 """Hales-Jewett pairings: exact feasibility, verification, strategy soundness."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from kinarow.board import (
     MoveError,
     apply_move,
     empty_position,
+    group_masks,
     live_black_groups,
     parse_position,
 )
@@ -20,7 +22,9 @@ from kinarow.pairing import (
     DeadGroupError,
     Pairing,
     PairResponder,
+    covering_exists,
     find_hj_pairing,
+    pairing_exists,
     smallest_pairing,
     verify_pairing,
 )
@@ -132,6 +136,56 @@ class TestHallCondition:
             assert len(used) == len(set(used)) == 2 * n_groups
             for room, (a, b) in zip(rooms, got):
                 assert a < b and room >> a & 1 and room >> b & 1
+
+
+def naive_covering(rooms: list[int], free: int) -> bool:
+    """Every Black move b has a White reply w after which the rooms missing w pair off b and w."""
+    cells = [1 << i for i in range(free.bit_length()) if free >> i & 1]
+    return all(
+        any(w != b and pairing_exists([r & ~b & ~w for r in rooms if not r & w]) for w in cells)
+        for b in cells
+    )
+
+
+class TestCovering:
+    SPECS = [
+        BoardSpec(4, 4, 3),
+        BoardSpec(4, 4, 4),
+        BoardSpec(5, 4, 4),
+        BoardSpec(4, 5, 4),
+        BoardSpec(5, 5, 4),
+        BoardSpec(6, 5, 5),
+    ]
+
+    def test_agrees_with_every_move_and_reply(self):
+        # Black-to-move stone fills whose live groups all keep two empty
+        # cells but have no pairing: the Hall-set and room-count filters and
+        # the reuse of one pairing across Black moves must lose no covering.
+        rng = random.Random(2111)
+        checked = covered = 0
+        for i in itertools.count():
+            spec = self.SPECS[i % len(self.SPECS)]
+            cells = spec.m * spec.n
+            stones = rng.sample(range(cells), 2 * rng.randrange(cells // 2))
+            black, white = (sum(1 << c for c in side) for side in (stones[::2], stones[1::2]))
+            free = (1 << cells) - 1 & ~(black | white)
+            rooms = [g & free for g in group_masks(spec) if not g & white]
+            if any(r.bit_count() < 2 for r in rooms) or pairing_exists(rooms):
+                continue
+            expected = naive_covering(rooms, free)
+            assert covering_exists(rooms, free) == expected, (spec, black, white)
+            checked += 1
+            covered += expected
+            if checked == 1000:
+                break
+        assert 100 <= covered <= checked - 100
+
+    def test_pairing_is_a_covering(self):
+        assert covering_exists([0b0011, 0b1100], 0b1111)
+
+    def test_group_one_cell_from_done_is_not_covered(self):
+        # Black completes the room {bit 0} at once; no reply can follow.
+        assert not covering_exists([0b0001, 0b0110], 0b0111)
 
 
 class TestStrategySoundness:

@@ -149,6 +149,32 @@ PINNED_CERT_CALLS = {
 }
 
 
+def black_can_complete(groups: tuple[int, ...], black: int, white: int, board: int) -> bool:
+    """Independent oracle: whether Black, to move, can force a complete group
+    of `groups` (cell masks) while White only blocks (memoised per search)."""
+    memo: dict[tuple[int, int], bool] = {}
+
+    def cells(mask: int):
+        return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    def wins(black: int, white: int, live: list[int]) -> bool:
+        if not live:
+            return False
+        if (black, white) not in memo:
+            free = board & ~(black | white)
+            memo[black, white] = any(
+                any(g & ~black == b for g in live)
+                or bool(free & ~b) and all(
+                    wins(black | b, white | w, [g for g in live if not g & w])
+                    for w in cells(free & ~b)
+                )
+                for b in cells(free)
+            )
+        return memo[black, white]
+
+    return wins(black, white, [g for g in groups if not g & white])
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def plain_minimax(pos: Position) -> int:
     """Independent oracle: unpruned minimax, +1 = side to move wins (memoised)."""
@@ -401,23 +427,67 @@ class TestProbe:
 
     @pytest.fixture
     def no_prove_draw(self, monkeypatch):
-        def fail(pos, *args, **kwargs):
+        def fail(*args, **kwargs):
             raise AssertionError("prove_draw called")
 
-        monkeypatch.setattr(kinarow.configs, "prove_draw", fail)
+        # The code object, not the module attribute: this reaches every name
+        # bound to prove_draw, wherever it was imported.
+        monkeypatch.setattr(kinarow.configs.prove_draw, "__code__", fail.__code__)
 
     def test_group_one_move_from_done_skips_prove_draw(self, no_prove_draw):
         # Black threatens d1: no certificate can exist, and none is sought.
         pos = parse_position("4 4 4 B\n....\nO...\nOO..\nXXX.\n")
         assert not _probe(pos.spec, group_masks(pos.spec), pos.black, pos.white, "setmatch")
 
-    def test_failed_pairing_falls_back_to_prove_draw(self, no_prove_draw):
-        # The empty 4x4 board has no pairing (10 groups, 16 cells), and every
-        # group keeps 4 empty cells, so setmatch must ask prove_draw.
+    def test_setmatch_probe_holds_on_empty_4x4_without_prove_draw(self, no_prove_draw):
+        # The empty 4x4 board has no pairing (10 groups, 16 cells), but after
+        # every Black move some White reply leaves the rest a pairing.
         spec = BoardSpec(4, 4, 4)
         assert not _probe(spec, group_masks(spec), 0, 0, "hj")
-        with pytest.raises(AssertionError, match="prove_draw called"):
-            _probe(spec, group_masks(spec), 0, 0, "setmatch")
+        assert _probe(spec, group_masks(spec), 0, 0, "setmatch")
+
+    @pytest.mark.parametrize("fixture", PINNED_CERT_CALLS)
+    def test_solve_never_calls_prove_draw(self, no_prove_draw, fixture):
+        pos = parse_position(load_fixture(f"{fixture}.board"))
+        for mode in PRUNING_MODES:
+            solve(pos, pruning=mode)
+
+    def test_covered_positions_are_draws_for_black(self):
+        # Every seeded position of at most 10 empties that the setmatch probe
+        # accepts is checked by a plain maker-breaker search.
+        rng = random.Random(2112)
+        specs = [
+            BoardSpec(4, 4, 4),
+            BoardSpec(5, 4, 4),
+            BoardSpec(4, 5, 4),
+            BoardSpec(5, 5, 4),
+            BoardSpec(6, 5, 5),
+        ]
+        checked = covered = 0
+        for i in range(1000):
+            spec = specs[i % len(specs)]
+            cells = spec.m * spec.n
+            empties = rng.choice([e for e in range(4, 11) if (cells - e) % 2 == 0])
+            pos = random_fill(rng, spec, empties)
+            groups = group_masks(spec)
+            if winner(pos) is not None:
+                continue
+            if not _probe(spec, groups, pos.black, pos.white, "setmatch"):
+                continue
+            assert not black_can_complete(groups, pos.black, pos.white, (1 << cells) - 1), pos
+            checked += 1
+            covered += not _probe(spec, groups, pos.black, pos.white, "hj")
+        assert checked >= 300 and covered >= 20, (checked, covered)
+
+    @pytest.mark.parametrize("board,expected", [
+        ("4 4 4 B\n....\nO...\nOO..\nXXX.\n", True),  # d1 completes the row
+        ("3 3 3 B\n...\n...\n...\n", True),  # Maker wins 3x3 Maker-Breaker
+        ("3 3 3 B\nXOX\nXOO\nOX.\n", False),  # the last cell completes nothing
+    ])
+    def test_maker_breaker_oracle(self, board, expected):
+        pos = parse_position(board)
+        groups, board_mask = group_masks(pos.spec), (1 << pos.spec.m * pos.spec.n) - 1
+        assert black_can_complete(groups, pos.black, pos.white, board_mask) == expected
 
 
 class TestPruningConsistency:
