@@ -1,8 +1,9 @@
 """Catalog of drawing configurations, embedding detection, and draw proving.
 
 Templates describe configurations abstractly: labeled markers, groups given
-by their marker labels, and a matching set over those labels.  Detection
-embeds templates into concrete positions; prove_draw combines independent
+by their marker labels, and a main pair of markers; a template's matching set
+(its symmetries and coverings) is derived from these.  Detection embeds
+templates into concrete positions; prove_draw combines independent
 embeddings with a residual pairing to cover every live Black group.
 """
 
@@ -48,30 +49,27 @@ AbstractGroup = frozenset
 
 @dataclass(frozen=True)
 class ConfigTemplate:
+    """A configuration: its marker labels, its groups over them, and the main
+    pair of markers that answer each other.  Its symmetries and coverings
+    follow from these and are derived on first use (matching)."""
+
     name: str
-    matching: MatchingSet
+    markers: frozenset
+    groups: tuple[AbstractGroup, ...]
     main_markers: tuple[Label, Label]
-
-    @property
-    def markers(self) -> frozenset:
-        return self.matching.markers
-
-    @property
-    def groups(self) -> tuple[AbstractGroup, ...]:
-        return self.matching.groups
 
     @functools.cached_property
     def labels(self) -> tuple[Label, ...]:
         """The marker labels in sorted order: label i is bit or entry i."""
-        return tuple(sorted(self.matching.markers))
+        return tuple(sorted(self.markers))
 
     @functools.cached_property
     def num_markers(self) -> int:
-        return len(self.matching.markers)
+        return len(self.markers)
 
     @functools.cached_property
     def num_groups(self) -> int:
-        return len(self.matching.groups)
+        return len(self.groups)
 
     @functools.cached_property
     def reduction(self) -> int:
@@ -90,26 +88,77 @@ class ConfigTemplate:
         """
         return {}
 
+    @functools.cached_property
+    def automorphisms(self) -> list[dict[Label, Label]]:
+        """Every label permutation that maps the groups onto the groups and
+        the main pair onto itself, sorted by its images in label order.
 
-def _groups(*words: str) -> tuple[AbstractGroup, ...]:
-    return tuple(frozenset(w) for w in words)
+        A backtracking search maps the labels in label order, each to a free
+        label of the same group count and main-pair membership, tried in
+        label order, and drops a partial map as soon as a group whose labels
+        are all mapped lands off the groups.
+        """
+        labels, groups, main = self.labels, set(self.groups), set(self.main_markers)
+        degree = {x: sum(x in g for g in groups) for x in labels}
+        # closing[i]: the groups whose last label in label order is labels[i].
+        closing = [[g for g in groups if max(g) == x] for x in labels]
+        image: dict[Label, Label] = {}
+        found = []
 
+        def extend(i: int) -> None:
+            if i == len(labels):
+                found.append(dict(image))
+                return
+            x = labels[i]
+            for y in labels:
+                if y in image.values() or degree[y] != degree[x] or (y in main) != (x in main):
+                    continue
+                image[x] = y
+                if all(frozenset(map(image.__getitem__, g)) in groups for g in closing[i]):
+                    extend(i + 1)
+                del image[x]
 
-def _pairs(*ps: str) -> tuple[tuple[Label, Label], ...]:
-    return tuple(tuple(sorted(p)) for p in ps)
+        extend(0)
+        return found
+
+    @functools.cached_property
+    def matching(self) -> MatchingSet:
+        """The template's matching set.  Its symmetry lists, in the order of
+        automorphisms, each map the maps before it do not generate, by the
+        labels it moves.  Its coverings answer the first label of each orbit
+        of the markers under the automorphisms (derive_coverings)."""
+        labels = self.labels
+        symmetry: list[dict[Label, Label]] = []
+        generated = {labels}
+        for perm in self.automorphisms:
+            if tuple(map(perm.__getitem__, labels)) not in generated:
+                symmetry.append({x: y for x, y in perm.items() if x != y})
+                generated = {
+                    tuple(map(q.__getitem__, labels))
+                    for q in symmetry_closure(self.markers, symmetry)
+                }
+        firsts = [x for x in labels if all(perm[x] >= x for perm in self.automorphisms)]
+        coverings = derive_coverings(self.markers, self.groups, self.main_markers, firsts)
+        return MatchingSet(self.markers, self.groups, coverings, tuple(symmetry))
 
 
 def derive_coverings(
     markers: frozenset,
     groups: Sequence[AbstractGroup],
     main: tuple[Label, Label],
+    moves: Iterable[Label],
 ) -> tuple[Covering, ...]:
-    """Build a complete covering set: main-marker responses, pairings by exact matching."""
+    """A covering for each of the given first moves.  A main marker is
+    answered by the other; any other marker by the first reply, trying the
+    main markers and then the other markers in label order, that leaves the
+    groups it misses a pairing of the markers other than the move
+    (smallest_pairing).
+    Each covering's pairs come in sorted order."""
     a, b = main
     labels = sorted(markers)  # label i is bit i, so pairs come in label order
     bit = {lbl: 1 << i for i, lbl in enumerate(labels)}
     coverings = []
-    for x in labels:
+    for x in moves:
         if x == a:
             replies: list[Label] = [b]
         elif x == b:
@@ -120,27 +169,11 @@ def derive_coverings(
             rooms = [sum(bit[lbl] for lbl in g - {x}) for g in groups if y not in g]
             pairs = smallest_pairing(rooms)
             if pairs is not None:
-                coverings.append(Covering(x, y, tuple((labels[i], labels[j]) for i, j in pairs)))
+                coverings.append(Covering(x, y, tuple(sorted((labels[i], labels[j]) for i, j in pairs))))
                 break
         else:
             raise ValueError(f"no covering derivable for first move {x}")
     return tuple(coverings)
-
-
-def _template(
-    name: str,
-    markers: str,
-    groups: tuple[AbstractGroup, ...],
-    coverings: tuple[Covering, ...] | None,
-    symmetry: tuple[dict, ...],
-    main: tuple[Label, Label],
-) -> ConfigTemplate:
-    marker_set = frozenset(markers)
-    if coverings is None:
-        coverings = derive_coverings(marker_set, groups, main)
-        symmetry = ()
-    m = MatchingSet(marker_set, groups, coverings, symmetry)
-    return ConfigTemplate(name, m, main)
 
 
 def cycle_template(n: int) -> ConfigTemplate:
@@ -160,9 +193,7 @@ def cycle_template(n: int) -> ConfigTemplate:
         sides += [(corners[i], corners[i + 1]) for i in range(2, n - 1)]
     groups = [frozenset((a, b))]
     groups += [frozenset((u, e, v)) for (u, v), e in zip(sides, edges)]
-    return _template(
-        f"CycleN({n})", letters[: 2 * n - 1], tuple(groups), None, (), (a, b)
-    )
+    return ConfigTemplate(f"CycleN({n})", frozenset(letters[: 2 * n - 1]), tuple(groups), (a, b))
 
 
 def cycle_line_template(n: int) -> ConfigTemplate:
@@ -173,190 +204,31 @@ def cycle_line_template(n: int) -> ConfigTemplate:
     e2 = letters[n + 1]  # edge marker on the side at b
     extra = letters[2 * n - 1]
     groups = base.groups + (frozenset((e1, extra, e2)),)
-    return _template(
-        f"CycleNLine({n})",
-        letters[: 2 * n],
-        groups,
-        None,
-        (),
-        base.main_markers,
-    )
+    return ConfigTemplate(f"CycleNLine({n})", frozenset(letters[: 2 * n]), groups, base.main_markers)
+
+
+# The catalog, one template a row: name, marker labels, groups, main pair.
+_TEMPLATE_ROWS = (
+    ("Triangle", "abcde", "ab adc bec", "ab"),
+    ("Square", "abcdefg", "ab aed bfc cgd", "ab"),
+    ("Triangle/Line", "abcdef", "ab adc bec dfe", "ab"),
+    ("Square/Line", "abcdefgh", "ab aed bfc cgd ehf", "ab"),
+    ("BiTriangle", "abcdefgh", "ab adc agf bec bhf", "ab"),
+    ("BiTriangleX", "abcdefg", "ab adc aef bec bgf", "ab"),
+    ("FlatStar", "abcdefgh", "abc adg bdf beh ceg fgh", "bg"),
+    ("BiTriangle/Line", "abcdefghi", "ab adc agf bec bhf die", "ab"),
+    ("BiTriangle/BiLine", "abcdefghij", "ab adc agf bec bhf die gjh", "ab"),
+    ("BiTriangleX/Line", "abcdefgh", "ab adc aef bec bgf dhg", "ab"),
+    ("FlatStar/Line", "abcdefgh", "abc adg bdf beh bg ceg fgh", "bg"),
+    ("TriTriangleX", "abcdefghij", "ab adc aef aih bec bgf bjh", "ab"),
+)
 
 
 def _fixed_templates() -> list[ConfigTemplate]:
-    ts = []
-    ts.append(
-        _template(
-            "Triangle",
-            "abcde",
-            _groups("ab", "adc", "bec"),
-            (
-                Covering("a", "b", _pairs("cd")),
-                Covering("c", "a", _pairs("be")),
-                Covering("d", "a", _pairs("bc")),
-            ),
-            ({"a": "b", "b": "a", "d": "e", "e": "d"},),
-            ("a", "b"),
-        )
-    )
-    ts.append(
-        _template(
-            "Square",
-            "abcdefg",
-            _groups("ab", "aed", "bfc", "cgd"),
-            (
-                Covering("a", "b", _pairs("cg", "de")),
-                Covering("c", "a", _pairs("bf", "dg")),
-                Covering("e", "a", _pairs("bc", "dg")),
-                Covering("g", "a", _pairs("bf", "cd")),
-            ),
-            ({"a": "b", "b": "a", "c": "d", "d": "c", "e": "f", "f": "e"},),
-            ("a", "b"),
-        )
-    )
-    ts.append(
-        _template(
-            "Triangle/Line",
-            "abcdef",
-            _groups("ab", "adc", "bec", "dfe"),
-            (
-                Covering("a", "b", _pairs("cd", "ef")),
-                Covering("c", "a", _pairs("be", "df")),
-                Covering("d", "a", _pairs("bc", "ef")),
-                Covering("f", "a", _pairs("bc", "de")),
-            ),
-            ({"a": "b", "b": "a", "d": "e", "e": "d"},),
-            ("a", "b"),
-        )
-    )
-    ts.append(
-        _template(
-            "Square/Line",
-            "abcdefgh",
-            _groups("ab", "aed", "bfc", "cgd", "ehf"),
-            (
-                Covering("a", "b", _pairs("cg", "de", "fh")),
-                Covering("c", "a", _pairs("bf", "dg", "eh")),
-                Covering("e", "a", _pairs("bc", "dg", "fh")),
-                Covering("g", "a", _pairs("bf", "cd", "eh")),
-                Covering("h", "a", _pairs("bc", "dg", "ef")),
-            ),
-            ({"a": "b", "b": "a", "c": "d", "d": "c", "e": "f", "f": "e"},),
-            ("a", "b"),
-        )
-    )
-    ts.append(
-        _template(
-            "BiTriangle",
-            "abcdefgh",
-            _groups("ab", "adc", "agf", "bec", "bhf"),
-            (
-                Covering("a", "b", _pairs("cd", "fg")),
-                Covering("c", "a", _pairs("be", "fh")),
-                Covering("d", "a", _pairs("bc", "fh")),
-            ),
-            (
-                {"c": "f", "f": "c", "d": "g", "g": "d", "e": "h", "h": "e"},
-                {"a": "b", "b": "a", "d": "e", "e": "d", "g": "h", "h": "g"},
-            ),
-            ("a", "b"),
-        )
-    )
-    ts.append(
-        _template(
-            "BiTriangleX",
-            "abcdefg",
-            _groups("ab", "adc", "aef", "bec", "bgf"),
-            (
-                Covering("a", "b", _pairs("cd", "ef")),
-                Covering("c", "a", _pairs("be", "fg")),
-                Covering("d", "a", _pairs("bf", "ce")),
-                Covering("e", "a", _pairs("bc", "fg")),
-            ),
-            ({"a": "b", "b": "a", "c": "f", "f": "c", "d": "g", "g": "d"},),
-            ("a", "b"),
-        )
-    )
-    flatstar_cov = (
-        Covering("a", "b", _pairs("ce", "dg", "fh")),
-        Covering("b", "g", _pairs("ac", "df", "eh")),
-        Covering("d", "b", _pairs("ag", "ce", "fh")),
-    )
-    flatstar_sym = (
-        {"a": "c", "c": "a", "d": "e", "e": "d", "f": "h", "h": "f"},
-        {"a": "h", "h": "a", "c": "f", "f": "c", "b": "g", "g": "b", "d": "e", "e": "d"},
-    )
-    ts.append(
-        _template(
-            "FlatStar",
-            "abcdefgh",
-            _groups("abc", "adg", "bdf", "beh", "ceg", "fgh"),
-            flatstar_cov,
-            flatstar_sym,
-            ("b", "g"),
-        )
-    )
-    ts.append(
-        _template(
-            "BiTriangle/Line",
-            "abcdefghi",
-            _groups("ab", "adc", "agf", "bec", "bhf", "die"),
-            None,
-            (),
-            ("a", "b"),
-        )
-    )
-    ts.append(
-        _template(
-            "BiTriangle/BiLine",
-            "abcdefghij",
-            _groups("ab", "adc", "agf", "bec", "bhf", "die", "gjh"),
-            None,
-            (),
-            ("a", "b"),
-        )
-    )
-    ts.append(
-        _template(
-            "BiTriangleX/Line",
-            "abcdefgh",
-            _groups("ab", "adc", "aef", "bec", "bgf", "dhg"),
-            None,
-            (),
-            ("a", "b"),
-        )
-    )
-    ts.append(
-        _template(
-            "FlatStar/Line",
-            "abcdefgh",
-            _groups("abc", "adg", "bdf", "beh", "bg", "ceg", "fgh"),
-            flatstar_cov,
-            flatstar_sym,
-            ("b", "g"),
-        )
-    )
-    ts.append(
-        _template(
-            "TriTriangleX",
-            "abcdefghij",
-            _groups("ab", "adc", "aef", "aih", "bec", "bgf", "bjh"),
-            (
-                Covering("a", "b", _pairs("cd", "ef", "hi")),
-                Covering("c", "a", _pairs("be", "fg", "hj")),
-                Covering("d", "a", _pairs("bf", "ce", "hj")),
-                Covering("e", "a", _pairs("bc", "fg", "hj")),
-                Covering("h", "a", _pairs("bj", "ce", "fg")),
-                Covering("i", "a", _pairs("bc", "fg", "hj")),
-            ),
-            (
-                {"a": "b", "b": "a", "c": "f", "f": "c", "d": "g", "g": "d",
-                 "i": "j", "j": "i"},
-            ),
-            ("a", "b"),
-        )
-    )
-    return ts
+    return [
+        ConfigTemplate(name, frozenset(labels), tuple(map(frozenset, groups.split())), tuple(main))
+        for name, labels, groups, main in _TEMPLATE_ROWS
+    ]
 
 
 _CATALOG: list[ConfigTemplate] | None = None
@@ -530,7 +402,7 @@ def _placement_table(
     # images map a binding (cells by label) to each of its symmetric images;
     # ranked reads an assignment (the live group of each abstract group) in
     # step order, and mirrors read it after each symmetry moving the groups.
-    perms = symmetry_closure(template.markers, template.matching.symmetry)
+    perms = template.automorphisms
     images = [itemgetter(*(index[perm[label]] for label in labels)) for perm in perms]
     ranked = itemgetter(*order)
     group_at = {g: i for i, g in enumerate(abstract)}
@@ -1072,6 +944,27 @@ def prove_draw(
     return search((1 << len(keys)) - 1, [], 0, 0)
 
 
+def _places(template: ConfigTemplate, ms: MatchingSet) -> bool:
+    """Whether a one-to-one map of the template's labels onto ms's markers
+    puts the labels of each template group inside the group at the same
+    place in ms.groups (a board group may hold more markers than its labels:
+    an edge marker can lie on a group the template does not give it)."""
+    if (len(ms.markers), len(ms.groups)) != (template.num_markers, template.num_groups):
+        return False
+    options = []
+    for x in template.labels:
+        cells = set(ms.markers)
+        for abstract, g in zip(template.groups, ms.groups):
+            if x in abstract:
+                cells &= set(g)
+        options.append(cells)
+
+    def bind(i: int, used: frozenset) -> bool:
+        return i == len(options) or any(bind(i + 1, used | {c}) for c in options[i] - used)
+
+    return bind(0, frozenset())
+
+
 def check_certificate(cert: DrawCertificate) -> ProofResult:
     """Re-validate every certificate invariant, independent of how it was found."""
     v: list[tuple[str, str]] = []
@@ -1082,20 +975,13 @@ def check_certificate(cert: DrawCertificate) -> ProofResult:
     for i, entry in enumerate(cert.entries):
         loc = f"embedding {i} ({entry.template_name})"
         ms = entry.matching
-        # The catalog's templates differ in (markers, groups, coverings), so
-        # these counts tie the matching set to the template it is named for.
         try:
-            named = template_by_name(entry.template_name).matching
+            named = template_by_name(entry.template_name)
         except (KeyError, ValueError):
             v.append((loc, "not a catalog template name"))
         else:
-            shape = (len(ms.markers), len(ms.groups), len(ms.coverings))
-            expected = (len(named.markers), len(named.groups), len(named.coverings))
-            if shape != expected:
-                v.append((
-                    loc,
-                    f"(markers, groups, coverings) {shape} are not the template's {expected}",
-                ))
+            if not _places(named, ms):
+                v.append((loc, "markers and groups are no placement of the template"))
         if ms.markers & seen_markers:
             v.append((loc, "independence violated: shared marker cells"))
         seen_markers |= ms.markers

@@ -321,26 +321,26 @@ PRETTY_DIGESTS = {
     "fig4": "06b7705ce3e3c009",
     "fig5": "a87170a7c2e4751d",
     "fig7": "1045bce9de3540e2",
-    "fig8": "b0f662b4e19bc252",
+    "fig8": "9d090ef59561474f",
     "fig9a": "bef05b54c34fc366",
     "fig9b": "4459b5ac9df98de2",
     "fig9c": "b743681ada4d0a75",
-    "fig10": "41122c5f638934c0",
+    "fig10": "de947ed94e7743ec",
     "fig11": "deb40a091c2b8a00",
 }
 DETECT_DIGESTS = {
-    "empty4x4": "5321aa47467d1f89",
+    "empty4x4": "2d7daa24eb9ad918",
     "fig1": "5b1567ca9455e157",
     "fig2": "7a6b91af8db5a1f6",
     "fig3": "e55c1198f6842efe",
-    "fig4": "337112b0fd7eecd0",
+    "fig4": "a6dbbfaa391a7060",
     "fig5": "c2991f475d9963a4",
     "fig7": "a9d92e19bfbd482b",
-    "fig8": "282007d1f162afc5",
-    "fig9a": "270025bac26ea07a",
-    "fig9b": "f0da8a63950594be",
-    "fig9c": "b68035e11ec02f06",
-    "fig10": "e9bd10ef8f143c32",
+    "fig8": "998cc6e0addbce33",
+    "fig9a": "e83895ed461ca906",
+    "fig9b": "ba409f743fc35058",
+    "fig9c": "09487de33fc089d2",
+    "fig10": "88fa191957019189",
     "fig11": "4096d003c1d2fc00",
 }
 

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 import weakref
@@ -12,6 +13,8 @@ import pytest
 from kinarow.board import (
     BoardSpec,
     apply_move,
+    cell_key,
+    cell_name,
     empty_position,
     group_masks,
     live_black_groups,
@@ -35,7 +38,7 @@ from kinarow.configs import (
     template_by_name,
     validate_catalog,
 )
-from kinarow.setmatch import MatchingSet, symmetry_closure
+from kinarow.setmatch import MatchingSet, expand_coverings, symmetry_closure
 from tests.test_acceptance import random_legal_position
 from tests.test_board import load_fixture
 
@@ -75,12 +78,12 @@ EMPTY_4X4_EMBEDDINGS = {
     "Triangle": 288,
     "Square": 3104,
     "Triangle/Line": 224,
-    "Square/Line": 2528,
+    "Square/Line": 1264,
     "BiTriangle": 320,
     "BiTriangleX": 0,
-    "FlatStar": 24,
-    "BiTriangle/Line": 384,
-    "BiTriangle/BiLine": 256,
+    "FlatStar": 8,
+    "BiTriangle/Line": 192,
+    "BiTriangle/BiLine": 64,
     "BiTriangleX/Line": 0,
     "FlatStar/Line": 0,
     "TriTriangleX": 0,
@@ -91,21 +94,21 @@ EMPTY_4X4_EMBEDDINGS = {
 # three 5x4 positions some marker cells are held by placements on different
 # groups, and only the first of those is kept.
 DETECT_DIGESTS = {
-    "empty4x4": ("002d98d0e8ece044", 7128),
+    "empty4x4": ("d1e90eebdfa226dc", 5464),
     "fig1": ("6fe4e69d3d96cf63", 1),
     "fig2": ("1e378d17446172e8", 1),
     "fig3": ("4795e0eb3ee96f61", 5),
-    "fig4": ("a6f8cec300ccd1f7", 8),
+    "fig4": ("126d1274bf3f6038", 7),
     "fig5": ("f9e984d46275484d", 7),
     "fig7": ("bb301d2e14230c21", 14),
-    "fig8": ("3a7524625f6d9f88", 57),
-    "fig9a": ("8fb65e56e70cdbfe", 13),
-    "fig9b": ("30e0a70a2475ec89", 23),
-    "fig9c": ("1ddd8e2285be2aa8", 60),
-    "fig10": ("695fd504db6a05c4", 75),
+    "fig8": ("e0fbbcadc301d5b8", 55),
+    "fig9a": ("80a319ff0c14f071", 12),
+    "fig9b": ("13eba16806a5505d", 18),
+    "fig9c": ("b87ea52d7e393ac4", 57),
+    "fig10": ("6190c04d1e08adc3", 71),
     "fig11": ("f159304080862b90", 31),
-    "5 4 4 B\nX..O.\nO....\n...X.\n.....\n": ("c6b1b172a07fb0d1", 1984),
-    "5 4 4 B\n....X\n..X..\n.O...\nO....\n": ("f425ef8df7cb2b12", 431),
+    "5 4 4 B\nX..O.\nO....\n...X.\n.....\n": ("d4664bdf00cc8230", 1671),
+    "5 4 4 B\n....X\n..X..\n.O...\nO....\n": ("6edcccd94da6e4d6", 407),
     "5 4 4 B\nX.O..\nO....\nOXOX.\nX.O.X\n": ("fa5cbca5d701c45a", 4),
 }
 
@@ -123,17 +126,17 @@ BUDGET_RESULTS = {
     "fig1": [None] + ["fbf21a4b3d33d0f5"] * 3,
     "fig2": [None] + ["4a0e29857ae83d63"] * 3,
     "fig3": [None] + ["8e359bd1b90d8f0d"] * 3,
-    "fig4": [None] + ["d248fb7eec711172"] * 3,
+    "fig4": [None] + ["5432f9c4e235d058"] * 3,
     "fig5": [None] + ["ad9a0746d8197085"] * 3,
-    "fig7": [None] + ["7b82b54c803a070d"] * 3,
-    "fig8": [None] + ["933fd9a4e0597fb7"] * 3,
-    "fig9a": [None] + ["eb6845454073812a"] * 3,
-    "fig9b": [None] + ["6ccc4e0091ecb91b"] * 3,
-    "fig9c": [None] + ["aa81b72f27f0b5a9"] * 3,
-    "fig10": [None, "43e3bb845accc42e", "43e3bb845accc42e", "272f01a037e1a3c8"],
-    "fig11": [None] + ["50473701eab88cc2"] * 3,
-    "residual5x4": [None] * 4,
-    "ties4x4": [None, "447dc3ff2765a4c5", "447dc3ff2765a4c5", "744414a14b6107f8"],
+    "fig7": [None] + ["5f5dd58f361ea2aa"] * 3,
+    "fig8": [None] + ["e0d0b811a9f85a57"] * 3,
+    "fig9a": [None] + ["a2e80e5e930ff738"] * 3,
+    "fig9b": [None] + ["3b2909ecf3157d2e"] * 3,
+    "fig9c": [None] + ["e910f2ff451d4e0d"] * 3,
+    "fig10": [None] + ["9bee93c5960c00dc"] * 3,
+    "fig11": [None] + ["09d556fdbabadd6f"] * 3,
+    "residual5x4": [None, None, None, "b4dfe08ce75c3285"],
+    "ties4x4": [None, "2343fdfbebcbf2f0", "2343fdfbebcbf2f0", "744414a14b6107f8"],
 }
 
 # prove_draw(pos, max_attempts=b) for b = 100, 300, 1000, 5000 on
@@ -146,7 +149,7 @@ DEEP_BUDGET_RESULTS = {
     "4 4 4 B\n....\n....\n....\n.O.X\n": ["35f066ed7d5a1f1c"] * 4,
     "5 4 4 B\n.O...\n.....\n.....\n..XOX\n": ["d8d5f194f2236255"] * 4,
     "5 4 4 B\n....X\nXO...\n...O.\n.....\n": [None] + ["496d93e75d8b0e74"] * 3,
-    "5 4 4 B\nO.X..\n..O..\n.....\nX....\n": [None] + ["a8c7dbf9d4052cac"] * 3,
+    "5 4 4 B\nO.X..\n..O..\n.....\nX....\n": ["a8c7dbf9d4052cac"] * 4,
 }
 
 # Residual-pass proofs, keyed by board: budget -> digest.  Each proof lies
@@ -155,7 +158,7 @@ DEEP_BUDGET_RESULTS = {
 # for the first proof.  One that also drops the next candidate loses the
 # second proof, which takes an embedding and the next one in its pool.
 PASS3_ORDER_RESULTS = {
-    "5 4 4 B\n.X...\nXO...\n...O.\n.....\n": {208: None, 209: "4908b3ad21ea8e0a"},
+    "5 4 4 B\n.X...\nXO...\n...O.\n.....\n": {192: None, 193: "4908b3ad21ea8e0a"},
     "5 4 4 B\n.....\n..XOX\n.O...\nO..X.\n": {11: None, 12: "706a9b3c6ad26aa6"},
 }
 
@@ -177,18 +180,18 @@ DEFAULT_BUDGET_RESULTS = {
 # 5x4 opening with 4 stones (seed 7054), all of whose placement tables hold
 # orbit classes of which more than one row is alive.
 SEEDED_RESULTS = {
-    "4 4 4 B\n....\n....\n.X..\n..O.\n": ["f1c7a94ea76907cc", "cadc7364237afad8", "cadc7364237afad8"],
-    "4 4 4 B\n...X\n....\nO...\n....\n": ["4ad9d89fe1102403", "29de988c110b897c", "29de988c110b897c"],
-    "4 4 4 B\n.O..\n.X..\n....\n....\n": ["fb33ade7a9fb77c4", "cbc974d67b55934c", "cbc974d67b55934c"],
-    "4 4 4 B\n....\n..X.\n...O\n....\n": ["f81349f929784b5b", "7cf732b45518e74a", "7cf732b45518e74a"],
-    "4 4 4 B\n....\n...O\n.X..\n....\n": ["6189d49448b9388f", "ce2b9811ffe09fc6", "ce2b9811ffe09fc6"],
-    "4 4 4 B\n....\n..X.\n....\n.O..\n": ["e6ed8cb10fd960e0", "051124a1c7895247", "051124a1c7895247"],
-    "5 4 4 B\n..O..\n.....\n.....\nX.XO.\n": ["88defd6cd1d52a10"] * 3,
-    "5 4 4 B\n...O.\nX.OX.\n.....\n.....\n": ["e3c499ad413af906"] * 3,
+    "4 4 4 B\n....\n....\n.X..\n..O.\n": ["575951119bb56033", "cadc7364237afad8", "cadc7364237afad8"],
+    "4 4 4 B\n...X\n....\nO...\n....\n": ["77b0d1c59df3ff8a", "29de988c110b897c", "29de988c110b897c"],
+    "4 4 4 B\n.O..\n.X..\n....\n....\n": ["ff49d6a1ad9d8d80", "cbc974d67b55934c", "cbc974d67b55934c"],
+    "4 4 4 B\n....\n..X.\n...O\n....\n": ["4159c33d3d309c89", "7cf732b45518e74a", "7cf732b45518e74a"],
+    "4 4 4 B\n....\n...O\n.X..\n....\n": ["8ca3467263dd15f8", "ce2b9811ffe09fc6", "ce2b9811ffe09fc6"],
+    "4 4 4 B\n....\n..X.\n....\n.O..\n": ["dfa8b62c40c1d178", "051124a1c7895247", "051124a1c7895247"],
+    "5 4 4 B\n..O..\n.....\n.....\nX.XO.\n": ["8cd3ef4853d0e554"] * 3,
+    "5 4 4 B\n...O.\nX.OX.\n.....\n.....\n": ["6d92c52ebc75b395"] * 3,
     "5 4 4 B\n.....\n..O.X\n..XO.\n.....\n": [None, None, "d77f1c518de3cf97"],
     "5 4 4 B\n.....\n..O.X\nX....\n.O...\n": [None, "fffdaef90d602449", "fffdaef90d602449"],
-    "5 4 4 B\n...O.\n.....\nXO..X\nOX...\n": ["559e06da194e9130"] * 3,
-    "5 4 4 B\n..X.O\n.....\n..OOX\n...X.\n": [None, "8781f4dd6df74a72", "8781f4dd6df74a72"],
+    "5 4 4 B\n...O.\n.....\nXO..X\nOX...\n": ["bb71f20c74a69516"] * 3,
+    "5 4 4 B\n..X.O\n.....\n..OOX\n...X.\n": [None, "b60d117077c0574b", "b60d117077c0574b"],
     "5 4 4 B\nXO...\nX.O..\nO.X..\n.....\n": [None, "6133b675f97e4756", "6133b675f97e4756"],
     "5 4 4 B\nOX.X.\nX..OO\n.....\n..O.X\n": ["f3217d23dca0783b"] * 3,
     "5 4 4 B\n.X.O.\n.OX.X\n.....\n.XOO.\n": ["1ecfb0ddd06d6a1f"] * 3,
@@ -216,24 +219,24 @@ TEMPLATE_LIST_RESULTS = {
         "fig1": ["fbf21a4b3d33d0f5"] * 3,
         "fig2": ["4a0e29857ae83d63"] * 3,
         "fig3": ["8e359bd1b90d8f0d"] * 3,
-        "fig4": ["d248fb7eec711172"] * 3,
+        "fig4": ["5432f9c4e235d058"] * 3,
         "fig5": ["ad9a0746d8197085"] * 3,
-        "fig7": ["7b82b54c803a070d"] * 3,
-        "fig8": ["933fd9a4e0597fb7"] * 3,
-        "fig9a": ["eb6845454073812a"] * 3,
-        "fig9b": ["6ccc4e0091ecb91b"] * 3,
-        "fig9c": ["aa81b72f27f0b5a9"] * 3,
-        "fig10": ["43e3bb845accc42e", "272f01a037e1a3c8", "272f01a037e1a3c8"],
-        "fig11": ["50473701eab88cc2"] * 3,
-        "residual5x4": [None, None, "b4dfe08ce75c3285"],
-        "ties4x4": ["447dc3ff2765a4c5", "744414a14b6107f8", "744414a14b6107f8"],
+        "fig7": ["5f5dd58f361ea2aa"] * 3,
+        "fig8": ["e0d0b811a9f85a57"] * 3,
+        "fig9a": ["a2e80e5e930ff738"] * 3,
+        "fig9b": ["3b2909ecf3157d2e"] * 3,
+        "fig9c": ["e910f2ff451d4e0d"] * 3,
+        "fig10": ["9bee93c5960c00dc"] * 3,
+        "fig11": ["09d556fdbabadd6f"] * 3,
+        "residual5x4": [None, "b4dfe08ce75c3285", "b4dfe08ce75c3285"],
+        "ties4x4": ["2343fdfbebcbf2f0", "744414a14b6107f8", "744414a14b6107f8"],
     },
     "subset": {
         "empty4x4": [None, "364233186cb61d57", "364233186cb61d57"],
         "fig1": ["fbf21a4b3d33d0f5"] * 3,
         "fig2": [None] * 3,
         "fig3": [None] * 3,
-        "fig4": ["d248fb7eec711172"] * 3,
+        "fig4": ["5432f9c4e235d058"] * 3,
         "fig5": ["ad9a0746d8197085"] * 3,
         "fig7": [None] * 3,
         "fig8": [None] * 3,
@@ -247,37 +250,37 @@ TEMPLATE_LIST_RESULTS = {
     },
     "cycles": {
         "empty4x4": [None, "364233186cb61d57", "364233186cb61d57"],
-        "fig1": ["12a6af31d23474db"] * 3,
-        "fig2": ["cc6712e6cc5f5ce7"] * 3,
-        "fig3": ["70588d1f8c41fd4b"] * 3,
-        "fig4": ["6b543845c97fb0c8"] * 3,
+        "fig1": ["4c096bed31ad4477"] * 3,
+        "fig2": ["8560d607baed28ae"] * 3,
+        "fig3": ["9f0050b6cddc8ba2"] * 3,
+        "fig4": ["2efa9cf50fd0c367"] * 3,
         "fig5": ["ad9a0746d8197085"] * 3,
-        "fig7": ["7b82b54c803a070d"] * 3,
-        "fig8": ["64349e5aa6caf8bb", "933fd9a4e0597fb7", "933fd9a4e0597fb7"],
-        "fig9a": ["eb6845454073812a"] * 3,
-        "fig9b": ["6ccc4e0091ecb91b"] * 3,
-        "fig9c": ["aa81b72f27f0b5a9"] * 3,
-        "fig10": ["43e3bb845accc42e", "272f01a037e1a3c8", "272f01a037e1a3c8"],
-        "fig11": ["50473701eab88cc2"] * 3,
-        "residual5x4": [None, None, "b9c056391c7768d8"],
-        "ties4x4": ["68085357f74b4f62"] * 3,
+        "fig7": ["5f5dd58f361ea2aa"] * 3,
+        "fig8": ["e0d0b811a9f85a57"] * 3,
+        "fig9a": ["a2e80e5e930ff738"] * 3,
+        "fig9b": ["3b2909ecf3157d2e"] * 3,
+        "fig9c": ["e910f2ff451d4e0d"] * 3,
+        "fig10": ["9bee93c5960c00dc"] * 3,
+        "fig11": ["09d556fdbabadd6f"] * 3,
+        "residual5x4": [None, None, "8fd447ce30bef763"],
+        "ties4x4": ["d817950003e340b0"] * 3,
     },
     "repeats": {
         "empty4x4": [None, "364233186cb61d57", "364233186cb61d57"],
         "fig1": ["fbf21a4b3d33d0f5"] * 3,
         "fig2": ["4a0e29857ae83d63"] * 3,
         "fig3": ["8e359bd1b90d8f0d"] * 3,
-        "fig4": ["d248fb7eec711172"] * 3,
+        "fig4": ["5432f9c4e235d058"] * 3,
         "fig5": ["ad9a0746d8197085"] * 3,
-        "fig7": ["7b82b54c803a070d"] * 3,
-        "fig8": ["933fd9a4e0597fb7"] * 3,
-        "fig9a": ["eb6845454073812a"] * 3,
-        "fig9b": ["6ccc4e0091ecb91b"] * 3,
-        "fig9c": ["aa81b72f27f0b5a9"] * 3,
-        "fig10": ["43e3bb845accc42e", "272f01a037e1a3c8", "272f01a037e1a3c8"],
-        "fig11": ["50473701eab88cc2"] * 3,
+        "fig7": ["5f5dd58f361ea2aa"] * 3,
+        "fig8": ["e0d0b811a9f85a57"] * 3,
+        "fig9a": ["a2e80e5e930ff738"] * 3,
+        "fig9b": ["3b2909ecf3157d2e"] * 3,
+        "fig9c": ["e910f2ff451d4e0d"] * 3,
+        "fig10": ["9bee93c5960c00dc"] * 3,
+        "fig11": ["09d556fdbabadd6f"] * 3,
         "residual5x4": [None, None, "b4dfe08ce75c3285"],
-        "ties4x4": ["447dc3ff2765a4c5", "744414a14b6107f8", "744414a14b6107f8"],
+        "ties4x4": ["2343fdfbebcbf2f0", "744414a14b6107f8", "744414a14b6107f8"],
     },
 }
 
@@ -336,6 +339,57 @@ class TestCatalog:
         with pytest.raises(KeyError):
             template_by_name("Pentagon")
 
+    def test_catalog_derives_nothing(self, monkeypatch):
+        # Symmetries and coverings are derived on first use, not by catalog().
+        monkeypatch.setattr(configs, "_CATALOG", None)
+        for t in catalog((3, 4)):
+            assert "matching" not in vars(t) and "automorphisms" not in vars(t), t.name
+
+    @staticmethod
+    def brute_automorphisms(t) -> list[dict]:
+        """Every label permutation keeping the groups and the main pair, in
+        the order of their images in label order."""
+        groups, main = set(t.groups), set(t.main_markers)
+        out = []
+        for image in itertools.permutations(t.labels):
+            perm = dict(zip(t.labels, image))
+            if {perm[x] for x in main} == main and {frozenset(map(perm.get, g)) for g in groups} == groups:
+                out.append(perm)
+        return out
+
+    @pytest.mark.parametrize(
+        "name",
+        [*(n for n, (markers, *_) in CATALOG_METADATA.items() if markers <= 8), "CycleN(3)", "CycleN(4)", "CycleNLine(3)"],
+    )
+    def test_derived_symmetries_and_coverings(self, name):
+        t = template_by_name(name)
+        assert t.automorphisms == self.brute_automorphisms(t)
+        generated = symmetry_closure(t.markers, t.matching.symmetry)
+        assert sorted(map(sorted, map(dict.items, generated))) == sorted(map(sorted, map(dict.items, t.automorphisms)))
+        # One covering per orbit of the markers, for its first label.
+        orbits = {frozenset(perm[x] for perm in t.automorphisms) for x in t.labels}
+        assert [c.black_move for c in t.matching.coverings] == sorted(min(o) for o in orbits)
+
+    def test_symmetries_keep_the_main_pair(self):
+        # Swapping a and c keeps this path's groups but moves its main pair.
+        t = configs.ConfigTemplate("Path", frozenset("abc"), (frozenset("ab"), frozenset("bc")), ("a", "b"))
+        assert t.automorphisms == self.brute_automorphisms(t) == [{"a": "a", "b": "b", "c": "c"}]
+
+    def test_generators_of_the_former_hand_lists(self):
+        # The symmetry lists these templates spelled out before they were derived.
+        triangle = [{"a": "b", "b": "a", "d": "e", "e": "d"}]
+        expected = {
+            "Triangle": triangle,
+            "Triangle/Line": triangle,
+            "Square": [{"a": "b", "b": "a", "c": "d", "d": "c", "e": "f", "f": "e"}],
+            "BiTriangle": [
+                {"c": "f", "f": "c", "d": "g", "g": "d", "e": "h", "h": "e"},
+                {"a": "b", "b": "a", "d": "e", "e": "d", "g": "h", "h": "g"},
+            ],
+        }
+        for name, maps in expected.items():
+            assert list(template_by_name(name).matching.symmetry) == maps, name
+
 
 class TestDetect:
     def test_empty_4x4_contains_the_two_crossing_bitriangles(self):
@@ -357,7 +411,7 @@ class TestDetect:
         found = detect(pos)
         counts = {t.name: sum(e.template.name == t.name for e in found) for t in catalog()}
         assert counts == EMPTY_4X4_EMBEDDINGS
-        assert len(found) == 7128
+        assert len(found) == 5464
         assert [e.template.name for e in found] == [
             t.name for t in catalog() for _ in range(EMPTY_4X4_EMBEDDINGS[t.name])
         ]
@@ -812,11 +866,36 @@ class TestCheckCertificate:
         result = check_certificate(certificate_from_json(json.dumps(obj)))
         assert not result.valid
         assert result.violations == (
-            (
-                "embedding 0 (Square)",
-                "(markers, groups, coverings) (5, 3, 3) are not the template's (7, 4, 4)",
-            ),
+            ("embedding 0 (Square)", "markers and groups are no placement of the template"),
         )
+
+    @pytest.mark.parametrize("fig", ["empty4x4", *sorted(FIXTURE_TEMPLATES)])
+    def test_misnamed_bundled_certificates_rejected(self, fig):
+        cert = certificate_from_json(load_fixture(f"{fig}.cert"))
+        for i, entry in enumerate(cert.entries):
+            for name in CATALOG_METADATA:
+                if name != entry.template_name:
+                    entries = list(cert.entries)
+                    entries[i] = CertEntry(name, entry.matching)
+                    result = check_certificate(DrawCertificate(cert.position, tuple(entries), cert.residual))
+                    assert result.violations == (
+                        (f"embedding {i} ({name})", "markers and groups are no placement of the template"),
+                    )
+
+    @pytest.mark.parametrize("fig", ["empty4x4", *sorted(FIXTURE_TEMPLATES)])
+    def test_entry_listing_every_covering_is_valid(self, fig):
+        # Entries that list a covering for every marker, as entries did before
+        # the templates' coverings were derived, still check.
+        cert = certificate_from_json(load_fixture(f"{fig}.cert"))
+        entries = []
+        for entry in cert.entries:
+            ms = entry.matching
+            chosen, errors = expand_coverings(ms, cell_name)
+            assert not errors and set(chosen) == ms.markers
+            coverings = tuple(chosen[c] for c in sorted(chosen, key=cell_key))
+            entries.append(CertEntry(entry.template_name, MatchingSet(ms.markers, ms.groups, coverings, ms.symmetry)))
+        longer = certificate_to_json(DrawCertificate(cert.position, tuple(entries), cert.residual))
+        assert check_certificate(certificate_from_json(longer)).valid
 
     def test_non_board_group_reported_once(self):
         cert = certificate_from_json(load_fixture("fig1.cert"))
