@@ -23,13 +23,36 @@ threat, so a node carries only its opponent's threats and, in this order:
 - it applies the live-group bounds below;
 - after the table lookup and the probe, facing one threat it searches only
   the block, since any other move lets the opponent complete a group;
-- otherwise it searches every empty cell in the root's move order.
+- otherwise it searches every empty cell in the root's move order, less
+  the dominated ones below.
 
 The mover had no threat, so its threats after a move come only from the
 groups through that cell; the opponent's threats lose at most that cell,
 and after the block or with no threat they are empty.  So each child's mover
 has no threat, which is why no node ever needs a win test: a completing move
 is always a threat, and no line of play reaches a finished game.
+
+With no threat to answer, a node skips dominated cells.  A group is live
+while it holds no stone of one side; at the node, an empty cell c is skipped
+when
+
+- c lies in no live group: playing there is a pass; or
+- c's live groups are exactly one group g, and g has another empty cell d
+  that lies in a further live group, or that also has g as its only live
+  group and a lower bit index.
+
+Both rest on one swap.  If every live group through c holds d, exchanging c
+and d maps any line of play from the node with the mover on c onto one with
+the mover on d.  Every other group through c holds both colours, so nobody
+completes it; a group through both cells is the same in both games; and a
+group through d alone already holds the mover's stone in the second.  So the
+mover completes a group there no later, and the opponent completes one no
+earlier: the value of c is at most the value of d.  Of the cells whose only
+live group is g, the one with the lowest bit is never skipped, nor is a cell
+of g in two live groups, so each skipped cell is dominated by a searched
+one.  A node that searches has a live group (the bounds below), and that
+group has an empty cell, or its holder would have completed it; so some
+move always survives.  The block of a lone threat is never skipped.
 
 A node also carries both sides' live groups as bitsets over the indices of
 `group_masks(spec)`: bit j stays set while group j holds no stone of the
@@ -65,6 +88,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from time import perf_counter
 from typing import Sequence
 
@@ -111,6 +135,19 @@ def _probe(spec: BoardSpec, groups: Sequence[int], black: int, white: int, pruni
     return pairing_exists(rooms)
 
 
+@lru_cache(maxsize=None)
+def _cell_tables(spec: BoardSpec) -> tuple[tuple[int, ...], tuple[tuple[int, tuple, int], ...]]:
+    """Per cell index, the groups through it as one bitset over their indices
+    in `group_masks(spec)`, and the move there: its bit, the group masks
+    through it and the mask that clears those groups from a live set."""
+    groups, cells = group_masks(spec), range(spec.m * spec.n)
+    line_bits = tuple(sum(1 << j for j, g in enumerate(groups) if g >> i & 1) for i in cells)
+    cell_moves = tuple(
+        (1 << i, tuple(g for g in groups if g >> i & 1), ~line_bits[i]) for i in cells
+    )
+    return line_bits, cell_moves
+
+
 def solve(
     pos: Position,
     pruning: str = "none",
@@ -142,10 +179,7 @@ def solve(
         )
 
     m, n = spec.m, spec.n
-    # Per cell index, the group masks through it, and those groups as one
-    # bitset over their indices in `groups`.
-    lines = [[g for g in groups if g >> i & 1] for i in range(m * n)]
-    line_bits = [sum(1 << j for j, g in enumerate(groups) if g >> i & 1) for i in range(m * n)]
+    line_bits, cell_moves = _cell_tables(spec)
     # Live groups, as bitsets: those holding no stone of the other side.
     black_live, white_live = live_groups(spec, white), live_groups(spec, black)
     live = black_live | white_live
@@ -158,9 +192,6 @@ def solve(
             (i // m, i % m),
         ),
     )
-    # Per cell index, the move there: its bit, the group masks through it and
-    # the mask that clears those groups from the other side's live set.
-    cell_moves = [(1 << i, lines[i], ~line_bits[i]) for i in range(m * n)]
     moves = [cell_moves[i] for i in ordered]
     shift = m * n
     probing = pruning != "none"
@@ -227,9 +258,26 @@ def solve(
         orig_alpha = alpha
         best = -2
         taken = own | opp
+        live = own_live | opp_live
         for bit, through, keep in (cell_moves[threats.bit_length() - 1],) if threats else moves:
             if taken & bit:
                 continue
+            if not threats:
+                # Skip a dominated cell: one in no live group, or one whose
+                # only live group has an empty cell at a lower bit or in a
+                # further live group.
+                held = live & ~keep
+                if not held & (held - 1):
+                    if not held:
+                        continue
+                    room = groups[held.bit_length() - 1] & ~(taken | bit)
+                    while room and not room & (bit - 1):
+                        low = room & -room
+                        if live & line_bits[low.bit_length() - 1] != held:
+                            break
+                        room ^= low
+                    if room:
+                        continue
             mine = own | bit
             made = threat_cells(through, mine, opp)
             value = -negamax(

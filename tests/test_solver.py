@@ -37,69 +37,69 @@ from tests.test_board import load_fixture
 # per pruning mode, in PRUNING_MODES order ("none", "hj", "setmatch").
 PINNED_COUNTERS = {
     "empty4x4": [
-        ("Draw", 58194, 24410, {}),
-        ("Draw", 14750, 5817, {"hj": 58}),
+        ("Draw", 24556, 6540, {}),
+        ("Draw", 6899, 1785, {"hj": 40}),
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig1": [
-        ("Draw", 57, 4, {}),
-        ("Draw", 13, 0, {"hj": 6}),
+        ("Draw", 13, 0, {}),
+        ("Draw", 7, 0, {"hj": 3}),
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig2": [
-        ("Draw", 174, 19, {}),
-        ("Draw", 90, 1, {"hj": 11}),
-        ("Draw", 90, 1, {"setmatch": 11}),
+        ("Draw", 103, 7, {}),
+        ("Draw", 48, 0, {"hj": 8}),
+        ("Draw", 48, 0, {"setmatch": 8}),
     ],
     "fig3": [
-        ("Draw", 115, 10, {}),
-        ("Draw", 31, 2, {"hj": 6}),
+        ("Draw", 41, 3, {}),
+        ("Draw", 19, 0, {"hj": 5}),
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig4": [
-        ("Draw", 220, 17, {}),
-        ("Draw", 83, 2, {"hj": 10}),
-        ("Draw", 83, 2, {"setmatch": 10}),
+        ("Draw", 120, 4, {}),
+        ("Draw", 55, 0, {"hj": 6}),
+        ("Draw", 55, 0, {"setmatch": 6}),
     ],
     "fig5": [
-        ("Draw", 475, 61, {}),
-        ("Draw", 249, 24, {"hj": 19}),
-        ("Draw", 249, 24, {"setmatch": 19}),
+        ("Draw", 75, 6, {}),
+        ("Draw", 46, 1, {"hj": 11}),
+        ("Draw", 46, 1, {"setmatch": 11}),
     ],
     "fig7": [
-        ("Draw", 193, 41, {}),
-        ("Draw", 38, 0, {"hj": 12}),
-        ("Draw", 38, 0, {"setmatch": 12}),
+        ("Draw", 99, 11, {}),
+        ("Draw", 32, 0, {"hj": 10}),
+        ("Draw", 32, 0, {"setmatch": 10}),
     ],
     "fig8": [
-        ("Draw", 207, 22, {}),
-        ("Draw", 85, 6, {"hj": 15}),
-        ("Draw", 85, 6, {"setmatch": 15}),
+        ("Draw", 128, 11, {}),
+        ("Draw", 69, 4, {"hj": 11}),
+        ("Draw", 69, 4, {"setmatch": 11}),
     ],
     "fig9a": [
-        ("Draw", 646, 183, {}),
-        ("Draw", 72, 0, {"hj": 20}),
-        ("Draw", 72, 0, {"setmatch": 20}),
+        ("Draw", 128, 10, {}),
+        ("Draw", 38, 0, {"hj": 14}),
+        ("Draw", 38, 0, {"setmatch": 14}),
     ],
     "fig9b": [
-        ("Draw", 2280, 879, {}),
-        ("Draw", 76, 0, {"hj": 27}),
-        ("Draw", 76, 0, {"setmatch": 27}),
+        ("Draw", 801, 109, {}),
+        ("Draw", 48, 0, {"hj": 18}),
+        ("Draw", 48, 0, {"setmatch": 18}),
     ],
     "fig9c": [
-        ("Draw", 207, 50, {}),
-        ("Draw", 38, 0, {"hj": 11}),
-        ("Draw", 38, 0, {"setmatch": 11}),
+        ("Draw", 111, 17, {}),
+        ("Draw", 32, 0, {"hj": 9}),
+        ("Draw", 32, 0, {"setmatch": 9}),
     ],
     "fig10": [
-        ("Draw", 204, 31, {}),
-        ("Draw", 37, 0, {"hj": 15}),
-        ("Draw", 37, 0, {"setmatch": 15}),
+        ("Draw", 118, 11, {}),
+        ("Draw", 27, 0, {"hj": 11}),
+        ("Draw", 27, 0, {"setmatch": 11}),
     ],
     "fig11": [
-        ("WhiteWin", 1387, 368, {}),
-        ("WhiteWin", 1365, 366, {"hj": 4}),
-        ("WhiteWin", 1365, 366, {"setmatch": 4}),
+        ("WhiteWin", 746, 164, {}),
+        ("WhiteWin", 746, 164, {}),
+        ("WhiteWin", 746, 164, {}),
     ],
 }
 
@@ -113,19 +113,19 @@ WHITE_5X4 = "5 4 4 W\n.....\n..X..\nXXXO.\n.OO..\n"
 # before the table; this White-to-move win reaches it in every mode.
 WHITE_WIN_5X4 = "5 4 4 W\n...X.\n.O.O.\n.X...\n....X\n"
 PINNED_TREES = {
-    "white4x4-none": (WHITE_4X4, "none", ("Draw", 4856, 1598, {}, 0)),
-    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 2926, 1053, {"hj": 17}, 19)),
-    "white4x4-setmatch": (WHITE_4X4, "setmatch", ("Draw", 2926, 1053, {"setmatch": 17}, 19)),
+    "white4x4-none": (WHITE_4X4, "none", ("Draw", 1850, 281, {}, 0)),
+    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 1389, 223, {"hj": 13}, 14)),
+    "white4x4-setmatch": (WHITE_4X4, "setmatch", ("Draw", 1389, 223, {"setmatch": 13}, 14)),
     "white5x4-none": (WHITE_5X4, "none", ("WhiteWin", 2, 0, {}, 0)),
     "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 2, 0, {}, 0)),
     "white5x4-setmatch": (WHITE_5X4, "setmatch", ("WhiteWin", 2, 0, {}, 0)),
-    "whitewin5x4-none": (WHITE_WIN_5X4, "none", ("WhiteWin", 2383, 739, {}, 0)),
-    "whitewin5x4-hj": (WHITE_WIN_5X4, "hj", ("WhiteWin", 323, 44, {"hj": 28}, 39)),
+    "whitewin5x4-none": (WHITE_WIN_5X4, "none", ("WhiteWin", 258, 14, {}, 0)),
+    "whitewin5x4-hj": (WHITE_WIN_5X4, "hj", ("WhiteWin", 88, 1, {"hj": 13}, 16)),
     "whitewin5x4-setmatch": (
-        WHITE_WIN_5X4, "setmatch", ("WhiteWin", 323, 44, {"setmatch": 28}, 39)
+        WHITE_WIN_5X4, "setmatch", ("WhiteWin", 88, 1, {"setmatch": 13}, 16)
     ),
     "empty4x4-hj": (
-        "4 4 4 B\n....\n....\n....\n....\n", "hj", ("Draw", 14750, 5817, {"hj": 58}, 59)
+        "4 4 4 B\n....\n....\n....\n....\n", "hj", ("Draw", 6899, 1785, {"hj": 40}, 41)
     ),
 }
 
@@ -133,19 +133,19 @@ PINNED_TREES = {
 # Certificate probes per fixture, in PRUNING_MODES order: how often solve asks
 # for a certificate, whatever the answer.
 PINNED_CERT_CALLS = {
-    "empty4x4": [0, 59, 1],
-    "fig1": [0, 7, 1],
-    "fig2": [0, 17, 17],
-    "fig3": [0, 11, 1],
-    "fig4": [0, 23, 23],
-    "fig5": [0, 19, 19],
-    "fig7": [0, 12, 12],
-    "fig8": [0, 15, 15],
-    "fig9a": [0, 20, 20],
-    "fig9b": [0, 29, 29],
-    "fig9c": [0, 11, 11],
-    "fig10": [0, 15, 15],
-    "fig11": [0, 4, 4],
+    "empty4x4": [0, 41, 1],
+    "fig1": [0, 4, 1],
+    "fig2": [0, 14, 14],
+    "fig3": [0, 10, 1],
+    "fig4": [0, 18, 18],
+    "fig5": [0, 11, 11],
+    "fig7": [0, 10, 10],
+    "fig8": [0, 11, 11],
+    "fig9a": [0, 14, 14],
+    "fig9b": [0, 19, 19],
+    "fig9c": [0, 9, 9],
+    "fig10": [0, 11, 11],
+    "fig11": [0, 0, 0],
 }
 
 
@@ -321,15 +321,72 @@ class TestAgainstPlainMinimax:
                     assert verdict == expected, (mode, use_table, pos)
 
 
+def dominated_cells(pos: Position) -> tuple[set[int], set[int]]:
+    """The empty cells (as bits) that negamax's move rule skips at pos, read
+    straight off the group masks: those in no live group, and those whose
+    only live group g has another empty cell in a further live group or,
+    sharing g as its only live group, at a lower bit."""
+    live = [g for g in group_masks(pos.spec) if not g & pos.black or not g & pos.white]
+    empties = [1 << i for i in range(pos.spec.m * pos.spec.n) if pos.empty >> i & 1]
+
+    def through(cell: int) -> list[int]:
+        return [g for g in live if g & cell]
+
+    passes = {c for c in empties if not through(c)}
+    one_group = {
+        c for c in empties if len(through(c)) == 1 and any(
+            d != c and d & through(c)[0] and (len(through(d)) > 1 or d < c) for d in empties
+        )
+    }
+    return passes, one_group
+
+
+class TestDominatedMoves:
+    # Boards whose rows are longer than k, so that a group's end cell can lie
+    # in that group alone and the one-live-group rule has cells to skip.
+    SPECS = [BoardSpec(5, 4, 4), BoardSpec(6, 4, 4), BoardSpec(4, 4, 3), BoardSpec(5, 3, 3)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["5x4k4", "6x4k4", "4x4k3", "5x3k3"])
+    def test_skipping_keeps_the_minimax_verdict(self, spec):
+        # Seeded positions with 5 to 10 empty cells, either side to move, in
+        # which the one-live-group rule skips a cell at the root already;
+        # each is solved in every mode with and without the table.
+        rng = random.Random(23)
+        checked = 0
+        while checked < 16:
+            pos = random_fill(rng, spec, rng.randint(5, 10))
+            if winner(pos) is not None or not dominated_cells(pos)[1]:
+                continue
+            checked += 1
+            expected = verdict_of(pos, plain_minimax(pos))
+            for mode in PRUNING_MODES:
+                for use_table in (True, False):
+                    verdict, _ = solve(pos, pruning=mode, use_table=use_table)
+                    assert verdict == expected, (mode, use_table, pos)
+
+    @pytest.mark.parametrize("use_table", [True, False])
+    @pytest.mark.parametrize("mode", PRUNING_MODES)
+    def test_one_live_group_keeps_its_lowest_cell(self, mode, use_table):
+        # The only live group is column e, White's, and it holds all three
+        # empty cells: each lies in that group alone, so only e1, the lowest
+        # bit, is searched at the root, then only e2, after which nothing is
+        # live.  The search is one line of three nodes.
+        pos = parse_position("5 4 4 W\nOOOX.\nXXXOO\nOOXX.\nXOXX.\n")
+        assert dominated_cells(pos) == (set(), {1 << 9, 1 << 19})
+        assert verdict_of(pos, plain_minimax(pos)) == Verdict.DRAW
+        verdict, stats = solve(pos, pruning=mode, use_table=use_table)
+        assert (verdict, stats.nodes_examined) == (Verdict.DRAW, 3)
+
+
 # (verdict, nodes_examined) of TestThreats' single-threat position per
 # (pruning mode, use_table).
 PINNED_BLOCK = {
-    ("none", True): ("Draw", 295),
-    ("none", False): ("Draw", 587),
-    ("hj", True): ("Draw", 56),
-    ("hj", False): ("Draw", 63),
-    ("setmatch", True): ("Draw", 56),
-    ("setmatch", False): ("Draw", 63),
+    ("none", True): ("Draw", 31),
+    ("none", False): ("Draw", 31),
+    ("hj", True): ("Draw", 25),
+    ("hj", False): ("Draw", 25),
+    ("setmatch", True): ("Draw", 25),
+    ("setmatch", False): ("Draw", 25),
 }
 
 
@@ -529,7 +586,7 @@ class TestDeterminism:
         # or pruning are visible here before anywhere else.
         pos = parse_position(load_fixture("fig1.board"))
         counts = [solve(pos, pruning=m)[1].nodes_examined for m in PRUNING_MODES]
-        assert counts == [57, 13, 1]
+        assert counts == [13, 7, 1]
 
     @pytest.mark.parametrize(
         "fixture,mode,expected",
@@ -560,7 +617,7 @@ class TestDeterminism:
 
     def test_pinned_empty_3x3_count(self):
         _, stats = solve(empty_position(BoardSpec(3, 3, 3)))
-        assert stats.nodes_examined == 358
+        assert stats.nodes_examined == 320
 
 
 class TestCertCalls:
