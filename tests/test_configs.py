@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 import weakref
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -647,6 +649,196 @@ class TestKeptRows:
         counts, _ = self.check(pos, templates)
         # Some table's rows do not fill the last byte of its alive bitset.
         assert any(n % 8 for n in counts)
+
+
+# _placement_table(spec, template, live, empty) on each region below, for
+# every catalog template and the two size-5 cycle templates: the first 16 hex
+# digits of the SHA-256 over the SHA-256s of rows, keys, orbit, shared, rank
+# and columns (table_digest), and the row count.  Generated by the walk that
+# tested template symmetries only on whole assignments.
+TABLE_DIGESTS = {
+    'empty4x4': {
+        'Triangle': ('88250e30c9c07872', 288),
+        'Square': ('46622c61678f5a59', 3104),
+        'Triangle/Line': ('202d09d88c6843a3', 224),
+        'Square/Line': ('fe6f3aa24cbb0f6d', 1264),
+        'BiTriangle': ('1bed974e6a146bad', 320),
+        'BiTriangleX': ('46bfc526760ad41b', 0),
+        'FlatStar': ('3877cbcc1d34e645', 8),
+        'BiTriangle/Line': ('9b6404bec4c0c846', 192),
+        'BiTriangle/BiLine': ('e4497708960aecb1', 64),
+        'BiTriangleX/Line': ('46bfc526760ad41b', 0),
+        'FlatStar/Line': ('46bfc526760ad41b', 0),
+        'TriTriangleX': ('46bfc526760ad41b', 0),
+        'CycleN(5)': ('532f0255af1f6d8f', 6880),
+        'CycleNLine(5)': ('c6f3836ac805f372', 2496),
+    },
+    'empty5x4': {
+        'Triangle': ('bd432b74bdc7df9b', 1008),
+        'Square': ('3c29ab31eba5a50c', 13032),
+        'Triangle/Line': ('69c0ae2c49d4e8d2', 920),
+        'Square/Line': ('f085b106a85a6b7b', 6272),
+        'BiTriangle': ('2642f877df9c85dd', 2720),
+        'BiTriangleX': ('d6d4a42b2d530729', 288),
+        'FlatStar': ('b0538246033a8f4a', 42),
+        'BiTriangle/Line': ('38d970d53becd857', 2544),
+        'BiTriangle/BiLine': ('f128416e5ae04d7e', 860),
+        'BiTriangleX/Line': ('4d2ffb70e2d417a0', 320),
+        'FlatStar/Line': ('bd11ddf9d8c7374b', 0),
+        'TriTriangleX': ('bd11ddf9d8c7374b', 0),
+        'CycleN(5)': ('57fde0e06abe61e0', 61344),
+        'CycleNLine(5)': ('c85b967eb89f2b82', 29632),
+    },
+    'other5x4_0': {
+        'Triangle': ('3bfe6ecd642433ea', 61),
+        'Square': ('12c28c5c2247148a', 211),
+        'Triangle/Line': ('55faefa81a3b773e', 9),
+        'Square/Line': ('a6d80f7db6844979', 11),
+        'BiTriangle': ('dc915a1e03f3e06b', 48),
+        'BiTriangleX': ('bd11ddf9d8c7374b', 0),
+        'FlatStar': ('bd11ddf9d8c7374b', 0),
+        'BiTriangle/Line': ('8dec61a73c312caf', 20),
+        'BiTriangle/BiLine': ('b369c3c104afa94e', 2),
+        'BiTriangleX/Line': ('bd11ddf9d8c7374b', 0),
+        'FlatStar/Line': ('bd11ddf9d8c7374b', 0),
+        'TriTriangleX': ('bd11ddf9d8c7374b', 0),
+        'CycleN(5)': ('876b1851b3bfa9dd', 352),
+        'CycleNLine(5)': ('bd11ddf9d8c7374b', 0),
+    },
+    'other5x4_1': {
+        'Triangle': ('a5e028e05cdb3268', 316),
+        'Square': ('2f76b63e488b7b9e', 1878),
+        'Triangle/Line': ('999ea745ba89ca6d', 194),
+        'Square/Line': ('e1812b46a045bceb', 366),
+        'BiTriangle': ('7a4fed2dec8bf9c0', 120),
+        'BiTriangleX': ('0843d03f57f04045', 24),
+        'FlatStar': ('b391860fcca249db', 3),
+        'BiTriangle/Line': ('00406c27635c8734', 112),
+        'BiTriangle/BiLine': ('28b8fa5d684a85f0', 35),
+        'BiTriangleX/Line': ('73a9fc3721997300', 12),
+        'FlatStar/Line': ('bd11ddf9d8c7374b', 0),
+        'TriTriangleX': ('bd11ddf9d8c7374b', 0),
+        'CycleN(5)': ('885b4722c749b513', 5756),
+        'CycleNLine(5)': ('5ee4c072e8c5ee22', 1534),
+    },
+    'other5x4_2': {
+        'Triangle': ('fe9b67de3fe5f131', 464),
+        'Square': ('2905ebe698185bc7', 4986),
+        'Triangle/Line': ('d347ab13850c3c27', 366),
+        'Square/Line': ('63aebd26a5aa11cb', 2157),
+        'BiTriangle': ('1b983ae6e3305196', 892),
+        'BiTriangleX': ('0ef18ef77d54cf2b', 100),
+        'FlatStar': ('3dfabeb7181d08a4', 13),
+        'BiTriangle/Line': ('89dd3424c592956a', 481),
+        'BiTriangle/BiLine': ('d34ea9108c6c7104', 113),
+        'BiTriangleX/Line': ('f0c55f371f7a4014', 73),
+        'FlatStar/Line': ('bd11ddf9d8c7374b', 0),
+        'TriTriangleX': ('bd11ddf9d8c7374b', 0),
+        'CycleN(5)': ('57ef65fb8e20bdc9', 12514),
+        'CycleNLine(5)': ('70dede168bc2da5b', 4195),
+    },
+    'fig8': {
+        'Triangle': ('94ec15a4c486c3f1', 18),
+        'Square': ('4ec4899764fbbac4', 24),
+        'Triangle/Line': ('3a6c26b4552929db', 12),
+        'Square/Line': ('83aa2485cd958c15', 0),
+        'BiTriangle': ('83aa2485cd958c15', 0),
+        'BiTriangleX': ('83aa2485cd958c15', 0),
+        'FlatStar': ('ee5f831450a2f150', 1),
+        'BiTriangle/Line': ('83aa2485cd958c15', 0),
+        'BiTriangle/BiLine': ('83aa2485cd958c15', 0),
+        'BiTriangleX/Line': ('83aa2485cd958c15', 0),
+        'FlatStar/Line': ('83aa2485cd958c15', 0),
+        'TriTriangleX': ('83aa2485cd958c15', 0),
+        'CycleN(5)': ('83aa2485cd958c15', 0),
+        'CycleNLine(5)': ('83aa2485cd958c15', 0),
+    },
+    'fig11': {
+        'Triangle': ('ee4e9335ef5ff252', 10),
+        'Square': ('b61ec4048e4991e1', 14),
+        'Triangle/Line': ('c06af957e899c810', 2),
+        'Square/Line': ('8565d2faf2cc8bdf', 0),
+        'BiTriangle': ('a72f8af830f24ee8', 3),
+        'BiTriangleX': ('26f51cce257e4d7b', 1),
+        'FlatStar': ('8565d2faf2cc8bdf', 0),
+        'BiTriangle/Line': ('8565d2faf2cc8bdf', 0),
+        'BiTriangle/BiLine': ('8565d2faf2cc8bdf', 0),
+        'BiTriangleX/Line': ('8565d2faf2cc8bdf', 0),
+        'FlatStar/Line': ('8565d2faf2cc8bdf', 0),
+        'TriTriangleX': ('712a47138ab195e7', 1),
+        'CycleN(5)': ('8565d2faf2cc8bdf', 0),
+        'CycleNLine(5)': ('8565d2faf2cc8bdf', 0),
+    },
+    'corner17x16': {
+        'Triangle': ('0504640ad592f624', 1296),
+        'Square': ('63ee035701d5b1e1', 26568),
+        'Triangle/Line': ('a2469f4edd4d6d0d', 1080),
+        'Square/Line': ('13e1b8a00ec0187f', 11856),
+        'BiTriangle': ('49ffe1cf4bfbd0d4', 3348),
+        'BiTriangleX': ('800611098bc480e3', 216),
+        'FlatStar': ('02d9203ebffcb9be', 8),
+        'BiTriangle/Line': ('5851cbc37f8036df', 2032),
+        'BiTriangle/BiLine': ('0a57232015425802', 432),
+        'BiTriangleX/Line': ('44fbcd8ed80a505d', 160),
+        'FlatStar/Line': ('e93d1e8ff0f78e2a', 0),
+        'TriTriangleX': ('e93d1e8ff0f78e2a', 0),
+        'CycleN(5)': ('74ad3777ae93f13d', 173856),
+        'CycleNLine(5)': ('9799a37935b50be8', 92976),
+    },
+}
+
+
+def table_regions():
+    """Each TABLE_DIGESTS region as (spec, live, empty): the whole 4x4 and 5x4
+    boards, the OTHER_5X4 positions, fig8 (8x4), fig11 (7x5) and the 17x16
+    corner of TestProveDrawTables.test_rank_of_two_byte_rows."""
+
+    def of(pos):
+        return pos.spec, live_groups(pos.spec, pos.white), pos.empty
+
+    spec = BoardSpec(17, 16, 5)
+    corner = sum(1 << r * 17 + c for r in range(5) for c in range(12, 17))
+    live = sum(1 << i for i, g in enumerate(group_masks(spec)) if not g & ~corner)
+    return {
+        "empty4x4": of(empty_position(BoardSpec(4, 4, 4))),
+        "empty5x4": of(empty_position(BoardSpec(5, 4, 4))),
+        **{f"other5x4_{i}": of(parse_position(board)) for i, board in enumerate(OTHER_5X4)},
+        "fig8": of(parse_position(load_fixture("fig8.board"))),
+        "fig11": of(parse_position(load_fixture("fig11.board"))),
+        "corner17x16": (spec, live, corner),
+    }
+
+
+def table_digest(table):
+    def data(field):
+        if isinstance(field, array):
+            copy = array(field.typecode, field)
+            if sys.byteorder == "big":
+                copy.byteswap()
+            return field.typecode.encode() + copy.tobytes()
+        if isinstance(field, bytes):
+            return field
+        if isinstance(field, int):
+            return format(field, "x").encode()
+        return b",".join(format(c, "x").encode() for c in field)
+
+    h = hashlib.sha256()
+    for field in (table.rows, table.keys, table.orbit, table.shared, table.rank, table.columns):
+        h.update(hashlib.sha256(data(field)).digest())
+    return h.hexdigest()[:16]
+
+
+class TestPlacementTableDigests:
+    """Every field of every placement table is pinned, so a walk that drops
+    or reorders a placement fails here even where _kept_rows would agree
+    with a reference built from the table's own rows."""
+
+    @pytest.mark.parametrize("region", TABLE_DIGESTS)
+    def test_pinned_tables(self, region):
+        spec, live, empty = table_regions()[region]
+        for name, pinned in TABLE_DIGESTS[region].items():
+            table = configs._placement_table(spec, template_by_name(name), live, empty)
+            assert (table_digest(table), len(table.orbit)) == pinned, name
 
 
 class TestProveDraw:
