@@ -3,11 +3,15 @@
 The on-disk format holds the board file text, one object per matching set
 (markers, groups, coverings with their remainder pairs, symmetry permutations),
 and the residual pairing.  All cells are written in algebraic form ("c2").
+The layout is json.dumps(obj, indent=2)'s, kept byte for byte, plus a final
+newline; _dump writes it without the pure-Python encoder that json falls
+back to whenever an indent is given.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .board import BoardFormatError, Group, IllegalPositionError, cell_key, cell_name
@@ -81,6 +85,28 @@ def _covering_from_obj(obj: dict) -> Covering:
     )
 
 
+def _dump(obj: dict | list | str, indent: str = "") -> str:
+    """obj as json.dumps(obj, indent=2) writes it at the given indent.
+
+    Only dicts with string keys, lists and strings occur in a certificate;
+    any other value raises TypeError.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in obj.items()]
+        ends = "{}"
+    elif isinstance(obj, list):
+        items = [_dump(v, inner) for v in obj]
+        ends = "[]"
+    else:
+        raise TypeError(f"a certificate holds no {type(obj).__name__}")
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
+
+
 def certificate_to_json(cert: DrawCertificate) -> str:
     obj = {
         "board": render_position(cert.position),
@@ -96,7 +122,7 @@ def certificate_to_json(cert: DrawCertificate) -> str:
             for g, (a, b) in cert.residual.assignments
         ],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return _dump(obj) + "\n"
 
 
 def certificate_from_json(text: str) -> DrawCertificate:

@@ -17,8 +17,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import add, itemgetter
+from itertools import accumulate, compress, count, product, repeat, starmap
+from operator import add, eq, itemgetter, ne
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .board import (
@@ -377,16 +377,39 @@ def _placement_table(
     maps to an earlier one is skipped: each of its placements is an image of
     a placement of that earlier assignment on the same groups and cells,
     which comes first wherever both lie, so _kept_rows would drop it.
+
+    Earlier means smaller when both assignments are read in step order.  A
+    symmetry moving the groups (a mirror) reads the groups of the abstract
+    groups it maps each step's group to, so its reading first differs from
+    the assignment's own at a fixed step d, where it reads the group of a
+    later step p; every other step's reading is the same, and two abstract
+    groups never take the same live group.  So the mirror's image is earlier
+    exactly when step p takes a live group before step d's, and step p only
+    tries the live groups after those of its steps d: the lex-leader test of
+    each mirror, made on the first prefix that decides it, skips the same
+    assignments as testing every whole assignment against every mirror.
     """
     abstract = template.groups
     labels = template.labels
     index = {label: i for i, label in enumerate(labels)}
     order = _assignment_order(abstract)
-    # One (group, size, checks, binds) step per abstract group in order:
-    # checks are its labels bound at earlier steps, whose cell must lie in the
-    # new group; binds pair each label it shares with exactly one earlier
-    # group with that group, and the label is bound to the cell where the two
-    # meet.  edges pairs each label held by a single group with that group.
+    perms = template.automorphisms
+    group_at = {g: i for i, g in enumerate(abstract)}
+    # floors[p]: the abstract groups of the steps d whose live group step p's
+    # must follow, one per mirror that first differs from order at step d by
+    # reading step p's group there.
+    floors: list[set[int]] = [set() for _ in order]
+    for perm in perms:
+        mirror = [group_at[frozenset(perm[label] for label in abstract[i])] for i in order]
+        d = next((s for s, i in enumerate(order) if mirror[s] != i), None)
+        if d is not None:
+            floors[order.index(mirror[d])].add(order[d])
+    # One (group, size, checks, binds, floor) step per abstract group in
+    # order: checks are its labels bound at earlier steps, whose cell must lie
+    # in the new group; binds pair each label it shares with exactly one
+    # earlier group with that group, and the label is bound to the cell where
+    # the two meet.  edges pairs each label held by a single group with that
+    # group.
     steps = []
     for step, i in enumerate(order):
         checks, binds = [], []
@@ -396,21 +419,17 @@ def _placement_table(
                 checks.append(index[label])
             elif earlier:
                 binds.append((index[label], earlier[0]))
-        steps.append((i, len(abstract[i]), checks, binds))
+        steps.append((i, len(abstract[i]), checks, binds, sorted(floors[step])))
     holders = [[j for j, g in enumerate(abstract) if label in g] for label in labels]
     edges = [(i, held[0]) for i, held in enumerate(holders) if len(held) == 1]
-    # images map a binding (cells by label) to each of its symmetric images;
-    # ranked reads an assignment (the live group of each abstract group) in
-    # step order, and mirrors read it after each symmetry moving the groups.
-    perms = template.automorphisms
+    # A row is its cells by label, then its groups in template.groups order.
+    # arrange reads it from the labels' cells (an edge label's slot unused),
+    # the groups and the edge labels' cells, in that order.  images map a
+    # row to each symmetric image of its cells.
+    nm, ng = len(labels), len(abstract)
+    edge_slot = {label: nm + ng + e for e, (label, _) in enumerate(edges)}
+    arrange = itemgetter(*(edge_slot.get(i, i) for i in range(nm + ng)))
     images = [itemgetter(*(index[perm[label]] for label in labels)) for perm in perms]
-    ranked = itemgetter(*order)
-    group_at = {g: i for i, g in enumerate(abstract)}
-    moved = {
-        tuple(group_at[frozenset(perm[label] for label in abstract[i])] for i in order)
-        for perm in perms
-    } - {tuple(order)}
-    mirrors = [itemgetter(*m) for m in sorted(moved)]
 
     masks = group_masks(spec)
     shift = len(masks)
@@ -442,46 +461,69 @@ def _placement_table(
     # roomy[size]: the live groups with at least size empty cells.
     roomy = {
         size: sum(1 << gi for gi in range(n_live) if len(empties[gi]) >= size)
-        for _, size, _, _ in steps
+        for _, size, _, _, _ in steps
     }
 
     width = shift + spec.m * spec.n
     key_bytes = (width + 7) // 8
     code = "B" if max(shift, spec.m * spec.n) <= 256 else "H"
-    pack = struct.Struct(f"={len(template.markers) + len(steps)}{code}").pack
-    pack_cells = struct.Struct(f"={len(template.markers)}{code}").pack
-    rows = bytearray()
+    pack_cells = struct.Struct(f"={nm}{code}").pack
+    pack_row = struct.Struct(f"={nm + ng}{code}").pack
+    opens = [cm & empty for cm in cell_masks]  # empty cells of each live group
+    hosts = [host for _, host in edges]
+    rows = array(code)
     keys = bytearray()
     orbit = array("i")
-    shared = bytearray()  # b"1" at j when row j's orbit class holds another row, else b"0"
+    repeats: list[int] = []  # rows whose orbit class holds an earlier row
     first: dict[bytes, int] = {}  # least image of a row's cells, packed -> first such row
     assigned = [0] * len(steps)  # abstract group -> live group index
-    cells = [0] * len(template.markers)  # label index -> cell bit index
+    cells = [0] * nm  # label index -> cell bit index
+    # The rows found since the last flush, each as its bound cells and groups
+    # followed by its edge cells, and their keys.
+    pending: list[tuple[int, ...]] = []
+    pending_keys: list[int] = []
 
-    def fill(e: int, used: int, groups: tuple[int, ...], gmask: int) -> None:
-        if e < len(edges):
-            label, host = edges[e]
-            for b in empties[assigned[host]]:
-                if not used >> b & 1:
-                    cells[label] = b
-                    fill(e + 1, used | 1 << b, groups, gmask)
-            return
+    @functools.cache
+    def spread(mask: int) -> tuple[list[int], list[int]]:
+        """The cells of a cell mask, ascending, and their bits in a key."""
+        ones = _ones(mask)
+        return ones, [1 << shift + b for b in ones]
+
+    def flush() -> None:
+        """Append the pending rows to rows, keys and orbit."""
+        laid = list(map(arrange, pending))
+        rows.frombytes(b"".join(starmap(pack_row, laid)))
+        keys.extend(b"".join(map(int.to_bytes, pending_keys, repeat(key_bytes), repeat("little"))))
+        pending.clear()
+        pending_keys.clear()
         n = len(orbit)
-        rows.extend(pack(*cells, *groups))
-        keys.extend((used << shift | gmask).to_bytes(key_bytes, "little"))
-        j = first.setdefault(pack_cells(*min([image(cells) for image in images])), n)
-        orbit.append(j)
-        shared.append(ord("0") + (j != n))
-        shared[j] |= j != n  # ord("0") | 1 is ord("1")
+        least = map(min, zip(*[map(image, laid) for image in images]))
+        orbit.extend(map(first.setdefault, starmap(pack_cells, least), count(n)))
+        repeats.extend(compress(count(n), map(ne, orbit[n:], count(n))))
 
     def assign(step: int, blocked: int, used: int, gmask: int) -> None:
         if step == len(steps):
-            here = ranked(assigned)
-            if not any(mirror(assigned) < here for mirror in mirrors):
-                fill(0, used, tuple([live_index[gi] for gi in assigned]), gmask)
+            # The edge labels take free cells of their groups, in edge order;
+            # two given the same cell carry in the key's sum, leaving it
+            # fewer 1 bits.
+            key = used << shift | gmask
+            bound = (*cells, *map(live_index.__getitem__, assigned))
+            if hosts:
+                picks, bits = zip(*[spread(opens[assigned[h]] & ~used) for h in hosts])
+                sums = list(map(sum, product(*bits), repeat(key)))
+                whole = list(map(eq, map(int.bit_count, sums), repeat(key.bit_count() + len(hosts))))
+                pending_keys.extend(compress(sums, whole))
+                pending.extend(compress(map(add, repeat(bound), product(*picks)), whole))
+            else:
+                pending_keys.append(key)
+                pending.append(bound)
+            if len(pending) >= 1024:
+                flush()
             return
-        i, size, checks, binds = steps[step]
+        i, size, checks, binds, floor = steps[step]
         free = roomy[size] & ~blocked
+        for j in floor:
+            free &= -2 << assigned[j]
         for label in checks:
             free &= through[cells[label]]
         for _, j in binds:
@@ -504,8 +546,11 @@ def _placement_table(
                 assign(step + 1, blocked | clash[gi] | low, now, gmask | gbit)
 
     assign(0, 0, 0, 0)
+    flush()
+    # assign refers to itself, so what its closure holds lives on until a
+    # garbage collection; the class dict is not needed past here.
+    first.clear()
     keys = bytes(keys)
-    rows = array(code, rows)
     # Cell b = r*m+c is the place[b]-th cell in Cell (column, row) order, so
     # a row's marker cells read as places, big-endian, compare as bytes in
     # that order.  One-byte rows translate in one call; two-byte rows (past
@@ -518,12 +563,15 @@ def _placement_table(
         if sys.byteorder == "little":
             wide.byteswap()
         placed = wide.tobytes()
-    span = len(template.markers) * rows.itemsize
-    step = (len(template.markers) + len(steps)) * rows.itemsize
+    span = nm * rows.itemsize
+    step = (nm + len(steps)) * rows.itemsize
     by_cells = [placed[o : o + span] for o in range(0, len(placed), step)]
     rank = array("i", [0]) * len(orbit)
     for i, j in enumerate(sorted(range(len(orbit)), key=by_cells.__getitem__)):
         rank[j] = i
+    shared = bytearray(b"0") * len(orbit)  # b"1" at j when row j's orbit class holds another row
+    for j in repeats:
+        shared[j] = shared[orbit[j]] = ord("1")
     shared = int(b"0" + shared[::-1], 2)
     return PlacementTable(live, empty, rows, keys, _columns(keys, width), orbit, shared, rank)
 

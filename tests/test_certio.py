@@ -5,9 +5,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kinarow.certio import CertificateFormatError, certificate_from_json
+from kinarow.board import BoardSpec, empty_position, parse_position
+from kinarow.certio import CertificateFormatError, _dump, certificate_from_json, certificate_to_json
 from kinarow.cli import main
-from kinarow.configs import check_certificate
+from kinarow.configs import check_certificate, prove_draw
 from kinarow.setmatch import ProofResult
 from tests.test_board import load_fixture
 
@@ -97,3 +98,48 @@ def test_mutated_certificates_decode_to_a_verdict_or_a_format_error(name, data):
     except CertificateFormatError:
         return
     assert isinstance(check_certificate(cert), ProofResult)
+
+
+def written_by_json(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", BUNDLED_CERTS)
+def test_writer_matches_json_dumps_on_bundled_certificates(name):
+    text = load_fixture(f"{name}.cert")
+    assert json.loads(text)["residual_pairing"] == []
+    out = certificate_to_json(certificate_from_json(text))
+    assert out == written_by_json(out) == text
+
+
+@pytest.mark.parametrize(
+    "board, sets, residual",
+    [
+        ("4 3 4 B\n....\n....\n....\n", False, True),  # a plain pairing alone
+        ("5 4 4 B\n.OX..\nX....\n.....\n...O.\n", True, True),  # templates and a pairing
+    ],
+)
+def test_writer_matches_json_dumps_with_a_residual_pairing(board, sets, residual):
+    out = certificate_to_json(prove_draw(parse_position(board)))
+    obj = json.loads(out)
+    assert (bool(obj["matching_sets"]), bool(obj["residual_pairing"])) == (sets, residual)
+    assert out == written_by_json(out)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [0, 1.5, None, True, ("a1",), {"n": 0}, ["a1", False], {"x": [{}, [], 0]}, {"x": {"y": [None]}}],
+)
+def test_writer_rejects_values_a_certificate_does_not_hold(obj):
+    with pytest.raises(TypeError):
+        _dump(obj)
+
+
+def test_writer_matches_json_dumps_on_empty_and_escaped_values():
+    obj = {"x": [{}, [], ""], "y\\": {"z": ["\u00e9\n", "\"a1\""]}}
+    assert _dump(obj) == json.dumps(obj, indent=2)
+
+
+def test_writer_rejects_non_text_keys():
+    with pytest.raises(TypeError):
+        _dump({1: "a1"})
