@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, count, product, repeat, starmap
+from itertools import accumulate, compress, count, product, repeat
 from operator import add, eq, itemgetter, ne
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -334,6 +334,15 @@ def _ones(mask: int) -> list[int]:
     return list(accumulate(map(add, map(len, runs), repeat(1)), initial=-1))[1:-1]
 
 
+def _entries(data: array, width: int, picks: Sequence[int]) -> array:
+    """The records of width entries each in data, each cut down to its
+    entries at picks, in that order."""
+    out = array(data.typecode, bytes(len(data) // width * len(picks) * data.itemsize))
+    for to, at in enumerate(picks):
+        out[to :: len(picks)] = data[at::width]
+    return out
+
+
 class PlacementTable(NamedTuple):
     """Every placement of one template on a region of one board.
 
@@ -373,21 +382,22 @@ def _placement_table(
     _assignment_order, each in enumerate_groups order.  A label shared by two
     placed groups is bound to their one common empty cell; a label held by a
     single group (an edge label) then takes each free empty cell of that
-    group in turn.  An assignment of groups that a symmetry of the template
-    maps to an earlier one is skipped: each of its placements is an image of
-    a placement of that earlier assignment on the same groups and cells,
-    which comes first wherever both lie, so _kept_rows would drop it.
+    group in turn.
 
-    Earlier means smaller when both assignments are read in step order.  A
-    symmetry moving the groups (a mirror) reads the groups of the abstract
-    groups it maps each step's group to, so its reading first differs from
-    the assignment's own at a fixed step d, where it reads the group of a
-    later step p; every other step's reading is the same, and two abstract
-    groups never take the same live group.  So the mirror's image is earlier
-    exactly when step p takes a live group before step d's, and step p only
-    tries the live groups after those of its steps d: the lex-leader test of
-    each mirror, made on the first prefix that decides it, skips the same
-    assignments as testing every whole assignment against every mirror.
+    An assignment of groups that a symmetry of the template maps to an
+    earlier one is skipped: each of its placements is an image of a
+    placement of that earlier assignment on the same groups and cells, which
+    comes first wherever both lie, so _kept_rows would drop it.  Earlier
+    means smaller when both are read in step order (the lex-leader test).  A
+    symmetry that moves the groups (a mirror) reads, at each step, the live
+    group of the abstract group it maps that step's group to.  This reading
+    first differs from the assignment's own at a step d fixed by the mirror,
+    where it reads the live group of a later step p, and two abstract groups
+    never take the same live group; so the image is earlier exactly when
+    step p's live group comes before step d's.  Step p therefore tries only
+    the live groups after those of its steps d (its floor): each mirror is
+    tested on the first prefix that decides it, which skips exactly the
+    assignments that testing every whole assignment would.
     """
     abstract = template.groups
     labels = template.labels
@@ -395,9 +405,9 @@ def _placement_table(
     order = _assignment_order(abstract)
     perms = template.automorphisms
     group_at = {g: i for i, g in enumerate(abstract)}
-    # floors[p]: the abstract groups of the steps d whose live group step p's
-    # must follow, one per mirror that first differs from order at step d by
-    # reading step p's group there.
+    # floors[p]: the abstract groups of the steps d whose live groups step
+    # p's must follow, one for each mirror that first reads another group
+    # than order at step d, and reads step p's group there.
     floors: list[set[int]] = [set() for _ in order]
     for perm in perms:
         mirror = [group_at[frozenset(perm[label] for label in abstract[i])] for i in order]
@@ -423,20 +433,24 @@ def _placement_table(
     holders = [[j for j, g in enumerate(abstract) if label in g] for label in labels]
     edges = [(i, held[0]) for i, held in enumerate(holders) if len(held) == 1]
     # A row is its cells by label, then its groups in template.groups order.
-    # arrange reads it from the labels' cells (an edge label's slot unused),
-    # the groups and the edge labels' cells, in that order.  images map a
-    # row to each symmetric image of its cells.
+    # It is found as a raw row: the labels' cells (an edge label's entry
+    # unused), the groups, then the edge labels' cells.  slot[x] is the entry
+    # of label x's cell in a raw row, laid lists the raw entries that read out
+    # a row, and images, for each symmetry, those that read out the image of
+    # a row's cells.
     nm, ng = len(labels), len(abstract)
-    edge_slot = {label: nm + ng + e for e, (label, _) in enumerate(edges)}
-    arrange = itemgetter(*(edge_slot.get(i, i) for i in range(nm + ng)))
-    images = [itemgetter(*(index[perm[label]] for label in labels)) for perm in perms]
+    slot = list(range(nm))
+    for e, (label, _) in enumerate(edges):
+        slot[label] = nm + ng + e
+    raw_width = nm + ng + len(edges)
+    laid = slot + list(range(nm, nm + ng))
+    images = [[slot[index[perm[label]]] for label in labels] for perm in perms]
 
     masks = group_masks(spec)
     shift = len(masks)
     live_index = _ones(live)
     cell_masks = [masks[i] for i in live_index]
-    # Empty cells of each live group as bit indices, in canonical cell order.
-    empties = [_ones(cm & empty) for cm in cell_masks]
+    opens = [cm & empty for cm in cell_masks]  # empty cells of each live group
     # clash[a]: live groups sharing two or more cells with a.  meet[a][b]: the
     # one cell a and b share when that cell is empty, else -1; meets[a]: the
     # live groups b with such a cell.  through[c]: the live groups holding c.
@@ -460,45 +474,45 @@ def _placement_table(
             through[b] |= 1 << gi
     # roomy[size]: the live groups with at least size empty cells.
     roomy = {
-        size: sum(1 << gi for gi in range(n_live) if len(empties[gi]) >= size)
+        size: sum(1 << gi for gi in range(n_live) if opens[gi].bit_count() >= size)
         for _, size, _, _, _ in steps
     }
 
     width = shift + spec.m * spec.n
     key_bytes = (width + 7) // 8
     code = "B" if max(shift, spec.m * spec.n) <= 256 else "H"
-    pack_cells = struct.Struct(f"={nm}{code}").pack
-    pack_row = struct.Struct(f"={nm + ng}{code}").pack
-    opens = [cm & empty for cm in cell_masks]  # empty cells of each live group
+    pack_bound = struct.Struct(f"={nm + ng}{code}").pack
+    pack_cell = struct.Struct(f"={code}").pack
+    split_cells = struct.Struct(f"{nm * array(code).itemsize}s").iter_unpack
     hosts = [host for _, host in edges]
     rows = array(code)
     keys = bytearray()
     orbit = array("i")
     repeats: list[int] = []  # rows whose orbit class holds an earlier row
-    first: dict[bytes, int] = {}  # least image of a row's cells, packed -> first such row
+    first: dict[bytes, int] = {}  # least packed image of a row's cells -> first such row
     assigned = [0] * len(steps)  # abstract group -> live group index
     cells = [0] * nm  # label index -> cell bit index
-    # The rows found since the last flush, each as its bound cells and groups
-    # followed by its edge cells, and their keys.
-    pending: list[tuple[int, ...]] = []
+    # The raw rows found since the last flush, packed, and their keys.
+    pending: list[bytes] = []
     pending_keys: list[int] = []
 
     @functools.cache
-    def spread(mask: int) -> tuple[list[int], list[int]]:
-        """The cells of a cell mask, ascending, and their bits in a key."""
+    def spread(mask: int) -> tuple[list[bytes], list[int]]:
+        """The cells of a cell mask, ascending, as raw row entries and as
+        bits in a key."""
         ones = _ones(mask)
-        return ones, [1 << shift + b for b in ones]
+        return list(map(pack_cell, ones)), [1 << shift + b for b in ones]
 
     def flush() -> None:
         """Append the pending rows to rows, keys and orbit."""
-        laid = list(map(arrange, pending))
-        rows.frombytes(b"".join(starmap(pack_row, laid)))
+        raw = array(code, b"".join(pending))
+        rows.extend(_entries(raw, raw_width, laid))
         keys.extend(b"".join(map(int.to_bytes, pending_keys, repeat(key_bytes), repeat("little"))))
         pending.clear()
         pending_keys.clear()
         n = len(orbit)
-        least = map(min, zip(*[map(image, laid) for image in images]))
-        orbit.extend(map(first.setdefault, starmap(pack_cells, least), count(n)))
+        least = map(min, *[split_cells(_entries(raw, raw_width, image)) for image in images])
+        orbit.extend(map(first.setdefault, map(itemgetter(0), least), count(n)))
         repeats.extend(compress(count(n), map(ne, orbit[n:], count(n))))
 
     def assign(step: int, blocked: int, used: int, gmask: int) -> None:
@@ -507,17 +521,17 @@ def _placement_table(
             # two given the same cell carry in the key's sum, leaving it
             # fewer 1 bits.
             key = used << shift | gmask
-            bound = (*cells, *map(live_index.__getitem__, assigned))
+            raw = pack_bound(*cells, *map(live_index.__getitem__, assigned))
             if hosts:
                 picks, bits = zip(*[spread(opens[assigned[h]] & ~used) for h in hosts])
                 sums = list(map(sum, product(*bits), repeat(key)))
                 whole = list(map(eq, map(int.bit_count, sums), repeat(key.bit_count() + len(hosts))))
                 pending_keys.extend(compress(sums, whole))
-                pending.extend(compress(map(add, repeat(bound), product(*picks)), whole))
+                pending.extend(compress(map(add, repeat(raw), map(b"".join, product(*picks))), whole))
             else:
                 pending_keys.append(key)
-                pending.append(bound)
-            if len(pending) >= 1024:
+                pending.append(raw)
+            if len(pending) >= 256:
                 flush()
             return
         i, size, checks, binds, floor = steps[step]
