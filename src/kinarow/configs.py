@@ -561,9 +561,9 @@ def _placement_table(
 
     assign(0, 0, 0, 0)
     flush()
-    # assign refers to itself, so what its closure holds lives on until a
-    # garbage collection; the class dict is not needed past here.
-    first.clear()
+    # assign refers to itself: dropping it lets what its closure holds go now
+    # rather than at a later garbage collection.
+    del assign
     keys = bytes(keys)
     # Cell b = r*m+c is the place[b]-th cell in Cell (column, row) order, so
     # a row's marker cells read as places, big-endian, compare as bytes in
