@@ -568,7 +568,8 @@ def _placement_table(
     # Cell b = r*m+c is the place[b]-th cell in Cell (column, row) order, so
     # a row's marker cells read as places, big-endian, compare as bytes in
     # that order.  One-byte rows translate in one call; two-byte rows (past
-    # 256 cells or groups) map entry by entry.  No slice reads a group entry.
+    # 256 cells or groups) map entry by entry.  by_cells reads only each
+    # row's marker entries.
     place = [b % spec.m * spec.n + b // spec.m for b in range(spec.m * spec.n)] + [0] * shift
     if code == "B":
         placed = rows.tobytes().translate(bytes(place[:256]).ljust(256, b"\0"))
@@ -579,7 +580,7 @@ def _placement_table(
         placed = wide.tobytes()
     span = nm * rows.itemsize
     step = (nm + len(steps)) * rows.itemsize
-    by_cells = [placed[o : o + span] for o in range(0, len(placed), step)]
+    by_cells = list(struct.Struct(f"{span}s{step - span}x").iter_unpack(placed))
     rank = array("i", [0]) * len(orbit)
     for i, j in enumerate(sorted(range(len(orbit)), key=by_cells.__getitem__)):
         rank[j] = i
