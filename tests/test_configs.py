@@ -484,6 +484,16 @@ class TestPlacementTables:
             subset = [t for t in catalog() if t.name in names]
             assert embedding_lines(detect(pos, subset)) == self.fresh(pos, names)
 
+    @pytest.mark.parametrize("fig", ["fig8", "fig11"])
+    def test_tables_cover_only_the_positions_seen(self, fig):
+        # Tables over the whole 8x4 and 7x5 boards take seconds to build.
+        pos = parse_position(load_fixture(f"{fig}.board"))
+        templates = configs._fixed_templates()
+        assert prove_draw(pos, templates) is not None
+        live = live_groups(pos.spec, pos.white)
+        regions = {(t.tables[pos.spec].groups, t.tables[pos.spec].empty) for t in templates if t.tables}
+        assert regions == {(live, pos.empty)}
+
     def test_cycle_template_table_dies_with_it(self):
         pos = parse_position(OTHER_5X4[1])
         cycle = template_by_name("CycleN(5)")
