@@ -580,7 +580,7 @@ def _placement_table(
         placed = wide.tobytes()
     span = nm * rows.itemsize
     step = (nm + len(steps)) * rows.itemsize
-    by_cells = list(struct.Struct(f"{span}s{step - span}x").iter_unpack(placed))
+    by_cells = list(map(itemgetter(0), struct.Struct(f"{span}s{step - span}x").iter_unpack(placed)))
     rank = array("i", [0]) * len(orbit)
     for i, j in enumerate(sorted(range(len(orbit)), key=by_cells.__getitem__)):
         rank[j] = i
