@@ -492,7 +492,8 @@ def _placement_table(
     first: dict[bytes, int] = {}  # least packed image of a row's cells -> first such row
     assigned = [0] * len(steps)  # abstract group -> live group index
     cells = [0] * nm  # label index -> cell bit index
-    # The raw rows found since the last flush, packed, and their keys.
+    # The raw rows found since the last flush, packed, and their keys: a few
+    # hundred at a time, as the batch adds to the build's peak memory.
     pending: list[bytes] = []
     pending_keys: list[int] = []
 
