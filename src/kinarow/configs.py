@@ -17,8 +17,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, count, product, repeat
-from operator import add, eq, itemgetter, ne
+from itertools import accumulate, compress, product, repeat
+from operator import add, eq, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .board import (
@@ -354,12 +354,11 @@ class PlacementTable(NamedTuple):
     template.groups order; keys holds each row's marker_mask << shift |
     group_mask, where shift is the spec's group count, in _columns packing.
     columns[i] is the bitset of rows holding group i, and columns[shift + b]
-    that of rows with a marker on cell b.  orbit[j] is the first row whose
-    marker cells are an image of row j's under the template's symmetries (j
-    itself when no earlier row's are), and shared the bitset of rows whose
-    orbit class holds another row.  rank[j] is row j's place when the rows
-    are sorted by their marker cells as Embedding.cells (a stable sort), so
-    prove_draw orders rows by cells without building them.
+    that of rows with a marker on cell b.  No row is an image of another,
+    cells and groups, under the template's symmetries (_placement_table), so
+    each row is one placement per symmetry class.  rank[j] is row j's place
+    when the rows are sorted by their marker cells as Embedding.cells (a
+    stable sort), so prove_draw orders rows by cells without building them.
     """
 
     groups: int
@@ -367,8 +366,6 @@ class PlacementTable(NamedTuple):
     rows: array
     keys: bytes
     columns: list[int]
-    orbit: array
-    shared: int
     rank: array
 
 
@@ -386,18 +383,23 @@ def _placement_table(
 
     An assignment of groups that a symmetry of the template maps to an
     earlier one is skipped: each of its placements is an image of a
-    placement of that earlier assignment on the same groups and cells, which
-    comes first wherever both lie, so _kept_rows would drop it.  Earlier
-    means smaller when both are read in step order (the lex-leader test).  A
-    symmetry that moves the groups (a mirror) reads, at each step, the live
-    group of the abstract group it maps that step's group to.  This reading
-    first differs from the assignment's own at a step d fixed by the mirror,
-    where it reads the live group of a later step p, and two abstract groups
-    never take the same live group; so the image is earlier exactly when
-    step p's live group comes before step d's.  Step p therefore tries only
-    the live groups after those of its steps d (its floor): each mirror is
-    tested on the first prefix that decides it, which skips exactly the
-    assignments that testing every whole assignment would.
+    placement of that earlier assignment on the same groups and cells.
+    Earlier means smaller when both are read in step order (the lex-leader
+    test), so of each class of assignments under the symmetries only the
+    least is walked.  No symmetry of a catalog or cycle template but the
+    identity maps every group to itself, so two rows that are images of
+    each other would hold one assignment and be the same row: the table
+    holds one placement per symmetry class of its cells and groups.
+
+    A symmetry that moves the groups (a mirror) reads, at each step, the
+    live group of the abstract group it maps that step's group to.  This
+    reading first differs from the assignment's own at a step d fixed by the
+    mirror, where it reads the live group of a later step p, and two
+    abstract groups never take the same live group; so the image is earlier
+    exactly when step p's live group comes before step d's.  Step p
+    therefore tries only the live groups after those of its steps d (its
+    floor): each mirror is tested on the first prefix that decides it, which
+    skips exactly the assignments that testing every whole assignment would.
     """
     abstract = template.groups
     labels = template.labels
@@ -436,15 +438,13 @@ def _placement_table(
     # It is found as a raw row: the labels' cells (an edge label's entry
     # unused), the groups, then the edge labels' cells.  slot[x] is the entry
     # of label x's cell in a raw row, laid lists the raw entries that read out
-    # a row, and images, for each symmetry, those that read out the image of
-    # a row's cells.
+    # a row.
     nm, ng = len(labels), len(abstract)
     slot = list(range(nm))
     for e, (label, _) in enumerate(edges):
         slot[label] = nm + ng + e
     raw_width = nm + ng + len(edges)
     laid = slot + list(range(nm, nm + ng))
-    images = [[slot[index[perm[label]]] for label in labels] for perm in perms]
 
     masks = group_masks(spec)
     shift = len(masks)
@@ -483,13 +483,9 @@ def _placement_table(
     code = "B" if max(shift, spec.m * spec.n) <= 256 else "H"
     pack_bound = struct.Struct(f"={nm + ng}{code}").pack
     pack_cell = struct.Struct(f"={code}").pack
-    split_cells = struct.Struct(f"{nm * array(code).itemsize}s").iter_unpack
     hosts = [host for _, host in edges]
     rows = array(code)
     keys = bytearray()
-    orbit = array("i")
-    repeats: list[int] = []  # rows whose orbit class holds an earlier row
-    first: dict[bytes, int] = {}  # least packed image of a row's cells -> first such row
     assigned = [0] * len(steps)  # abstract group -> live group index
     cells = [0] * nm  # label index -> cell bit index
     # The raw rows found since the last flush, packed, and their keys: a few
@@ -505,16 +501,11 @@ def _placement_table(
         return list(map(pack_cell, ones)), [1 << shift + b for b in ones]
 
     def flush() -> None:
-        """Append the pending rows to rows, keys and orbit."""
-        raw = array(code, b"".join(pending))
-        rows.extend(_entries(raw, raw_width, laid))
+        """Append the pending rows to rows and keys."""
+        rows.extend(_entries(array(code, b"".join(pending)), raw_width, laid))
         keys.extend(b"".join(map(int.to_bytes, pending_keys, repeat(key_bytes), repeat("little"))))
         pending.clear()
         pending_keys.clear()
-        n = len(orbit)
-        least = map(min, *[split_cells(_entries(raw, raw_width, image)) for image in images])
-        orbit.extend(map(first.setdefault, map(itemgetter(0), least), count(n)))
-        repeats.extend(compress(count(n), map(ne, orbit[n:], count(n))))
 
     def assign(step: int, blocked: int, used: int, gmask: int) -> None:
         if step == len(steps):
@@ -582,23 +573,18 @@ def _placement_table(
     span = nm * rows.itemsize
     step = (nm + len(steps)) * rows.itemsize
     by_cells = list(map(itemgetter(0), struct.Struct(f"{span}s{step - span}x").iter_unpack(placed)))
-    rank = array("i", [0]) * len(orbit)
-    for i, j in enumerate(sorted(range(len(orbit)), key=by_cells.__getitem__)):
+    rank = array("i", [0]) * len(by_cells)
+    for i, j in enumerate(sorted(range(len(by_cells)), key=by_cells.__getitem__)):
         rank[j] = i
-    shared = bytearray(b"0") * len(orbit)  # b"1" at j when row j's orbit class holds another row
-    for j in repeats:
-        shared[j] = shared[orbit[j]] = ord("1")
-    shared = int(b"0" + shared[::-1], 2)
-    return PlacementTable(live, empty, rows, keys, _columns(keys, width), orbit, shared, rank)
+    return PlacementTable(live, empty, rows, keys, _columns(keys, width), rank)
 
 
 def _kept_rows(
     spec: BoardSpec, template: ConfigTemplate, live: int, empty: int
 ) -> tuple[PlacementTable, list[int]]:
     """The template's placement table for spec and, in table order, its rows
-    that place the template on the live groups and empty cells, one per orbit
-    of their marker cells (as a label-to-cell tuple) under the template's
-    symmetries, the first in _placement_table order.
+    that place the template on the live groups and empty cells: one
+    placement per symmetry class of its cells and groups (_placement_table).
 
     live is a bitset over enumerate_groups(spec) and empty a cell bitmask
     like Position.empty.  The table's region grows to the union of every
@@ -606,10 +592,8 @@ def _kept_rows(
     exactly when it lies on the region, its groups are live and its markers
     empty, and the region's rows hold this position's placements in the same
     order, because both walk the groups in enumerate_groups order.  So the
-    rows holding a dead group or a non-empty cell are cleared, and of the
-    rows left those alone in their orbit class are kept, with the first of
-    the others in each class (the dict keeps the last row written, and the
-    rows are written from the last).  No Python step runs per row.
+    rows holding a dead group or a non-empty cell are cleared, and the rest
+    are kept.  No Python step runs per row.
     """
     table = template.tables.get(spec)
     if table is None:
@@ -625,11 +609,7 @@ def _kept_rows(
         dead |= columns[i]
     for b in _ones(table.empty & ~empty):
         dead |= columns[shift + b]
-    alive = (1 << len(table.orbit)) - 1 & ~dead
-    shared = alive & table.shared
-    rows = _ones(shared)
-    first = dict(zip(map(table.orbit.__getitem__, reversed(rows)), reversed(rows)))
-    return table, sorted(_ones(alive ^ shared) + list(first.values()))
+    return table, _ones((1 << len(table.rank)) - 1 & ~dead)
 
 
 def _embeddings(
@@ -657,8 +637,8 @@ def _embeddings(
 def detect(
     pos: Position, templates: Sequence[ConfigTemplate] | None = None
 ) -> list[Embedding]:
-    """All template embeddings in pos, one per orbit of each template's
-    label-to-cell tuple under its symmetries (_kept_rows)."""
+    """All template embeddings in pos, one per symmetry class of each
+    template's placement, cells and groups (_kept_rows)."""
     if templates is None:
         templates = catalog()
     live = live_groups(pos.spec, pos.white)

@@ -93,8 +93,8 @@ EMPTY_4X4_EMBEDDINGS = {
 
 # detect(pos) in full: the first 16 hex digits of the SHA-256 of one line per
 # embedding (template name, cells, groups), and the embedding count.  On the
-# three 5x4 positions some marker cells are held by placements on different
-# groups, and only the first of those is kept.
+# first two 5x4 positions some marker cells are held by placements on
+# different groups, each of which is listed.
 DETECT_DIGESTS = {
     "empty4x4": ("d1e90eebdfa226dc", 5464),
     "fig1": ("6fe4e69d3d96cf63", 1),
@@ -109,9 +109,17 @@ DETECT_DIGESTS = {
     "fig9c": ("b87ea52d7e393ac4", 57),
     "fig10": ("6190c04d1e08adc3", 71),
     "fig11": ("f159304080862b90", 31),
+    "5 4 4 B\nX..O.\nO....\n...X.\n.....\n": ("255a6a98ff942219", 1927),
+    "5 4 4 B\n....X\n..X..\n.O...\nO....\n": ("40b9382c7ca12623", 489),
+    "5 4 4 B\nX.O..\nO....\nOXOX.\nX.O.X\n": ("fa5cbca5d701c45a", 4),
+}
+
+# detect(pos) as DETECT_DIGESTS pinned it while placements were classed by
+# their marker cells alone, keeping the first of each class: on these two
+# boards it listed fewer embeddings, and on every other board the same.
+CELLS_ONLY_DETECT_DIGESTS = {
     "5 4 4 B\nX..O.\nO....\n...X.\n.....\n": ("d4664bdf00cc8230", 1671),
     "5 4 4 B\n....X\n..X..\n.O...\nO....\n": ("6edcccd94da6e4d6", 407),
-    "5 4 4 B\nX.O..\nO....\nOXOX.\nX.O.X\n": ("fa5cbca5d701c45a", 4),
 }
 
 # A 5x4 position (Black to move) that only the residual search proves:
@@ -137,7 +145,7 @@ BUDGET_RESULTS = {
     "fig9c": [None] + ["e910f2ff451d4e0d"] * 3,
     "fig10": [None] + ["9bee93c5960c00dc"] * 3,
     "fig11": [None] + ["09d556fdbabadd6f"] * 3,
-    "residual5x4": [None, None, None, "b4dfe08ce75c3285"],
+    "residual5x4": [None] * 4,
     "ties4x4": [None, "2343fdfbebcbf2f0", "2343fdfbebcbf2f0", "744414a14b6107f8"],
 }
 
@@ -151,7 +159,7 @@ DEEP_BUDGET_RESULTS = {
     "4 4 4 B\n....\n....\n....\n.O.X\n": ["35f066ed7d5a1f1c"] * 4,
     "5 4 4 B\n.O...\n.....\n.....\n..XOX\n": ["d8d5f194f2236255"] * 4,
     "5 4 4 B\n....X\nXO...\n...O.\n.....\n": [None] + ["496d93e75d8b0e74"] * 3,
-    "5 4 4 B\nO.X..\n..O..\n.....\nX....\n": ["a8c7dbf9d4052cac"] * 4,
+    "5 4 4 B\nO.X..\n..O..\n.....\nX....\n": [None] + ["a8c7dbf9d4052cac"] * 3,
 }
 
 # Residual-pass proofs, keyed by board: budget -> digest.  Each proof lies
@@ -160,8 +168,8 @@ DEEP_BUDGET_RESULTS = {
 # for the first proof.  One that also drops the next candidate loses the
 # second proof, which takes an embedding and the next one in its pool.
 PASS3_ORDER_RESULTS = {
-    "5 4 4 B\n.X...\nXO...\n...O.\n.....\n": {192: None, 193: "4908b3ad21ea8e0a"},
-    "5 4 4 B\n.....\n..XOX\n.O...\nO..X.\n": {11: None, 12: "706a9b3c6ad26aa6"},
+    "5 4 4 B\n.X...\nXO...\n...O.\n.....\n": {213: None, 214: "4908b3ad21ea8e0a"},
+    "5 4 4 B\n.....\n..XOX\n.O...\nO..X.\n": {13: None, 14: "706a9b3c6ad26aa6"},
 }
 
 # prove_draw(pos) at the default budget, which the skipped subtrees of both
@@ -179,8 +187,8 @@ DEFAULT_BUDGET_RESULTS = {
 # random_legal_position: 4x4 openings with 2 stones (seed 7042), whose proofs
 # come from the cover pass, and 5x4 openings with 4 and 6 stones (seeds 7104
 # and 7106), 5x4 midgames with 8 and 10 stones (seeds 7108 and 7110) and one
-# 5x4 opening with 4 stones (seed 7054), all of whose placement tables hold
-# orbit classes of which more than one row is alive.
+# 5x4 opening with 4 stones (seed 7054), each of which keeps rows that place
+# the same marker cells, up to the template's symmetries, on different groups.
 SEEDED_RESULTS = {
     "4 4 4 B\n....\n....\n.X..\n..O.\n": ["575951119bb56033", "cadc7364237afad8", "cadc7364237afad8"],
     "4 4 4 B\n...X\n....\nO...\n....\n": ["77b0d1c59df3ff8a", "29de988c110b897c", "29de988c110b897c"],
@@ -230,7 +238,7 @@ TEMPLATE_LIST_RESULTS = {
         "fig9c": ["e910f2ff451d4e0d"] * 3,
         "fig10": ["9bee93c5960c00dc"] * 3,
         "fig11": ["09d556fdbabadd6f"] * 3,
-        "residual5x4": [None, "b4dfe08ce75c3285", "b4dfe08ce75c3285"],
+        "residual5x4": [None, None, "b4dfe08ce75c3285"],
         "ties4x4": ["2343fdfbebcbf2f0", "744414a14b6107f8", "744414a14b6107f8"],
     },
     "subset": {
@@ -434,6 +442,21 @@ class TestDetect:
         found = detect(parse_position(board_of(name)))
         assert (detect_digest(found), len(found)) == DETECT_DIGESTS[name]
 
+    @pytest.mark.parametrize("name", DETECT_DIGESTS)
+    def test_former_output_is_a_subset(self, name):
+        # The first embedding of each class of marker cells alone, in order,
+        # is what detect listed while it classed placements by their cells.
+        seen, former = set(), []
+        for e in detect(parse_position(board_of(name))):
+            t = e.template
+            index = {label: i for i, label in enumerate(t.labels)}
+            cls = (t.name, min(tuple(e.cells[index[p[x]]] for x in t.labels) for p in t.automorphisms))
+            if cls not in seen:
+                seen.add(cls)
+                former.append(e)
+        expected = CELLS_ONLY_DETECT_DIGESTS.get(name, DETECT_DIGESTS[name])
+        assert (detect_digest(former), len(former)) == expected
+
 
 # Positions of one board that grow a placement table's region in steps.
 OTHER_5X4 = (
@@ -599,50 +622,49 @@ class TestProveDrawTables:
 
 class TestKeptRows:
     """_kept_rows keeps, in table order, each row whose groups are live and
-    whose markers are empty, unless an earlier such row's marker cells are
-    an image of its own under the template's symmetries."""
+    whose markers are empty."""
 
     @staticmethod
     def reference(t, table, live, empty):
-        """The kept rows, and how many alive rows share an earlier one's orbit."""
+        """The kept rows, and how many of them place marker cells that are an
+        image of an earlier kept row's under the template's symmetries (on
+        other groups, as no two rows are images of each other)."""
         labels = sorted(t.markers)
         index = {label: i for i, label in enumerate(labels)}
         perms = symmetry_closure(t.markers, t.matching.symmetry)
         nm, width = len(labels), len(labels) + len(t.groups)
-        seen, kept, dropped = set(), [], 0
+        seen, kept, repeats = set(), [], 0
         for o in range(0, len(table.rows), width):
             cells, groups = table.rows[o : o + nm], table.rows[o + nm : o + width]
             if all(live >> g & 1 for g in groups) and all(empty >> b & 1 for b in cells):
+                kept.append(o // width)
                 orbit = min(tuple(cells[index[p[label]]] for label in labels) for p in perms)
-                if orbit in seen:
-                    dropped += 1
-                else:
-                    seen.add(orbit)
-                    kept.append(o // width)
-        return kept, dropped
+                repeats += orbit in seen
+                seen.add(orbit)
+        return kept, repeats
 
     @classmethod
     def check(cls, pos, templates):
         """Compare every template's kept rows with the reference; return the
-        tables' row counts and the alive rows dropped as orbit repeats."""
+        tables' row counts and the kept rows whose marker cells repeat."""
         live = live_groups(pos.spec, pos.white)
-        counts, dropped = [], 0
+        counts, repeated = [], 0
         for t in templates:
             table, kept = configs._kept_rows(pos.spec, t, live, pos.empty)
             expected, repeats = cls.reference(t, table, live, pos.empty)
             assert list(kept) == expected, t.name
             counts.append(len(table.rows) // (len(t.markers) + len(t.groups)))
-            dropped += repeats
-        return counts, dropped
+            repeated += repeats
+        return counts, repeated
 
     @pytest.mark.parametrize(
         "board",
         ["4 4 4 B\n....\n....\n....\n....\n", *SEEDED_RESULTS, *OTHER_5X4],
     )
     def test_matches_reference(self, board):
-        _, dropped = self.check(parse_position(board), configs._fixed_templates())
+        _, repeated = self.check(parse_position(board), configs._fixed_templates())
         if board in SEEDED_RESULTS and board.startswith("5"):
-            assert dropped
+            assert repeated
 
     @pytest.mark.parametrize("fig", ["fig8", "fig11"])
     def test_keys_past_64_bits(self, fig):
@@ -663,137 +685,137 @@ class TestKeptRows:
 
 # _placement_table(spec, template, live, empty) on each region below, for
 # every catalog template and the two size-5 cycle templates: the first 16 hex
-# digits of the SHA-256 over the SHA-256s of rows, keys, orbit, shared, rank
-# and columns (table_digest), and the row count.  Generated by the walk that
-# tested template symmetries only on whole assignments.
+# digits of the SHA-256 over the SHA-256s of rows, keys, rank and columns
+# (table_digest), and the row count.  Tables that also classed their rows by
+# marker cells gave the same digests.
 TABLE_DIGESTS = {
     'empty4x4': {
-        'Triangle': ('88250e30c9c07872', 288),
-        'Square': ('46622c61678f5a59', 3104),
-        'Triangle/Line': ('202d09d88c6843a3', 224),
-        'Square/Line': ('fe6f3aa24cbb0f6d', 1264),
-        'BiTriangle': ('1bed974e6a146bad', 320),
-        'BiTriangleX': ('46bfc526760ad41b', 0),
-        'FlatStar': ('3877cbcc1d34e645', 8),
-        'BiTriangle/Line': ('9b6404bec4c0c846', 192),
-        'BiTriangle/BiLine': ('e4497708960aecb1', 64),
-        'BiTriangleX/Line': ('46bfc526760ad41b', 0),
-        'FlatStar/Line': ('46bfc526760ad41b', 0),
-        'TriTriangleX': ('46bfc526760ad41b', 0),
-        'CycleN(5)': ('532f0255af1f6d8f', 6880),
-        'CycleNLine(5)': ('c6f3836ac805f372', 2496),
+        'Triangle': ('7090dba1d5e87b6f', 288),
+        'Square': ('fb3ef25a606d73b3', 3104),
+        'Triangle/Line': ('4e482ae8136dd965', 224),
+        'Square/Line': ('179694c681d5c1da', 1264),
+        'BiTriangle': ('6e0700a914cd40e8', 320),
+        'BiTriangleX': ('826cb9efb1703142', 0),
+        'FlatStar': ('2ad343ae0a1a3e47', 8),
+        'BiTriangle/Line': ('876ee912cba3b082', 192),
+        'BiTriangle/BiLine': ('3acdd50633718582', 64),
+        'BiTriangleX/Line': ('826cb9efb1703142', 0),
+        'FlatStar/Line': ('826cb9efb1703142', 0),
+        'TriTriangleX': ('826cb9efb1703142', 0),
+        'CycleN(5)': ('4a5c6fd5cfce72b6', 6880),
+        'CycleNLine(5)': ('86453bc5d9e11256', 2496),
     },
     'empty5x4': {
-        'Triangle': ('bd432b74bdc7df9b', 1008),
-        'Square': ('3c29ab31eba5a50c', 13032),
-        'Triangle/Line': ('69c0ae2c49d4e8d2', 920),
-        'Square/Line': ('f085b106a85a6b7b', 6272),
-        'BiTriangle': ('2642f877df9c85dd', 2720),
-        'BiTriangleX': ('d6d4a42b2d530729', 288),
-        'FlatStar': ('b0538246033a8f4a', 42),
-        'BiTriangle/Line': ('38d970d53becd857', 2544),
-        'BiTriangle/BiLine': ('f128416e5ae04d7e', 860),
-        'BiTriangleX/Line': ('4d2ffb70e2d417a0', 320),
-        'FlatStar/Line': ('bd11ddf9d8c7374b', 0),
-        'TriTriangleX': ('bd11ddf9d8c7374b', 0),
-        'CycleN(5)': ('57fde0e06abe61e0', 61344),
-        'CycleNLine(5)': ('c85b967eb89f2b82', 29632),
+        'Triangle': ('0a6e4ab59d4e316c', 1008),
+        'Square': ('0e79389ab001acd4', 13032),
+        'Triangle/Line': ('7746fcea5f52a650', 920),
+        'Square/Line': ('adfca7d44ef76c82', 6272),
+        'BiTriangle': ('d0fd4fc492c53654', 2720),
+        'BiTriangleX': ('20e58d542098b829', 288),
+        'FlatStar': ('e4b54b4b678de49d', 42),
+        'BiTriangle/Line': ('2dd7f144517810e6', 2544),
+        'BiTriangle/BiLine': ('e9145d0a902d6f9a', 860),
+        'BiTriangleX/Line': ('1715e8720aa3e13a', 320),
+        'FlatStar/Line': ('f751ac5192fa01bd', 0),
+        'TriTriangleX': ('f751ac5192fa01bd', 0),
+        'CycleN(5)': ('b7eab89921d3f9cf', 61344),
+        'CycleNLine(5)': ('19d7d866b6051bb0', 29632),
     },
     'other5x4_0': {
-        'Triangle': ('3bfe6ecd642433ea', 61),
-        'Square': ('12c28c5c2247148a', 211),
-        'Triangle/Line': ('55faefa81a3b773e', 9),
-        'Square/Line': ('a6d80f7db6844979', 11),
-        'BiTriangle': ('dc915a1e03f3e06b', 48),
-        'BiTriangleX': ('bd11ddf9d8c7374b', 0),
-        'FlatStar': ('bd11ddf9d8c7374b', 0),
-        'BiTriangle/Line': ('8dec61a73c312caf', 20),
-        'BiTriangle/BiLine': ('b369c3c104afa94e', 2),
-        'BiTriangleX/Line': ('bd11ddf9d8c7374b', 0),
-        'FlatStar/Line': ('bd11ddf9d8c7374b', 0),
-        'TriTriangleX': ('bd11ddf9d8c7374b', 0),
-        'CycleN(5)': ('876b1851b3bfa9dd', 352),
-        'CycleNLine(5)': ('bd11ddf9d8c7374b', 0),
+        'Triangle': ('8faf129238f24ba2', 61),
+        'Square': ('f7b0db029bab9117', 211),
+        'Triangle/Line': ('b5d237f1d1419ae9', 9),
+        'Square/Line': ('469a94c501389017', 11),
+        'BiTriangle': ('9e17cfb73748613a', 48),
+        'BiTriangleX': ('f751ac5192fa01bd', 0),
+        'FlatStar': ('f751ac5192fa01bd', 0),
+        'BiTriangle/Line': ('20c805f531687390', 20),
+        'BiTriangle/BiLine': ('90e7913ebc7d8e01', 2),
+        'BiTriangleX/Line': ('f751ac5192fa01bd', 0),
+        'FlatStar/Line': ('f751ac5192fa01bd', 0),
+        'TriTriangleX': ('f751ac5192fa01bd', 0),
+        'CycleN(5)': ('4f7e89bc4e004c37', 352),
+        'CycleNLine(5)': ('f751ac5192fa01bd', 0),
     },
     'other5x4_1': {
-        'Triangle': ('a5e028e05cdb3268', 316),
-        'Square': ('2f76b63e488b7b9e', 1878),
-        'Triangle/Line': ('999ea745ba89ca6d', 194),
-        'Square/Line': ('e1812b46a045bceb', 366),
-        'BiTriangle': ('7a4fed2dec8bf9c0', 120),
-        'BiTriangleX': ('0843d03f57f04045', 24),
-        'FlatStar': ('b391860fcca249db', 3),
-        'BiTriangle/Line': ('00406c27635c8734', 112),
-        'BiTriangle/BiLine': ('28b8fa5d684a85f0', 35),
-        'BiTriangleX/Line': ('73a9fc3721997300', 12),
-        'FlatStar/Line': ('bd11ddf9d8c7374b', 0),
-        'TriTriangleX': ('bd11ddf9d8c7374b', 0),
-        'CycleN(5)': ('885b4722c749b513', 5756),
-        'CycleNLine(5)': ('5ee4c072e8c5ee22', 1534),
+        'Triangle': ('434f1559d16ffd67', 316),
+        'Square': ('58b5047a6de9fd9a', 1878),
+        'Triangle/Line': ('1b4a541c16d7b842', 194),
+        'Square/Line': ('94ae8548f9219e90', 366),
+        'BiTriangle': ('2d1cf1258177ba1a', 120),
+        'BiTriangleX': ('202fe77460ad9de5', 24),
+        'FlatStar': ('8dff9e53d1aca3b5', 3),
+        'BiTriangle/Line': ('31ef3dd5c2fc3086', 112),
+        'BiTriangle/BiLine': ('5df343b5211fe9d1', 35),
+        'BiTriangleX/Line': ('5b2226ec10e0cf55', 12),
+        'FlatStar/Line': ('f751ac5192fa01bd', 0),
+        'TriTriangleX': ('f751ac5192fa01bd', 0),
+        'CycleN(5)': ('9498e24da04f79e6', 5756),
+        'CycleNLine(5)': ('a58a7b190cee94ac', 1534),
     },
     'other5x4_2': {
-        'Triangle': ('fe9b67de3fe5f131', 464),
-        'Square': ('2905ebe698185bc7', 4986),
-        'Triangle/Line': ('d347ab13850c3c27', 366),
-        'Square/Line': ('63aebd26a5aa11cb', 2157),
-        'BiTriangle': ('1b983ae6e3305196', 892),
-        'BiTriangleX': ('0ef18ef77d54cf2b', 100),
-        'FlatStar': ('3dfabeb7181d08a4', 13),
-        'BiTriangle/Line': ('89dd3424c592956a', 481),
-        'BiTriangle/BiLine': ('d34ea9108c6c7104', 113),
-        'BiTriangleX/Line': ('f0c55f371f7a4014', 73),
-        'FlatStar/Line': ('bd11ddf9d8c7374b', 0),
-        'TriTriangleX': ('bd11ddf9d8c7374b', 0),
-        'CycleN(5)': ('57ef65fb8e20bdc9', 12514),
-        'CycleNLine(5)': ('70dede168bc2da5b', 4195),
+        'Triangle': ('11cbe0b197f998ed', 464),
+        'Square': ('8298de1beab80d1a', 4986),
+        'Triangle/Line': ('e03e5e6f0944faa9', 366),
+        'Square/Line': ('6e9d79c5f1d98a51', 2157),
+        'BiTriangle': ('73907c06c726d833', 892),
+        'BiTriangleX': ('4ca6782a8ad2af44', 100),
+        'FlatStar': ('bbbe4299aaa29913', 13),
+        'BiTriangle/Line': ('8774a738c1ce5303', 481),
+        'BiTriangle/BiLine': ('6075d93e584e6b19', 113),
+        'BiTriangleX/Line': ('7a4ce13fb0954491', 73),
+        'FlatStar/Line': ('f751ac5192fa01bd', 0),
+        'TriTriangleX': ('f751ac5192fa01bd', 0),
+        'CycleN(5)': ('49107625cdd470d5', 12514),
+        'CycleNLine(5)': ('8bee2b436b09e051', 4195),
     },
     'fig8': {
-        'Triangle': ('94ec15a4c486c3f1', 18),
-        'Square': ('4ec4899764fbbac4', 24),
-        'Triangle/Line': ('3a6c26b4552929db', 12),
-        'Square/Line': ('83aa2485cd958c15', 0),
-        'BiTriangle': ('83aa2485cd958c15', 0),
-        'BiTriangleX': ('83aa2485cd958c15', 0),
-        'FlatStar': ('ee5f831450a2f150', 1),
-        'BiTriangle/Line': ('83aa2485cd958c15', 0),
-        'BiTriangle/BiLine': ('83aa2485cd958c15', 0),
-        'BiTriangleX/Line': ('83aa2485cd958c15', 0),
-        'FlatStar/Line': ('83aa2485cd958c15', 0),
-        'TriTriangleX': ('83aa2485cd958c15', 0),
-        'CycleN(5)': ('83aa2485cd958c15', 0),
-        'CycleNLine(5)': ('83aa2485cd958c15', 0),
+        'Triangle': ('490ca82506734299', 18),
+        'Square': ('3c0d2a5e87202ce7', 24),
+        'Triangle/Line': ('ab35d72b231b7816', 12),
+        'Square/Line': ('075aa693cacf3717', 0),
+        'BiTriangle': ('075aa693cacf3717', 0),
+        'BiTriangleX': ('075aa693cacf3717', 0),
+        'FlatStar': ('2a28bb6662734224', 1),
+        'BiTriangle/Line': ('075aa693cacf3717', 0),
+        'BiTriangle/BiLine': ('075aa693cacf3717', 0),
+        'BiTriangleX/Line': ('075aa693cacf3717', 0),
+        'FlatStar/Line': ('075aa693cacf3717', 0),
+        'TriTriangleX': ('075aa693cacf3717', 0),
+        'CycleN(5)': ('075aa693cacf3717', 0),
+        'CycleNLine(5)': ('075aa693cacf3717', 0),
     },
     'fig11': {
-        'Triangle': ('ee4e9335ef5ff252', 10),
-        'Square': ('b61ec4048e4991e1', 14),
-        'Triangle/Line': ('c06af957e899c810', 2),
-        'Square/Line': ('8565d2faf2cc8bdf', 0),
-        'BiTriangle': ('a72f8af830f24ee8', 3),
-        'BiTriangleX': ('26f51cce257e4d7b', 1),
-        'FlatStar': ('8565d2faf2cc8bdf', 0),
-        'BiTriangle/Line': ('8565d2faf2cc8bdf', 0),
-        'BiTriangle/BiLine': ('8565d2faf2cc8bdf', 0),
-        'BiTriangleX/Line': ('8565d2faf2cc8bdf', 0),
-        'FlatStar/Line': ('8565d2faf2cc8bdf', 0),
-        'TriTriangleX': ('712a47138ab195e7', 1),
-        'CycleN(5)': ('8565d2faf2cc8bdf', 0),
-        'CycleNLine(5)': ('8565d2faf2cc8bdf', 0),
+        'Triangle': ('4cbfa604a02df28c', 10),
+        'Square': ('1d1dbec5d201f970', 14),
+        'Triangle/Line': ('e12f85b532cd131f', 2),
+        'Square/Line': ('639b1e0facb91ba3', 0),
+        'BiTriangle': ('036c9a78f641bf57', 3),
+        'BiTriangleX': ('8e0ad5f25dd18758', 1),
+        'FlatStar': ('639b1e0facb91ba3', 0),
+        'BiTriangle/Line': ('639b1e0facb91ba3', 0),
+        'BiTriangle/BiLine': ('639b1e0facb91ba3', 0),
+        'BiTriangleX/Line': ('639b1e0facb91ba3', 0),
+        'FlatStar/Line': ('639b1e0facb91ba3', 0),
+        'TriTriangleX': ('1d6076a03ddc5c75', 1),
+        'CycleN(5)': ('639b1e0facb91ba3', 0),
+        'CycleNLine(5)': ('639b1e0facb91ba3', 0),
     },
     'corner17x16': {
-        'Triangle': ('0504640ad592f624', 1296),
-        'Square': ('63ee035701d5b1e1', 26568),
-        'Triangle/Line': ('a2469f4edd4d6d0d', 1080),
-        'Square/Line': ('13e1b8a00ec0187f', 11856),
-        'BiTriangle': ('49ffe1cf4bfbd0d4', 3348),
-        'BiTriangleX': ('800611098bc480e3', 216),
-        'FlatStar': ('02d9203ebffcb9be', 8),
-        'BiTriangle/Line': ('5851cbc37f8036df', 2032),
-        'BiTriangle/BiLine': ('0a57232015425802', 432),
-        'BiTriangleX/Line': ('44fbcd8ed80a505d', 160),
-        'FlatStar/Line': ('e93d1e8ff0f78e2a', 0),
-        'TriTriangleX': ('e93d1e8ff0f78e2a', 0),
-        'CycleN(5)': ('74ad3777ae93f13d', 173856),
-        'CycleNLine(5)': ('9799a37935b50be8', 92976),
+        'Triangle': ('a89f2eefa5dcc3ff', 1296),
+        'Square': ('f87b75ee091d6088', 26568),
+        'Triangle/Line': ('b2328bdaf1982aa5', 1080),
+        'Square/Line': ('e5431ace897c0fdb', 11856),
+        'BiTriangle': ('74a34ba6058006d5', 3348),
+        'BiTriangleX': ('e697857b91e1b6b4', 216),
+        'FlatStar': ('d71c1d5ab120f6f0', 8),
+        'BiTriangle/Line': ('8aff7a41795fc8c8', 2032),
+        'BiTriangle/BiLine': ('edfc76f22f8794eb', 432),
+        'BiTriangleX/Line': ('d2a6a53e94415971', 160),
+        'FlatStar/Line': ('3adf90119522a86c', 0),
+        'TriTriangleX': ('3adf90119522a86c', 0),
+        'CycleN(5)': ('119015e21fe03320', 173856),
+        'CycleNLine(5)': ('145390596b32c61f', 92976),
     },
 }
 
@@ -828,12 +850,10 @@ def table_digest(table):
             return field.typecode.encode() + copy.tobytes()
         if isinstance(field, bytes):
             return field
-        if isinstance(field, int):
-            return format(field, "x").encode()
         return b",".join(format(c, "x").encode() for c in field)
 
     h = hashlib.sha256()
-    for field in (table.rows, table.keys, table.orbit, table.shared, table.rank, table.columns):
+    for field in (table.rows, table.keys, table.rank, table.columns):
         h.update(hashlib.sha256(data(field)).digest())
     return h.hexdigest()[:16]
 
@@ -848,7 +868,40 @@ class TestPlacementTableDigests:
         spec, live, empty = table_regions()[region]
         for name, pinned in TABLE_DIGESTS[region].items():
             table = configs._placement_table(spec, template_by_name(name), live, empty)
-            assert (table_digest(table), len(table.orbit)) == pinned, name
+            assert (table_digest(table), len(table.rank)) == pinned, name
+
+    @pytest.mark.parametrize("region", TABLE_DIGESTS)
+    def test_no_row_is_an_image_of_another(self, region):
+        # Each row is one placement per symmetry class of its cells and
+        # groups: no two rows have the same least image under the template's
+        # automorphisms, a row's image reading its cells and groups through
+        # the permuted labels.
+        spec, live, empty = table_regions()[region]
+        for name in TABLE_DIGESTS[region]:
+            t = template_by_name(name)
+            table = configs._placement_table(spec, t, live, empty)
+            index = {x: i for i, x in enumerate(t.labels)}
+            group_at = {g: i for i, g in enumerate(t.groups)}
+            nm, width = t.num_markers, t.num_markers + t.num_groups
+            images = []
+            for p in t.automorphisms:
+                picks = [index[p[x]] for x in t.labels]
+                picks += [nm + group_at[frozenset(p[x] for x in g)] for g in t.groups]
+                images.append(list(zip(*[table.rows[k::width] for k in picks])))
+            assert len(set(map(min, *images))) == len(table.rank), name
+
+    @pytest.mark.parametrize(
+        "template",
+        [*catalog(), *(make(n) for n in range(3, 9) for make in (cycle_template, cycle_line_template))],
+        ids=lambda t: t.name,
+    )
+    def test_only_the_identity_fixes_every_group(self, template):
+        # So a symmetry that maps a row onto another moves some group, and
+        # the walk's skip of all but the least assignment of each class
+        # leaves no two rows images of each other.
+        groups = template.groups
+        fixing = [p for p in template.automorphisms if all(frozenset(map(p.get, g)) == g for g in groups)]
+        assert fixing == [{x: x for x in template.labels}]
 
 
 class TestProveDraw:
