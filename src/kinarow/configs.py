@@ -864,6 +864,7 @@ def prove_draw(
     cover_keys = list(first)
     cover = list(first.values())
     names = list(map(name_of.__getitem__, cover))
+    del order, ordered_keys, first  # one int and one dict entry per kept row
 
     # Cover pass: cover every live group with matching sets alone (empty
     # residual), branching on the least-flexible uncovered group: the one
@@ -952,6 +953,7 @@ def prove_draw(
     exact_cover((1 << len(cover)) - 1, [], 0, 0)
     if best_cover:
         return complete([cover[j] for j in best_cover[0][1]], all_mask, 0)
+    del cover_keys, cover, names, columns, cell_columns  # before the residual pass builds its own
 
     # Residual pass: independent candidates in keys order, each combination
     # completed by a residual pairing of the groups left over.  A node's pool
