@@ -27,13 +27,31 @@ class DeadGroupError(ValueError):
 def _match(rooms: Sequence[int]) -> tuple[bool, int]:
     """Reserve two cells of each room (a bitmask of usable cells), none twice.
 
-    Augmenting paths, where slot s takes a cell of rooms[s // 2].  Returns
-    (True, the reserved cells), or (False, the cells seen by the failed
-    augmenting search): the rooms it visited lie inside them and their slots
-    outnumber them, so taking cells away never yields a pairing unless a
-    room through one of those cells leaves play.
+    Rooms go from the smallest, so failures surface early.  A greedy pass
+    comes first, each room taking its two lowest unused cells.  Where it
+    fails, augmenting paths decide, where slot s takes a cell of room s // 2
+    in that order, starting from the cells the greedy pass gave the rooms
+    before the one it failed on.  Returns (True, the reserved cells, which
+    may come from the greedy pass alone), or (False, the cells seen by the
+    failed augmenting search): the rooms it visited lie inside them and
+    their slots outnumber them, so taking cells away never yields a pairing
+    unless a room through one of those cells leaves play.
     """
-    owner: dict[int, int] = {}  # cell bit -> the slot holding it
+    rooms = sorted(rooms, key=int.bit_count)
+    greedy = []  # the greedy pass's cells, slot by slot
+    used = 0
+    for room in rooms:
+        free = room & ~used
+        low = free & -free
+        free ^= low
+        if not free:
+            break
+        high = free & -free
+        greedy += (low, high)
+        used |= low | high
+    else:
+        return True, used
+    owner = {bit: slot for slot, bit in enumerate(greedy)}  # cell bit -> the slot holding it
     seen = 0  # cells visited by the current augmenting search
 
     def augment(slot: int) -> bool:
@@ -46,7 +64,7 @@ def _match(rooms: Sequence[int]) -> tuple[bool, int]:
                 return True
         return False
 
-    for slot in range(2 * len(rooms)):
+    for slot in range(len(greedy), 2 * len(rooms)):
         seen = 0
         if not augment(slot):
             return False, seen
@@ -67,7 +85,7 @@ def covering_exists(rooms: Sequence[int], free: int) -> bool:
     the rooms that miss it fit in the cells left.  One pairing for (b, w)
     also covers every other b off its reserved cells.
     """
-    rooms = sorted(rooms, key=int.bit_count)  # small rooms first: failures surface early
+    rooms = sorted(rooms, key=int.bit_count)
     paired, hall = _match(rooms)
     if paired:
         return True

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kinarow.board import (
     BLACK,
@@ -22,6 +22,7 @@ from kinarow.pairing import (
     DeadGroupError,
     Pairing,
     PairResponder,
+    _match,
     covering_exists,
     find_hj_pairing,
     pairing_exists,
@@ -136,6 +137,58 @@ class TestHallCondition:
             assert len(used) == len(set(used)) == 2 * n_groups
             for room, (a, b) in zip(rooms, got):
                 assert a < b and room >> a & 1 and room >> b & 1
+
+
+def greedy_pairs(rooms: list[int]) -> bool:
+    """Whether rooms from the smallest, each taking its two lowest unused cells, all pair."""
+    used = 0
+    for room in sorted(rooms, key=int.bit_count):
+        cells = [1 << b for b in range(room.bit_length()) if (room & ~used) >> b & 1]
+        if len(cells) < 2:
+            return False
+        used |= cells[0] | cells[1]
+    return True
+
+
+class TestMatcher:
+    # The first example beats the greedy pass: both rooms have three cells,
+    # the first takes bits 0 and 1, and the second is left with bit 3 alone,
+    # yet {1, 2} and {0, 3} pair them.
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda cells: st.lists(st.integers(0, (1 << cells) - 1), max_size=6)
+        )
+    )
+    @example([0b0111, 0b1011])
+    @example([])
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_exhaustive_search(self, rooms):
+        expected = first_exhaustive_pairing(rooms) is not None
+        paired, cells = _match(rooms)
+        assert paired == pairing_exists(rooms) == expected
+        if paired:
+            # No cell twice, and two of them in every room.
+            assert cells.bit_count() == 2 * len(rooms)
+            assert first_exhaustive_pairing([r & cells for r in rooms]) is not None
+        else:
+            # A Hall set: the rooms inside it demand more cells than it has.
+            assert 2 * sum(not r & ~cells for r in rooms) > cells.bit_count()
+
+    def test_augmenting_search_finds_what_greedy_misses(self):
+        # Seeded room lists over at most 10 cells: the matcher must find the
+        # pairings that the greedy pass misses.
+        rng = random.Random(26)
+        missed = 0
+        for _ in range(2000):
+            cells = rng.randint(2, 10)
+            rooms = [
+                sum(1 << b for b in rng.sample(range(cells), rng.randint(2, min(5, cells))))
+                for _ in range(rng.randint(1, 6))
+            ]
+            expected = first_exhaustive_pairing(rooms) is not None
+            assert pairing_exists(rooms) == expected, rooms
+            missed += expected and not greedy_pairs(rooms)
+        assert missed >= 20
 
 
 def naive_covering(rooms: list[int], free: int) -> bool:
