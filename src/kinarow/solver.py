@@ -6,10 +6,17 @@ The search state is two ints, the stone masks (`Position.black` and
 is one int, `own << m*n | opp`: each move adds one stone, so within one search
 the stone count fixes the side to move and the key names the same position as
 the (Black, White) pair.  Scores are from the side to move: +1 win, 0 draw, -1
-loss.  With pruning enabled, a Black-to-move node whose window admits a draw
-(alpha at least 0) is probed; a draw certificate there proves Black cannot win
-(value at most 0) and is a sound fail-low cutoff, so verdicts are identical
-across pruning modes.
+loss.  With pruning enabled, two probes cut nodes off, and verdicts are
+identical across pruning modes:
+
+- a Black-to-move node whose window admits a draw (alpha at least 0) asks
+  for a draw certificate, which proves Black cannot win (value at most 0):
+  a sound fail-low;
+- a node of either side whose window asks only for a non-loss (beta at most
+  0) asks whether the opponent's live groups pair on the empty cells, which
+  proves the mover cannot lose (value at least 0): a sound fail-high.
+
+Neither probe's result is written to the table.
 
 The search follows the threat rules of k-in-a-row solvers.  A side's threats
 are the empty cells that would complete a group holding no stone of the other
@@ -21,7 +28,7 @@ threat, so a node carries only its opponent's threats and, in this order:
 - facing two or more threats it loses (-1): one block leaves another
   completion, and the mover cannot win first;
 - it applies the live-group bounds below;
-- after the table lookup and the probe, facing one threat it searches only
+- after the table lookup and the probes, facing one threat it searches only
   the block, since any other move lets the opponent complete a group;
 - otherwise it searches every empty cell in the root's move order, less
   the dominated ones below.
@@ -81,6 +88,21 @@ group (`pairing.pairing_exists`).  In `setmatch` mode it also holds on a
 whole-board matching set one ply deep (`pairing.covering_exists`): every
 empty cell is a marker, and each Black move has a White reply after which a
 pairing covers every live group the reply does not kill.
+
+The opponent-pairing cutoff is the same pairing with the roles turned: the
+mover defends.  Say the opponent's live groups (those free of the mover's
+stones) have a pairing on the empty cells.  The mover makes any move, then
+answers each opponent move on a reserved cell with its partner, and any
+other opponent move anywhere.  Every live group of the opponent keeps a
+reserved cell out of the opponent's hands, so the opponent never completes
+one, and the mover's value is at least 0.  The mover's extra stones never
+hurt: one on a reserved cell kills the group that cell was reserved for, so
+that pair needs no answer any more, and one elsewhere touches no pair.  The
+"opponent not live" bound above is the case with no groups.  A group with
+one empty cell has no pair, so a lone threat rules the cutoff out, and so
+do fewer than two empty cells per live group of the opponent; the probe
+runs only past these free checks, then checks the count of the rooms'
+union before it asks the matcher.
 """
 
 from __future__ import annotations
@@ -199,7 +221,7 @@ def solve(
     black_parity = n_empty & 1 ^ (pos.to_move != BLACK)
     table: dict[int, tuple[int, int]] = {}
     lookup = table.get
-    nodes = hits = probes = prunes = 0
+    nodes = hits = probes = prunes = opp_prunes = 0
     cert_seconds = 0.0
 
     def certified(black: int, white: int) -> bool:
@@ -210,6 +232,25 @@ def solve(
         held = _probe(spec, groups, black, white, pruning)
         cert_seconds += perf_counter() - probed
         prunes += held
+        return held
+
+    def opponent_paired(opp_live: int, taken: int) -> bool:
+        """One counted and timed probe: whether the opponent's live groups pair on the empty cells."""
+        nonlocal probes, opp_prunes, cert_seconds
+        probes += 1
+        probed = perf_counter()
+        rooms = []
+        union = 0
+        while opp_live:
+            low = opp_live & -opp_live
+            opp_live ^= low
+            room = groups[low.bit_length() - 1] & ~taken
+            rooms.append(room)
+            union |= room
+        # One room of two cells or more pairs on its own.
+        held = union.bit_count() >= 2 * len(rooms) and (len(rooms) == 1 or pairing_exists(rooms))
+        cert_seconds += perf_counter() - probed
+        opp_prunes += held
         return held
 
     def threat_cells(through: list[int], own: int, opp: int) -> int:
@@ -253,8 +294,15 @@ def solve(
                 ):
                     hits += 1
                     return value
-        if probing and alpha >= 0 and empties_left & 1 == black_parity and certified(own, opp):
-            return 0
+        if probing:
+            if alpha >= 0:
+                if empties_left & 1 == black_parity and certified(own, opp):
+                    return 0
+            elif (
+                beta <= 0 and not threats and 2 * opp_live.bit_count() <= empties_left
+                and opponent_paired(opp_live, own | opp)
+            ):
+                return 0
         orig_alpha = alpha
         best = -2
         taken = own | opp
@@ -317,6 +365,8 @@ def solve(
     stats.nodes_examined, stats.table_hits, stats.cert_calls = nodes, hits, probes
     if prunes:
         stats.prune_events[pruning] = prunes
+    if opp_prunes:
+        stats.prune_events["opponent_pairing"] = opp_prunes
     stats.cert_seconds = cert_seconds
     stats.seconds = perf_counter() - started
     return (Verdict.BLACK_WIN, Verdict.DRAW, Verdict.WHITE_WIN)[1 - score], stats

@@ -20,7 +20,7 @@ from kinarow.board import (
     parse_position,
     winner,
 )
-from kinarow.pairing import find_hj_pairing
+from kinarow.pairing import find_hj_pairing, pairing_exists
 from kinarow.solver import (
     PRUNING_MODES,
     SearchGuardError,
@@ -38,7 +38,7 @@ from tests.test_board import load_fixture
 PINNED_COUNTERS = {
     "empty4x4": [
         ("Draw", 24556, 6540, {}),
-        ("Draw", 6899, 1785, {"hj": 40}),
+        ("Draw", 134, 0, {"hj": 30, "opponent_pairing": 52}),
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig1": [
@@ -48,8 +48,8 @@ PINNED_COUNTERS = {
     ],
     "fig2": [
         ("Draw", 103, 7, {}),
-        ("Draw", 48, 0, {"hj": 8}),
-        ("Draw", 48, 0, {"setmatch": 8}),
+        ("Draw", 43, 0, {"hj": 8, "opponent_pairing": 3}),
+        ("Draw", 43, 0, {"setmatch": 8, "opponent_pairing": 3}),
     ],
     "fig3": [
         ("Draw", 41, 3, {}),
@@ -58,38 +58,38 @@ PINNED_COUNTERS = {
     ],
     "fig4": [
         ("Draw", 120, 4, {}),
-        ("Draw", 55, 0, {"hj": 6}),
-        ("Draw", 55, 0, {"setmatch": 6}),
+        ("Draw", 50, 0, {"hj": 6, "opponent_pairing": 5}),
+        ("Draw", 50, 0, {"setmatch": 6, "opponent_pairing": 5}),
     ],
     "fig5": [
         ("Draw", 75, 6, {}),
-        ("Draw", 46, 1, {"hj": 11}),
-        ("Draw", 46, 1, {"setmatch": 11}),
+        ("Draw", 36, 0, {"hj": 11, "opponent_pairing": 4}),
+        ("Draw", 36, 0, {"setmatch": 11, "opponent_pairing": 4}),
     ],
     "fig7": [
         ("Draw", 99, 11, {}),
-        ("Draw", 32, 0, {"hj": 10}),
-        ("Draw", 32, 0, {"setmatch": 10}),
+        ("Draw", 30, 0, {"hj": 9, "opponent_pairing": 2}),
+        ("Draw", 30, 0, {"setmatch": 9, "opponent_pairing": 2}),
     ],
     "fig8": [
         ("Draw", 128, 11, {}),
-        ("Draw", 69, 4, {"hj": 11}),
-        ("Draw", 69, 4, {"setmatch": 11}),
+        ("Draw", 43, 0, {"hj": 11, "opponent_pairing": 6}),
+        ("Draw", 43, 0, {"setmatch": 11, "opponent_pairing": 6}),
     ],
     "fig9a": [
         ("Draw", 128, 10, {}),
-        ("Draw", 38, 0, {"hj": 14}),
-        ("Draw", 38, 0, {"setmatch": 14}),
+        ("Draw", 35, 0, {"hj": 13, "opponent_pairing": 3}),
+        ("Draw", 35, 0, {"setmatch": 13, "opponent_pairing": 3}),
     ],
     "fig9b": [
         ("Draw", 801, 109, {}),
-        ("Draw", 48, 0, {"hj": 18}),
-        ("Draw", 48, 0, {"setmatch": 18}),
+        ("Draw", 45, 0, {"hj": 17, "opponent_pairing": 3}),
+        ("Draw", 45, 0, {"setmatch": 17, "opponent_pairing": 3}),
     ],
     "fig9c": [
         ("Draw", 111, 17, {}),
-        ("Draw", 32, 0, {"hj": 9}),
-        ("Draw", 32, 0, {"setmatch": 9}),
+        ("Draw", 30, 0, {"hj": 9, "opponent_pairing": 2}),
+        ("Draw", 30, 0, {"setmatch": 9, "opponent_pairing": 2}),
     ],
     "fig10": [
         ("Draw", 118, 11, {}),
@@ -98,8 +98,8 @@ PINNED_COUNTERS = {
     ],
     "fig11": [
         ("WhiteWin", 746, 164, {}),
-        ("WhiteWin", 746, 164, {}),
-        ("WhiteWin", 746, 164, {}),
+        ("WhiteWin", 725, 161, {"opponent_pairing": 23}),
+        ("WhiteWin", 725, 161, {"opponent_pairing": 23}),
     ],
 }
 
@@ -114,18 +114,24 @@ WHITE_5X4 = "5 4 4 W\n.....\n..X..\nXXXO.\n.OO..\n"
 WHITE_WIN_5X4 = "5 4 4 W\n...X.\n.O.O.\n.X...\n....X\n"
 PINNED_TREES = {
     "white4x4-none": (WHITE_4X4, "none", ("Draw", 1850, 281, {}, 0)),
-    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 1389, 223, {"hj": 13}, 14)),
-    "white4x4-setmatch": (WHITE_4X4, "setmatch", ("Draw", 1389, 223, {"setmatch": 13}, 14)),
+    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 70, 0, {"hj": 12, "opponent_pairing": 34}, 48)),
+    "white4x4-setmatch": (
+        WHITE_4X4, "setmatch", ("Draw", 70, 0, {"setmatch": 12, "opponent_pairing": 34}, 48)
+    ),
     "white5x4-none": (WHITE_5X4, "none", ("WhiteWin", 2, 0, {}, 0)),
     "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 2, 0, {}, 0)),
     "white5x4-setmatch": (WHITE_5X4, "setmatch", ("WhiteWin", 2, 0, {}, 0)),
     "whitewin5x4-none": (WHITE_WIN_5X4, "none", ("WhiteWin", 258, 14, {}, 0)),
-    "whitewin5x4-hj": (WHITE_WIN_5X4, "hj", ("WhiteWin", 88, 1, {"hj": 13}, 16)),
+    "whitewin5x4-hj": (
+        WHITE_WIN_5X4, "hj", ("WhiteWin", 67, 1, {"hj": 9, "opponent_pairing": 13}, 31)
+    ),
     "whitewin5x4-setmatch": (
-        WHITE_WIN_5X4, "setmatch", ("WhiteWin", 88, 1, {"setmatch": 13}, 16)
+        WHITE_WIN_5X4, "setmatch",
+        ("WhiteWin", 67, 1, {"setmatch": 9, "opponent_pairing": 13}, 31),
     ),
     "empty4x4-hj": (
-        "4 4 4 B\n....\n....\n....\n....\n", "hj", ("Draw", 6899, 1785, {"hj": 40}, 41)
+        "4 4 4 B\n....\n....\n....\n....\n", "hj",
+        ("Draw", 134, 0, {"hj": 30, "opponent_pairing": 52}, 83),
     ),
 }
 
@@ -133,19 +139,19 @@ PINNED_TREES = {
 # Certificate probes per fixture, in PRUNING_MODES order: how often solve asks
 # for a certificate, whatever the answer.
 PINNED_CERT_CALLS = {
-    "empty4x4": [0, 41, 1],
+    "empty4x4": [0, 83, 1],
     "fig1": [0, 4, 1],
-    "fig2": [0, 14, 14],
+    "fig2": [0, 17, 17],
     "fig3": [0, 10, 1],
-    "fig4": [0, 18, 18],
-    "fig5": [0, 11, 11],
-    "fig7": [0, 10, 10],
-    "fig8": [0, 11, 11],
-    "fig9a": [0, 14, 14],
-    "fig9b": [0, 19, 19],
-    "fig9c": [0, 9, 9],
+    "fig4": [0, 23, 23],
+    "fig5": [0, 26, 26],
+    "fig7": [0, 11, 11],
+    "fig8": [0, 18, 18],
+    "fig9a": [0, 16, 16],
+    "fig9b": [0, 24, 24],
+    "fig9c": [0, 11, 11],
     "fig10": [0, 11, 11],
-    "fig11": [0, 0, 0],
+    "fig11": [0, 28, 28],
 }
 
 
@@ -370,12 +376,14 @@ class TestDominatedMoves:
         # The only live group is column e, White's, and it holds all three
         # empty cells: each lies in that group alone, so only e1, the lowest
         # bit, is searched at the root, then only e2, after which nothing is
-        # live.  The search is one line of three nodes.
+        # live.  The plain search is one line of three nodes.  With pruning,
+        # Black after e1 has no live group and only has to avoid losing, and
+        # White's group pairs on e2 and e4, so that node is cut: two nodes.
         pos = parse_position("5 4 4 W\nOOOX.\nXXXOO\nOOXX.\nXOXX.\n")
         assert dominated_cells(pos) == (set(), {1 << 9, 1 << 19})
         assert verdict_of(pos, plain_minimax(pos)) == Verdict.DRAW
         verdict, stats = solve(pos, pruning=mode, use_table=use_table)
-        assert (verdict, stats.nodes_examined) == (Verdict.DRAW, 3)
+        assert (verdict, stats.nodes_examined) == (Verdict.DRAW, 3 if mode == "none" else 2)
 
 
 # (verdict, nodes_examined) of TestThreats' single-threat position per
@@ -383,10 +391,10 @@ class TestDominatedMoves:
 PINNED_BLOCK = {
     ("none", True): ("Draw", 31),
     ("none", False): ("Draw", 31),
-    ("hj", True): ("Draw", 25),
-    ("hj", False): ("Draw", 25),
-    ("setmatch", True): ("Draw", 25),
-    ("setmatch", False): ("Draw", 25),
+    ("hj", True): ("Draw", 10),
+    ("hj", False): ("Draw", 10),
+    ("setmatch", True): ("Draw", 10),
+    ("setmatch", False): ("Draw", 10),
 }
 
 
@@ -570,6 +578,55 @@ class TestPruningConsistency:
         with_table, _ = solve(pos, pruning="hj")
         without, _ = solve(pos, pruning="hj", use_table=False)
         assert with_table == without
+
+
+class TestOpponentPairing:
+    def test_cutoff_keeps_the_plain_verdict(self):
+        # Seeded positions with at most 14 empty cells, either side to move,
+        # on k=3 and k=4 boards: hj and setmatch, with and without the table,
+        # must give the plain solver's verdict.  The pinned count of solves
+        # in which the opponent-pairing cutoff fired shows that the check
+        # exercises it.
+        specs = [
+            BoardSpec(3, 3, 3), BoardSpec(4, 3, 3), BoardSpec(5, 3, 3),
+            BoardSpec(4, 4, 3), BoardSpec(4, 4, 4), BoardSpec(5, 4, 4),
+        ]
+        rng = random.Random(26)
+        solves = fired = 0
+        for spec in specs:
+            checked = 0
+            while checked < 150:
+                pos = random_fill(rng, spec, rng.randint(2, min(14, spec.m * spec.n)))
+                if winner(pos) is not None:
+                    continue
+                checked += 1
+                expected, _ = solve(pos)
+                for mode in ("hj", "setmatch"):
+                    for use_table in (True, False):
+                        verdict, stats = solve(pos, pruning=mode, use_table=use_table)
+                        assert verdict == expected, (mode, use_table, pos)
+                        solves += 1
+                        fired += stats.prune_events["opponent_pairing"] > 0
+        assert (solves, fired) == (3600, 1072)
+
+    def test_paired_opponent_never_wins(self):
+        # The cutoff's claim, checked by unpruned minimax: where the groups
+        # free of the mover's stones pair on the empty cells, the mover does
+        # not lose, though it moves first and may break a pair itself.
+        rng = random.Random(2026)
+        specs = [BoardSpec(3, 3, 3), BoardSpec(4, 3, 3), BoardSpec(4, 4, 4)]
+        paired = 0
+        for i in range(900):
+            spec = specs[i % len(specs)]
+            pos = random_fill(rng, spec, rng.randint(2, min(8, spec.m * spec.n)))
+            if winner(pos) is not None:
+                continue
+            own = pos.black if pos.to_move == BLACK else pos.white
+            rooms = [g & pos.empty for g in group_masks(spec) if not g & own]
+            if rooms and pairing_exists(rooms):
+                paired += 1
+                assert plain_minimax(pos) >= 0, pos
+        assert paired >= 100, paired
 
 
 class TestDeterminism:
