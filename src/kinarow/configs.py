@@ -313,18 +313,21 @@ def _assignment_order(groups: Sequence[AbstractGroup]) -> list[int]:
     return order
 
 
+# Per bit i, the byte map that reads a byte as the ASCII digit of its bit i.
+_BIT_DIGITS = tuple(bytes(48 + (v >> i & 1) for v in range(256)) for i in range(8))
+
+
 def _columns(packed: bytes, width: int) -> list[int]:
     """Bitsets over keys packed side by side in (width + 7) // 8 little-endian
     bytes each: bit j of columns[b] is bit b of key j."""
     size = (width + 7) // 8
-    columns = [0] * width
-    # A block of 1024 keys is read out as binary text, where a column's share
-    # is a strided slice.
-    for start in range(0, len(packed), 1024 * size):
-        block = packed[start : start + 1024 * size]
-        text = format(int.from_bytes(block, "little"), "b").zfill(8 * len(block))
-        for b in range(width):
-            columns[b] |= int(text[8 * size - 1 - b :: 8 * size], 2) << start // size
+    columns = []
+    # Byte b // 8 of every key, last key first, maps to binary text whose
+    # digits are bit b of each key: one pass per column over all keys.
+    for b in range(width):
+        if b % 8 == 0:
+            plane = packed[b // 8 :: size][::-1]
+        columns.append(int(plane.translate(_BIT_DIGITS[b % 8]) or b"0", 2))
     return columns
 
 
