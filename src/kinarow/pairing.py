@@ -51,7 +51,7 @@ def _match(rooms: Sequence[int]) -> tuple[bool, int]:
         used |= low | high
     else:
         return True, used
-    owner = {bit: slot for slot, bit in enumerate(greedy)}  # cell bit -> the slot holding it
+    owner = {bit: slot for slot, bit in enumerate(greedy)}  # cell bit -> its slot
     seen = 0  # cells visited by the current augmenting search
 
     def augment(slot: int) -> bool:
@@ -85,7 +85,6 @@ def covering_exists(rooms: Sequence[int], free: int) -> bool:
     the rooms that miss it fit in the cells left.  One pairing for (b, w)
     also covers every other b off its reserved cells.
     """
-    rooms = sorted(rooms, key=int.bit_count)
     paired, hall = _match(rooms)
     if paired:
         return True
