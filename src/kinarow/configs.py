@@ -314,7 +314,7 @@ def _assignment_order(groups: Sequence[AbstractGroup]) -> list[int]:
 
 
 # Per bit i, the byte map that reads a byte as the ASCII digit of its bit i.
-_BIT_DIGITS = tuple(bytes(48 + (v >> i & 1) for v in range(256)) for i in range(8))
+_BIT_DIGITS = tuple((b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8))
 
 
 def _columns(packed: bytes, width: int) -> list[int]:
