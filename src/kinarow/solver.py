@@ -235,7 +235,7 @@ def solve(
         return held
 
     def opponent_paired(opp_live: int, taken: int) -> bool:
-        """One counted and timed probe: whether the opponent's live groups pair on the empty cells."""
+        """One counted and timed probe: whether opp_live's groups pair outside taken."""
         nonlocal probes, opp_prunes, cert_seconds
         probes += 1
         probed = perf_counter()
