@@ -30,7 +30,6 @@ from .configs import (
 from .solver import (
     SearchGuardError,
     format_report,
-    report_as_dicts,
     solve,
     verify_draw_claims,
 )
@@ -224,8 +223,8 @@ def _cmd_table1(args) -> int:
     reports = verify_draw_claims(fixtures)
     print(format_report(reports))
     if args.json:
-        print(json.dumps(report_as_dicts(reports), indent=2))
-    bad = mismatches or any(r.certificate_status != "Valid" for r in reports)
+        print(json.dumps(reports, indent=2))
+    bad = mismatches or any(r["certificate_status"] != "Valid" for r in reports)
     return 1 if bad else 0
 
 

@@ -81,13 +81,19 @@ The root sorts the empty cells once: most groups through the cell that are
 live for either side first, so cells in no such group go last, then nearest
 the centre, then by (row, col).
 
-A probe works on the masks.  A live Black group (no White stone) with at most
-one empty cell means Black completes it next move, so no certificate exists.
-Otherwise a probe holds when a pairing reserves two empty cells of every live
-group (`pairing.pairing_exists`).  In `setmatch` mode it also holds on a
-whole-board matching set one ply deep (`pairing.covering_exists`): every
-empty cell is a marker, and each Black move has a White reply after which a
-pairing covers every live group the reply does not kill.
+Every probe is one call of `_probe(groups, live, free, cover)`, whose rooms
+are the groups of a live set cut to the empty cells: Black's for the Black
+probe, the opponent's for the cutoff below.  It holds when a pairing reserves
+two empty cells of every room (`pairing.pairing_exists`, after a union
+count), or with cover, in the `setmatch` Black probe, on a whole-board
+matching set one ply deep (`pairing.covering_exists`): every empty cell is a
+marker, and each Black move has a White reply after which a pairing covers
+every live group the reply does not kill.  A room of fewer than two cells is
+a finished game or a threat of its holder, and no probe meets one: the root
+takes the mover's threat as a win, no node below has one, and the cutoff
+runs only with no opponent threat (both matchers would answer False).
+`solve` reads `_probe` as a module global at each call, so a test can wrap
+it and check each claim where it fires.
 
 The opponent-pairing cutoff is the same pairing with the roles turned: the
 mover defends.  Say the opponent's live groups (those free of the mover's
@@ -101,8 +107,7 @@ that pair needs no answer any more, and one elsewhere touches no pair.  The
 "opponent not live" bound above is the case with no groups.  A group with
 one empty cell has no pair, so a lone threat rules the cutoff out, and so
 do fewer than two empty cells per live group of the opponent; the probe
-runs only past these free checks, then checks the count of the rooms'
-union before it asks the matcher.
+runs only past these free checks.
 """
 
 from __future__ import annotations
@@ -146,15 +151,20 @@ class SearchStats:
     cert_seconds: float = 0.0  # inside certificate probes
 
 
-def _probe(spec: BoardSpec, groups: Sequence[int], black: int, white: int, pruning: str) -> bool:
-    """Whether a certificate proves that Black, to move, cannot complete any of the group masks."""
-    free = (1 << spec.m * spec.n) - 1 & ~(black | white)
-    rooms = [g & free for g in groups if not g & white]
-    if any(room.bit_count() < 2 for room in rooms):
-        return False
-    if pruning == "setmatch":
+def _probe(groups: Sequence[int], live: int, free: int, cover: bool) -> bool:
+    """Whether the groups named by the bits of live, each cut to its cells in
+    free, pair on free, or with cover have a one-ply covering on free."""
+    rooms = []
+    union = 0
+    while live:
+        low = live & -live
+        live ^= low
+        room = groups[low.bit_length() - 1] & free
+        rooms.append(room)
+        union |= room
+    if cover:
         return covering_exists(rooms, free)
-    return pairing_exists(rooms)
+    return union.bit_count() >= 2 * len(rooms) and pairing_exists(rooms)
 
 
 @lru_cache(maxsize=None)
@@ -221,36 +231,21 @@ def solve(
     black_parity = n_empty & 1 ^ (pos.to_move != BLACK)
     table: dict[int, tuple[int, int]] = {}
     lookup = table.get
-    nodes = hits = probes = prunes = opp_prunes = 0
+    full = (1 << shift) - 1
+    setmatch = pruning == "setmatch"
+    events = stats.prune_events
+    nodes = hits = probes = 0
     cert_seconds = 0.0
 
-    def certified(black: int, white: int) -> bool:
-        """One counted and timed probe of a Black-to-move node."""
-        nonlocal probes, prunes, cert_seconds
+    def probe(live: int, free: int, cover: bool, event: str) -> bool:
+        """One counted and timed `_probe`; a hit counts under prune_events[event]."""
+        nonlocal probes, cert_seconds
         probes += 1
         probed = perf_counter()
-        held = _probe(spec, groups, black, white, pruning)
+        held = _probe(groups, live, free, cover)
         cert_seconds += perf_counter() - probed
-        prunes += held
-        return held
-
-    def opponent_paired(opp_live: int, taken: int) -> bool:
-        """One counted and timed probe: whether opp_live's groups pair outside taken."""
-        nonlocal probes, opp_prunes, cert_seconds
-        probes += 1
-        probed = perf_counter()
-        rooms = []
-        union = 0
-        while opp_live:
-            low = opp_live & -opp_live
-            opp_live ^= low
-            room = groups[low.bit_length() - 1] & ~taken
-            rooms.append(room)
-            union |= room
-        # One room of two cells or more pairs on its own.
-        held = union.bit_count() >= 2 * len(rooms) and (len(rooms) == 1 or pairing_exists(rooms))
-        cert_seconds += perf_counter() - probed
-        opp_prunes += held
+        if held:
+            events[event] += 1
         return held
 
     def threat_cells(through: list[int], own: int, opp: int) -> int:
@@ -294,18 +289,18 @@ def solve(
                 ):
                     hits += 1
                     return value
+        taken = own | opp
         if probing:
             if alpha >= 0:
-                if empties_left & 1 == black_parity and certified(own, opp):
+                if empties_left & 1 == black_parity and probe(own_live, full ^ taken, setmatch, pruning):
                     return 0
             elif (
                 beta <= 0 and not threats and 2 * opp_live.bit_count() <= empties_left
-                and opponent_paired(opp_live, own | opp)
+                and probe(opp_live, full ^ taken, False, "opponent_pairing")
             ):
                 return 0
         orig_alpha = alpha
         best = -2
-        taken = own | opp
         live = own_live | opp_live
         for bit, through, keep in (cell_moves[threats.bit_length() - 1],) if threats else moves:
             if taken & bit:
@@ -354,7 +349,7 @@ def solve(
         nodes, score = 1, 1
     # Headline shortcut: on the fully empty board the first player's value is
     # at least a draw (strategy stealing), so a certificate decides it outright.
-    elif probing and pos.to_move == BLACK and not (black | white) and certified(black, white):
+    elif probing and not (black | white) and probe(own_live, empty, setmatch, pruning):
         nodes, score = 1, 0
     else:
         score = negamax(
@@ -363,23 +358,9 @@ def solve(
     if pos.to_move != BLACK:
         score = -score
     stats.nodes_examined, stats.table_hits, stats.cert_calls = nodes, hits, probes
-    if prunes:
-        stats.prune_events[pruning] = prunes
-    if opp_prunes:
-        stats.prune_events["opponent_pairing"] = opp_prunes
     stats.cert_seconds = cert_seconds
     stats.seconds = perf_counter() - started
     return (Verdict.BLACK_WIN, Verdict.DRAW, Verdict.WHITE_WIN)[1 - score], stats
-
-
-@dataclass
-class FixtureReport:
-    name: str
-    verdict: Verdict
-    nodes_none: int
-    nodes_hj: int
-    nodes_setmatch: int
-    certificate_status: str
 
 
 REPORT_HEADER = (
@@ -389,12 +370,13 @@ REPORT_HEADER = (
 )
 
 
-def verify_draw_claims(fixtures: Sequence[tuple[str, str, str | None]]) -> list[FixtureReport]:
+def verify_draw_claims(fixtures: Sequence[tuple[str, str, str | None]]) -> list[dict]:
     """Solve each fixture in all pruning modes and validate its bundled certificate.
 
-    Each fixture is (name, board_text, certificate_text_or_None).  A BlackWin
-    verdict on any fixture is a loud failure: it would falsify the claimed
-    draw proof.
+    Each fixture is (name, board_text, certificate_text_or_None).  Each report
+    holds the fixture name, the plain solve's verdict, the node count of each
+    pruning mode and the certificate status.  A BlackWin verdict on any
+    fixture is a loud failure: it would falsify the claimed draw proof.
     """
     from .board import parse_position
     from .certio import certificate_from_json
@@ -403,9 +385,8 @@ def verify_draw_claims(fixtures: Sequence[tuple[str, str, str | None]]) -> list[
     reports = []
     for name, board_text, cert_text in fixtures:
         pos = parse_position(board_text)
-        verdict, s_none = solve(pos, pruning="none")
-        _, s_hj = solve(pos, pruning="hj")
-        _, s_sm = solve(pos, pruning="setmatch")
+        solved = {mode: solve(pos, pruning=mode) for mode in PRUNING_MODES}
+        verdict = solved["none"][0]
         if cert_text is None:
             status = "missing"
         else:
@@ -415,38 +396,20 @@ def verify_draw_claims(fixtures: Sequence[tuple[str, str, str | None]]) -> list[
             raise AssertionError(
                 f"fixture {name}: oracle verdict is BlackWin, draw claim falsified"
             )
-        reports.append(
-            FixtureReport(
-                name,
-                verdict,
-                s_none.nodes_examined,
-                s_hj.nodes_examined,
-                s_sm.nodes_examined,
-                status,
-            )
-        )
+        reports.append({
+            "fixture": name,
+            "verdict": str(verdict),
+            **{f"nodes_{mode}": stats.nodes_examined for mode, (_, stats) in solved.items()},
+            "certificate_status": status,
+        })
     return reports
 
 
-def format_report(reports: Sequence[FixtureReport]) -> str:
+def format_report(reports: Sequence[dict]) -> str:
     lines = [REPORT_HEADER]
     for r in reports:
         lines.append(
-            f"{r.name:12s} {str(r.verdict):9s} {r.nodes_none:10d} "
-            f"{r.nodes_hj:10d} {r.nodes_setmatch:14d} {r.certificate_status:>12s}"
+            f"{r['fixture']:12s} {r['verdict']:9s} {r['nodes_none']:10d} "
+            f"{r['nodes_hj']:10d} {r['nodes_setmatch']:14d} {r['certificate_status']:>12s}"
         )
     return "\n".join(lines)
-
-
-def report_as_dicts(reports: Sequence[FixtureReport]) -> list[dict]:
-    return [
-        {
-            "fixture": r.name,
-            "verdict": str(r.verdict),
-            "nodes_none": r.nodes_none,
-            "nodes_hj": r.nodes_hj,
-            "nodes_setmatch": r.nodes_setmatch,
-            "certificate_status": r.certificate_status,
-        }
-        for r in reports
-    ]

@@ -17,6 +17,7 @@ from kinarow.board import (
     empty_position,
     group_masks,
     live_black_groups,
+    live_groups,
     parse_position,
     winner,
 )
@@ -179,6 +180,12 @@ def black_can_complete(groups: tuple[int, ...], black: int, white: int, board: i
         return memo[black, white]
 
     return wins(black, white, [g for g in groups if not g & white])
+
+
+def black_probe(pos: Position, mode: str) -> bool:
+    """The solver's probe of pos with Black to move in pruning mode `mode`."""
+    spec = pos.spec
+    return _probe(group_masks(spec), live_groups(spec, pos.white), pos.empty, mode == "setmatch")
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -485,7 +492,7 @@ class TestProbe:
             if pos.to_move != BLACK:
                 continue
             expected = find_hj_pairing(pos, live_black_groups(pos)) is not None
-            assert _probe(spec, group_masks(spec), pos.black, pos.white, "hj") == expected, pos
+            assert black_probe(pos, "hj") == expected, pos
             outcomes.append(expected)
         assert len(outcomes) >= 1000
         assert 100 <= sum(outcomes) <= len(outcomes) - 100
@@ -502,14 +509,14 @@ class TestProbe:
     def test_group_one_move_from_done_skips_prove_draw(self, no_prove_draw):
         # Black threatens d1: no certificate can exist, and none is sought.
         pos = parse_position("4 4 4 B\n....\nO...\nOO..\nXXX.\n")
-        assert not _probe(pos.spec, group_masks(pos.spec), pos.black, pos.white, "setmatch")
+        assert not black_probe(pos, "setmatch")
 
     def test_setmatch_probe_holds_on_empty_4x4_without_prove_draw(self, no_prove_draw):
         # The empty 4x4 board has no pairing (10 groups, 16 cells), but after
         # every Black move some White reply leaves the rest a pairing.
-        spec = BoardSpec(4, 4, 4)
-        assert not _probe(spec, group_masks(spec), 0, 0, "hj")
-        assert _probe(spec, group_masks(spec), 0, 0, "setmatch")
+        pos = empty_position(BoardSpec(4, 4, 4))
+        assert not black_probe(pos, "hj")
+        assert black_probe(pos, "setmatch")
 
     @pytest.mark.parametrize("fixture", PINNED_CERT_CALLS)
     def test_solve_never_calls_prove_draw(self, no_prove_draw, fixture):
@@ -537,12 +544,50 @@ class TestProbe:
             groups = group_masks(spec)
             if winner(pos) is not None:
                 continue
-            if not _probe(spec, groups, pos.black, pos.white, "setmatch"):
+            if not black_probe(pos, "setmatch"):
                 continue
             assert not black_can_complete(groups, pos.black, pos.white, (1 << cells) - 1), pos
             checked += 1
-            covered += not _probe(spec, groups, pos.black, pos.white, "hj")
+            covered += not black_probe(pos, "hj")
         assert checked >= 300 and covered >= 20, (checked, covered)
+
+    def test_every_hit_holds_where_it_fires(self, monkeypatch):
+        # Each probe that holds claims that the holder of the probed groups,
+        # moving first on the free cells, completes none of them: Black at a
+        # Black probe, the opponent at a cutoff.  The holder's stones are the
+        # groups' cells outside free, since no probed group holds a stone of
+        # the other side.  The maker-breaker oracle checks each claim at the
+        # node where it fires, which a verdict sweep cannot: a cut there may
+        # not decide the root.
+        probe = kinarow.solver._probe
+        hits = {False: 0, True: 0}
+
+        def checked(groups, live, free, cover):
+            held = probe(groups, live, free, cover)
+            if held:
+                probed = [g for i, g in enumerate(groups) if live >> i & 1]
+                holder = functools.reduce(int.__or__, probed) & ~free
+                assert not black_can_complete(probed, holder, 0, holder | free), (live, free)
+                hits[cover] += 1
+            return held
+
+        monkeypatch.setattr(kinarow.solver, "_probe", checked)
+        specs = [
+            BoardSpec(3, 3, 3), BoardSpec(4, 3, 3), BoardSpec(5, 3, 3),
+            BoardSpec(4, 4, 3), BoardSpec(4, 4, 4), BoardSpec(5, 4, 4),
+        ]
+        rng = random.Random(28)
+        for spec in specs:
+            checked_positions = 0
+            while checked_positions < 20:
+                pos = random_fill(rng, spec, rng.randint(2, min(10, spec.m * spec.n)))
+                if winner(pos) is not None:
+                    continue
+                checked_positions += 1
+                for mode in ("hj", "setmatch"):
+                    solve(pos, pruning=mode)
+        # (pairing hits, covering hits), so the check is seen to run.
+        assert (hits[False], hits[True]) == (338, 128)
 
     @pytest.mark.parametrize("board,expected", [
         ("4 4 4 B\n....\nO...\nOO..\nXXX.\n", True),  # d1 completes the row
@@ -704,11 +749,11 @@ class TestReport:
             ("fig3", load_fixture("fig3.board"), None),
         ]
         reports = verify_draw_claims(fixtures)
-        assert [r.name for r in reports] == ["fig1", "fig3"]
-        assert reports[0].certificate_status == "Valid"
-        assert reports[1].certificate_status == "missing"
+        assert [r["fixture"] for r in reports] == ["fig1", "fig3"]
+        assert reports[0]["certificate_status"] == "Valid"
+        assert reports[1]["certificate_status"] == "missing"
         for r in reports:
-            assert r.nodes_setmatch <= r.nodes_hj <= r.nodes_none
+            assert r["nodes_setmatch"] <= r["nodes_hj"] <= r["nodes_none"]
         text = format_report(reports)
         assert "fig1" in text and "nodes_none" in text
 
