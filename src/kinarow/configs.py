@@ -93,23 +93,30 @@ class ConfigTemplate:
         """Every label permutation that maps the groups onto the groups and
         the main pair onto itself, sorted by its images in label order.
 
-        A backtracking search maps the labels in label order, each to a free
-        label of the same group count and main-pair membership, tried in
-        label order, and drops a partial map as soon as a group whose labels
-        are all mapped lands off the groups.
+        A backtracking search maps the labels group by group in
+        _assignment_order, each to a free label of the same group count and
+        main-pair membership, tried in label order, and drops a partial map
+        as soon as a group whose labels are all mapped lands off the groups.
+        On a cycle a group closes every step or two, where label order would
+        map all the corners before any group closes.
         """
         labels, groups, main = self.labels, set(self.groups), set(self.main_markers)
         degree = {x: sum(x in g for g in groups) for x in labels}
-        # closing[i]: the groups whose last label in label order is labels[i].
-        closing = [[g for g in groups if max(g) == x] for x in labels]
+        order: list[Label] = []
+        for i in _assignment_order(self.groups):
+            order += sorted(self.groups[i].difference(order))
+        order += sorted(set(labels).difference(order))
+        step = {x: i for i, x in enumerate(order)}
+        # closing[i]: the groups whose last label in that order is order[i].
+        closing = [[g for g in groups if max(map(step.__getitem__, g)) == i] for i in range(len(order))]
         image: dict[Label, Label] = {}
         found = []
 
         def extend(i: int) -> None:
-            if i == len(labels):
-                found.append(dict(image))
+            if i == len(order):
+                found.append({x: image[x] for x in labels})
                 return
-            x = labels[i]
+            x = order[i]
             for y in labels:
                 if y in image.values() or degree[y] != degree[x] or (y in main) != (x in main):
                     continue
@@ -119,6 +126,7 @@ class ConfigTemplate:
                 del image[x]
 
         extend(0)
+        found.sort(key=lambda perm: tuple(perm.values()))
         return found
 
     @functools.cached_property

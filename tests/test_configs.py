@@ -40,7 +40,7 @@ from kinarow.configs import (
     template_by_name,
     validate_catalog,
 )
-from kinarow.setmatch import MatchingSet, expand_coverings, symmetry_closure
+from kinarow.setmatch import MatchingSet, expand_coverings, symmetry_closure, verify_abstract
 from tests.test_acceptance import random_legal_position
 from tests.test_board import load_fixture
 
@@ -385,6 +385,19 @@ class TestCatalog:
         # Swapping a and c keeps this path's groups but moves its main pair.
         t = configs.ConfigTemplate("Path", frozenset("abc"), (frozenset("ab"), frozenset("bc")), ("a", "b"))
         assert t.automorphisms == self.brute_automorphisms(t) == [{"a": "a", "b": "b", "c": "c"}]
+
+    @pytest.mark.parametrize(
+        "template",
+        [make(n) for n in range(3, 14) for make in (cycle_template, cycle_line_template)],
+        ids=lambda t: t.name,
+    )
+    def test_every_cycle_size_derives_its_matching(self, template):
+        # The search maps labels group by group, so it finishes on every size
+        # cycle_template accepts: the identity and the mirror that swaps the
+        # main pair, and for CycleNLine(4), whose line group closes a second
+        # 4-cycle through the main group, two more.
+        assert len(template.automorphisms) == (4 if template.name == "CycleNLine(4)" else 2)
+        assert verify_abstract(template.matching).valid
 
     def test_generators_of_the_former_hand_lists(self):
         # The symmetry lists these templates spelled out before they were derived.
@@ -895,8 +908,8 @@ class TestPlacementTableDigests:
         # leaves no two rows images of each other.  A label permutation maps
         # every group to itself exactly when it keeps each label's set of
         # groups, so only the identity does when no two labels share that
-        # set.  This reads the groups, not automorphisms, whose search takes
-        # seconds from CycleNLine(9) on.
+        # set.  This reads the groups alone, not the automorphisms whose
+        # search it lets the placement tables rely on.
         holding = [frozenset(g for g in template.groups if x in g) for x in template.labels]
         assert len(set(holding)) == len(holding)
 
