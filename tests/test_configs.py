@@ -908,8 +908,8 @@ class TestPlacementTableDigests:
         # leaves no two rows images of each other.  A label permutation maps
         # every group to itself exactly when it keeps each label's set of
         # groups, so only the identity does when no two labels share that
-        # set.  This reads the groups alone, not the automorphisms whose
-        # search it lets the placement tables rely on.
+        # set.  This reads the groups, so it does not rest on the
+        # automorphism search.
         holding = [frozenset(g for g in template.groups if x in g) for x in template.labels]
         assert len(set(holding)) == len(holding)
 
