@@ -182,8 +182,9 @@ class Position:
         return [(i % m, i // m) for i in range(empty.bit_length()) if empty >> i & 1]
 
 
-def empty_position(spec: BoardSpec, to_move: str = BLACK) -> Position:
-    return Position(spec, 0, 0, to_move)
+def empty_position(spec: BoardSpec) -> Position:
+    """The empty board, Black to move."""
+    return Position(spec, 0, 0, BLACK)
 
 
 def apply_move(pos: Position, cell: Cell) -> Position:

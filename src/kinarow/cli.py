@@ -28,6 +28,7 @@ from .configs import (
     template_by_name,
 )
 from .solver import (
+    PRUNING_MODES,
     SearchGuardError,
     format_report,
     solve,
@@ -244,7 +245,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="exact game value of a board file")
     sp.add_argument("--board", required=True)
-    sp.add_argument("--method", choices=("none", "hj", "setmatch"), default="none")
+    sp.add_argument("--method", choices=PRUNING_MODES, default="none")
     sp.set_defaults(func=_cmd_solve)
 
     dp = sub.add_parser("detect", help="list configuration embeddings on a board")

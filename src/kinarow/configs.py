@@ -10,6 +10,7 @@ embeddings with a residual pairing to cover every live Black group.
 from __future__ import annotations
 
 import functools
+import re
 import string
 import struct
 import sys
@@ -49,14 +50,18 @@ AbstractGroup = frozenset
 
 @dataclass(frozen=True)
 class ConfigTemplate:
-    """A configuration: its marker labels, its groups over them, and the main
-    pair of markers that answer each other.  Its symmetries and coverings
+    """A configuration: its groups over marker labels, and the main pair of
+    markers that answer each other.  Its markers, symmetries and coverings
     follow from these and are derived on first use (matching)."""
 
     name: str
-    markers: frozenset
     groups: tuple[AbstractGroup, ...]
     main_markers: tuple[Label, Label]
+
+    @functools.cached_property
+    def markers(self) -> frozenset:
+        """Every label of a group: each marker lies in a group."""
+        return frozenset().union(*self.groups)
 
     @functools.cached_property
     def labels(self) -> tuple[Label, ...]:
@@ -201,7 +206,7 @@ def cycle_template(n: int) -> ConfigTemplate:
         sides += [(corners[i], corners[i + 1]) for i in range(2, n - 1)]
     groups = [frozenset((a, b))]
     groups += [frozenset((u, e, v)) for (u, v), e in zip(sides, edges)]
-    return ConfigTemplate(f"CycleN({n})", frozenset(letters[: 2 * n - 1]), tuple(groups), (a, b))
+    return ConfigTemplate(f"CycleN({n})", tuple(groups), (a, b))
 
 
 def cycle_line_template(n: int) -> ConfigTemplate:
@@ -212,57 +217,52 @@ def cycle_line_template(n: int) -> ConfigTemplate:
     e2 = letters[n + 1]  # edge marker on the side at b
     extra = letters[2 * n - 1]
     groups = base.groups + (frozenset((e1, extra, e2)),)
-    return ConfigTemplate(f"CycleNLine({n})", frozenset(letters[: 2 * n]), groups, base.main_markers)
+    return ConfigTemplate(f"CycleNLine({n})", groups, base.main_markers)
 
 
-# The catalog, one template a row: name, marker labels, groups, main pair.
+# The catalog, one template a row: name, groups, main pair.
 _TEMPLATE_ROWS = (
-    ("Triangle", "abcde", "ab adc bec", "ab"),
-    ("Square", "abcdefg", "ab aed bfc cgd", "ab"),
-    ("Triangle/Line", "abcdef", "ab adc bec dfe", "ab"),
-    ("Square/Line", "abcdefgh", "ab aed bfc cgd ehf", "ab"),
-    ("BiTriangle", "abcdefgh", "ab adc agf bec bhf", "ab"),
-    ("BiTriangleX", "abcdefg", "ab adc aef bec bgf", "ab"),
-    ("FlatStar", "abcdefgh", "abc adg bdf beh ceg fgh", "bg"),
-    ("BiTriangle/Line", "abcdefghi", "ab adc agf bec bhf die", "ab"),
-    ("BiTriangle/BiLine", "abcdefghij", "ab adc agf bec bhf die gjh", "ab"),
-    ("BiTriangleX/Line", "abcdefgh", "ab adc aef bec bgf dhg", "ab"),
-    ("FlatStar/Line", "abcdefgh", "abc adg bdf beh bg ceg fgh", "bg"),
-    ("TriTriangleX", "abcdefghij", "ab adc aef aih bec bgf bjh", "ab"),
+    ("Triangle", "ab adc bec", "ab"),
+    ("Square", "ab aed bfc cgd", "ab"),
+    ("Triangle/Line", "ab adc bec dfe", "ab"),
+    ("Square/Line", "ab aed bfc cgd ehf", "ab"),
+    ("BiTriangle", "ab adc agf bec bhf", "ab"),
+    ("BiTriangleX", "ab adc aef bec bgf", "ab"),
+    ("FlatStar", "abc adg bdf beh ceg fgh", "bg"),
+    ("BiTriangle/Line", "ab adc agf bec bhf die", "ab"),
+    ("BiTriangle/BiLine", "ab adc agf bec bhf die gjh", "ab"),
+    ("BiTriangleX/Line", "ab adc aef bec bgf dhg", "ab"),
+    ("FlatStar/Line", "abc adg bdf beh bg ceg fgh", "bg"),
+    ("TriTriangleX", "ab adc aef aih bec bgf bjh", "ab"),
 )
 
 
 def _fixed_templates() -> list[ConfigTemplate]:
     return [
-        ConfigTemplate(name, frozenset(labels), tuple(map(frozenset, groups.split())), tuple(main))
-        for name, labels, groups, main in _TEMPLATE_ROWS
+        ConfigTemplate(name, tuple(map(frozenset, groups.split())), tuple(main))
+        for name, groups, main in _TEMPLATE_ROWS
     ]
 
 
-_CATALOG: list[ConfigTemplate] | None = None
+@functools.cache
+def _catalog() -> tuple[ConfigTemplate, ...]:
+    return tuple(_fixed_templates())
 
 
-def catalog(cycle_sizes: Iterable[int] = ()) -> list[ConfigTemplate]:
-    """All named templates; cycle generators instantiated for the given sizes."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _fixed_templates()
-    out = list(_CATALOG)
-    for n in cycle_sizes:
-        out.append(cycle_template(n))
-        out.append(cycle_line_template(n))
-    return out
+def catalog() -> list[ConfigTemplate]:
+    """The twelve named templates, the same objects on every call."""
+    return list(_catalog())
 
 
 def template_by_name(name: str) -> ConfigTemplate:
+    """A catalog template, or CycleN(n) / CycleNLine(n), by name in any case."""
     for t in catalog():
         if t.name.lower() == name.lower():
             return t
-    if name.lower().startswith("cyclenline("):
-        return cycle_line_template(int(name[len("cyclenline(") : -1]))
-    if name.lower().startswith("cyclen("):
-        return cycle_template(int(name[len("cyclen(") : -1]))
-    raise KeyError(f"unknown configuration {name!r}")
+    cycle = re.fullmatch(r"cyclen(line)?\(([0-9]+)\)", name, re.IGNORECASE)
+    if cycle is None:
+        raise KeyError(f"unknown configuration {name!r}")
+    return (cycle_line_template if cycle[1] else cycle_template)(int(cycle[2]))
 
 
 @dataclass(slots=True)

@@ -137,6 +137,7 @@ class Verdict(Enum):
 
 
 PRUNING_MODES = ("none", "hj", "setmatch")
+GUARD = 26  # the most empty cells solve searches
 
 _EXACT, _LOWER, _UPPER = 0, 1, 2
 
@@ -180,13 +181,12 @@ def _cell_tables(spec: BoardSpec) -> tuple[tuple[int, ...], tuple[tuple[int, tup
     return line_bits, cell_moves
 
 
-def solve(
-    pos: Position,
-    pruning: str = "none",
-    guard: int = 26,
-    use_table: bool = True,
-) -> tuple[Verdict, SearchStats]:
-    """Exact game value of pos with perfect play, plus search statistics."""
+def solve(pos: Position, pruning: str = "none") -> tuple[Verdict, SearchStats]:
+    """Exact game value of pos with perfect play, plus search statistics.
+
+    Raises SearchGuardError past GUARD empty cells: the transposition table
+    is unbounded (ROADMAP item 5), so a larger search could exhaust memory.
+    """
     started = perf_counter()
     if pruning not in PRUNING_MODES:
         raise ValueError(f"unknown pruning mode {pruning!r}")
@@ -205,10 +205,8 @@ def solve(
         return done[0], stats
     empty = pos.empty
     n_empty = empty.bit_count()
-    if n_empty > guard:
-        raise SearchGuardError(
-            f"{n_empty} empty cells exceeds guard of {guard}"
-        )
+    if n_empty > GUARD:
+        raise SearchGuardError(f"{n_empty} empty cells exceeds guard of {GUARD}")
 
     m, n = spec.m, spec.n
     line_bits, cell_moves = _cell_tables(spec)
@@ -278,17 +276,16 @@ def solve(
                 return 0
             alpha = 0
         key = own << shift | opp
-        if use_table:
-            entry = lookup(key)
-            if entry is not None:
-                value, flag = entry
-                if (
-                    flag == _EXACT
-                    or (flag == _LOWER and value >= beta)
-                    or (flag == _UPPER and value <= alpha)
-                ):
-                    hits += 1
-                    return value
+        entry = lookup(key)
+        if entry is not None:
+            value, flag = entry
+            if (
+                flag == _EXACT
+                or (flag == _LOWER and value >= beta)
+                or (flag == _UPPER and value <= alpha)
+            ):
+                hits += 1
+                return value
         taken = own | opp
         if probing:
             if alpha >= 0:
@@ -332,13 +329,12 @@ def solve(
                 alpha = best
             if alpha >= beta or best == 1:
                 break
-        if use_table:
-            flag = _EXACT
-            if best <= orig_alpha:
-                flag = _UPPER
-            elif best >= beta:
-                flag = _LOWER
-            table[key] = (best, flag)
+        flag = _EXACT
+        if best <= orig_alpha:
+            flag = _UPPER
+        elif best >= beta:
+            flag = _LOWER
+        table[key] = (best, flag)
         return best
 
     own, opp, own_live, opp_live = (

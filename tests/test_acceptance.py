@@ -23,6 +23,7 @@ from kinarow.board import (
 )
 from kinarow.certio import certificate_from_json
 from kinarow.configs import (
+    ConfigTemplate,
     catalog,
     check_certificate,
     cycle_line_template,
@@ -49,6 +50,11 @@ def random_legal_position(rng: random.Random, spec: BoardSpec, plies: int) -> Po
             break
         pos = apply_move(pos, rng.choice(empties))
     return pos
+
+
+def with_cycles(*sizes: int) -> list[ConfigTemplate]:
+    """The catalog, then CycleN(n) and CycleNLine(n) for each given size."""
+    return [*catalog(), *(make(n) for n in sizes for make in (cycle_template, cycle_line_template))]
 
 
 def test_1_headline_4x4_proof():
@@ -139,7 +145,7 @@ def test_4_pairing_failure_witness_with_valid_certificate():
 
 def test_5_soundness_suite():
     """Zero tolerance: adversarial execution and randomized cross-checking."""
-    for template in catalog(cycle_sizes=(3, 4, 5)):
+    for template in with_cycles(3, 4, 5):
         if template.num_markers <= 10:
             failures = exhaustive_marker_adversary(template.matching)
             assert failures == [], (template.name, failures[:3])

@@ -68,6 +68,13 @@ def test_bad_board_is_format_error(board):
         certificate_from_json(json.dumps(obj))
 
 
+def test_malformed_cycle_name_is_format_error():
+    obj = json.loads(load_fixture("fig1.cert"))
+    obj["matching_sets"][0]["template_name"] = "CycleN(5]"
+    with pytest.raises(CertificateFormatError, match="unknown configuration 'CycleN\\(5\\]'"):
+        certificate_from_json(json.dumps(obj))
+
+
 def test_nested_remainder_is_ignored(tmp_path):
     """A remainder that names a matching set in place of pairs covers nothing."""
     obj = json.loads(load_fixture("fig1.cert"))

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import string
 import sys
 import weakref
 from array import array
@@ -41,7 +42,7 @@ from kinarow.configs import (
     validate_catalog,
 )
 from kinarow.setmatch import MatchingSet, expand_coverings, symmetry_closure, verify_abstract
-from tests.test_acceptance import random_legal_position
+from tests.test_acceptance import random_legal_position, with_cycles
 from tests.test_board import load_fixture
 
 # name -> (markers, groups, reduction, ratio)
@@ -217,7 +218,7 @@ SEEDED_RESULTS = {
 TEMPLATE_LISTS = {
     "reversed": lambda: catalog()[::-1],
     "subset": lambda: [template_by_name(n) for n in ("Triangle", "Square/Line", "BiTriangle")],
-    "cycles": lambda: catalog((3, 4, 5)),
+    "cycles": lambda: with_cycles(3, 4, 5),
     "repeats": lambda: [*catalog(), template_by_name("BiTriangle"), template_by_name("Triangle")],
 }
 
@@ -322,6 +323,24 @@ def cert_digest(cert: DrawCertificate | None) -> str | None:
     return hashlib.sha256(certificate_to_json(cert).encode()).hexdigest()[:16]
 
 
+# The marker labels of each catalog template, written out to check that
+# ConfigTemplate.markers, the union of the groups, finds them all.
+TEMPLATE_LABELS = {
+    "Triangle": "abcde",
+    "Square": "abcdefg",
+    "Triangle/Line": "abcdef",
+    "Square/Line": "abcdefgh",
+    "BiTriangle": "abcdefgh",
+    "BiTriangleX": "abcdefg",
+    "FlatStar": "abcdefgh",
+    "BiTriangle/Line": "abcdefghi",
+    "BiTriangle/BiLine": "abcdefghij",
+    "BiTriangleX/Line": "abcdefgh",
+    "FlatStar/Line": "abcdefgh",
+    "TriTriangleX": "abcdefghij",
+}
+
+
 class TestCatalog:
     def test_twelve_fixed_templates(self):
         assert {t.name for t in catalog()} == set(CATALOG_METADATA)
@@ -350,11 +369,39 @@ class TestCatalog:
         with pytest.raises(KeyError):
             template_by_name("Pentagon")
 
-    def test_catalog_derives_nothing(self, monkeypatch):
-        # Symmetries and coverings are derived on first use, not by catalog().
-        monkeypatch.setattr(configs, "_CATALOG", None)
-        for t in catalog((3, 4)):
+    @pytest.mark.parametrize("name", ["CycleNLine(4x", "CycleN(5]", "cyclen(+5)", "CycleN(5)x", "CycleN()"])
+    def test_malformed_cycle_name_raises(self, name):
+        with pytest.raises(KeyError) as raised:
+            template_by_name(name)
+        assert raised.value.args == (f"unknown configuration {name!r}",)
+
+    @pytest.mark.parametrize("name,size", [("cyclen(5)", 5), ("CYCLENLINE(03)", 3)])
+    def test_cycle_name_in_any_case(self, name, size):
+        make = cycle_line_template if "line" in name.lower() else cycle_template
+        assert template_by_name(name) == make(size)
+
+    @pytest.mark.parametrize(
+        "template,labels",
+        [
+            *((template_by_name(name), labels) for name, labels in TEMPLATE_LABELS.items()),
+            *((cycle_template(n), string.ascii_lowercase[: 2 * n - 1]) for n in range(3, 14)),
+            *((cycle_line_template(n), string.ascii_lowercase[: 2 * n]) for n in range(3, 14)),
+        ],
+        ids=lambda v: v.name if isinstance(v, configs.ConfigTemplate) else None,
+    )
+    def test_markers_are_the_labels_of_the_groups(self, template, labels):
+        assert template.markers == set(labels)
+
+    def test_catalog_derives_nothing(self):
+        # Symmetries and coverings are derived on first use, not when a
+        # template is built.
+        for t in [*configs._fixed_templates(), cycle_template(3), cycle_line_template(4)]:
             assert "matching" not in vars(t) and "automorphisms" not in vars(t), t.name
+
+    def test_catalog_returns_the_same_templates(self):
+        first, second = catalog(), catalog()
+        assert first is not second and len(first) == 12
+        assert all(a is b for a, b in zip(first, second))
 
     @staticmethod
     def brute_automorphisms(t) -> list[dict]:
@@ -383,7 +430,7 @@ class TestCatalog:
 
     def test_symmetries_keep_the_main_pair(self):
         # Swapping a and c keeps this path's groups but moves its main pair.
-        t = configs.ConfigTemplate("Path", frozenset("abc"), (frozenset("ab"), frozenset("bc")), ("a", "b"))
+        t = configs.ConfigTemplate("Path", (frozenset("ab"), frozenset("bc")), ("a", "b"))
         assert t.automorphisms == self.brute_automorphisms(t) == [{"a": "a", "b": "b", "c": "c"}]
 
     @pytest.mark.parametrize(

@@ -89,14 +89,15 @@ class TestVerifyPairing:
         live = live_black_groups(pos)
         pairing = find_hj_pairing(pos, live)
         assert pairing is not None
-        assert verify_pairing(pos, pairing, live) == []
+        assert verify_pairing(pos, pairing) == []
+        assert {g for g, _ in pairing.assignments} == set(live)
 
     def test_occupied_marker_reported(self):
         pos = empty_position(BoardSpec(4, 1, 4))
         [group] = live_black_groups(pos)
         pairing = find_hj_pairing(pos, [group])
         occupied = apply_move(pos, (0, 0))
-        assert any("not empty" in v for v in verify_pairing(occupied, pairing, [group]))
+        assert any("not empty" in v for v in verify_pairing(occupied, pairing))
 
     def test_marker_outside_group_reported(self):
         pos = empty_position(BoardSpec(5, 2, 4))
@@ -108,7 +109,7 @@ class TestVerifyPairing:
         from kinarow.pairing import Pairing
 
         wrong = Pairing(((row1, pairing.pair_for(row0)),))
-        assert any("outside" in v for v in verify_pairing(pos, wrong, [row1]))
+        assert any("outside" in v for v in verify_pairing(pos, wrong))
 
     @pytest.mark.parametrize(
         "pair", [((0, 0),), ((0, 0), (1, 0), (2, 0))], ids=["1-cell", "3-cells"]
@@ -116,7 +117,7 @@ class TestVerifyPairing:
     def test_pair_of_wrong_size_reported(self, pair):
         pos = empty_position(BoardSpec(4, 1, 4))
         [group] = live_black_groups(pos)
-        violations = verify_pairing(pos, Pairing(((group, pair),)), [group])
+        violations = verify_pairing(pos, Pairing(((group, pair),)))
         assert f"group {group}: pair holds {len(pair)} cells, not 2" in violations
 
 
@@ -297,4 +298,5 @@ def test_pairing_strategy_on_drawable_board():
     live = live_black_groups(pos)
     pairing = find_hj_pairing(pos, live)
     if pairing is not None:
-        assert verify_pairing(pos, pairing, live) == []
+        assert verify_pairing(pos, pairing) == []
+        assert {g for g, _ in pairing.assignments} == set(live)

@@ -17,6 +17,7 @@ from kinarow.setmatch import (
     verify_abstract,
     verify_matching_set,
 )
+from tests.test_acceptance import with_cycles
 from tests.test_board import load_fixture
 
 
@@ -99,7 +100,7 @@ class TestVerifyAbstract:
         )
 
     def test_every_bundled_template_is_valid(self):
-        for template in catalog(cycle_sizes=(3, 4, 5, 6)):
+        for template in with_cycles(3, 4, 5, 6):
             result = verify_abstract(template.matching)
             assert result.valid, (template.name, result.violations)
 
@@ -144,7 +145,7 @@ class TestCoverageRatio:
             coverage_ratio(MatchingSet(frozenset("a"), (), (), ()))
 
     def test_every_template_beats_plain_pairing(self):
-        for template in catalog(cycle_sizes=(3, 5, 8)):
+        for template in with_cycles(3, 5, 8):
             assert coverage_ratio(template.matching) < 2
 
 

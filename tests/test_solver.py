@@ -23,6 +23,7 @@ from kinarow.board import (
 )
 from kinarow.pairing import find_hj_pairing, pairing_exists
 from kinarow.solver import (
+    GUARD,
     PRUNING_MODES,
     SearchGuardError,
     Verdict,
@@ -254,19 +255,24 @@ class TestExactValues:
         with pytest.raises(SearchGuardError):
             solve(empty_position(BoardSpec(6, 5, 4)))
 
-    def test_guard_is_configurable(self):
-        verdict, _ = solve(empty_position(BoardSpec(3, 3, 3)), guard=9)
-        assert verdict == Verdict.DRAW
-        with pytest.raises(SearchGuardError):
-            solve(empty_position(BoardSpec(3, 3, 3)), guard=8)
+    def test_guard_is_26_empty_cells(self):
+        # Both checks end before any search: 27 empty cells raise at once, and
+        # at 26 Black's open row 1 wins at the root.
+        one_stone = parse_position("7 4 3 W\n.......\n.......\n.......\nX......\n")
+        with pytest.raises(SearchGuardError, match="^27 empty cells exceeds guard of 26$"):
+            solve(one_stone)
+        at_guard = parse_position("6 5 3 B\nOO....\n......\n......\n......\nXX....\n")
+        assert at_guard.empty.bit_count() == GUARD == 26
+        verdict, stats = solve(at_guard)
+        assert (verdict, stats.nodes_examined) == (Verdict.BLACK_WIN, 1)
 
 
 class TestAgainstPlainMinimax:
     @given(st.data())
     @settings(max_examples=25, deadline=None)
     def test_alpha_beta_matches_minimax_on_3x4(self, data):
-        # Every pruning mode, with and without the table, on a random position
-        # and on one random move later, so that both sides are to move.
+        # Every pruning mode on a random position and on one random move
+        # later, so that both sides are to move.
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         spec = data.draw(
             st.sampled_from([BoardSpec(3, 3, 3), BoardSpec(3, 4, 3), BoardSpec(4, 3, 3)])
@@ -284,9 +290,8 @@ class TestAgainstPlainMinimax:
                 continue
             expected = verdict_of(p, plain_minimax(p))
             for mode in PRUNING_MODES:
-                for use_table in (True, False):
-                    verdict, _ = solve(p, pruning=mode, use_table=use_table)
-                    assert verdict == expected, (mode, use_table, p)
+                verdict, _ = solve(p, pruning=mode)
+                assert verdict == expected, (mode, p)
 
     @pytest.mark.parametrize("spec", [BoardSpec(4, 4, 4), BoardSpec(5, 4, 4)], ids=["4x4", "5x4"])
     def test_alpha_beta_matches_minimax_on_k4(self, spec):
@@ -329,9 +334,8 @@ class TestAgainstPlainMinimax:
         for pos in found:
             expected = verdict_of(pos, plain_minimax(pos))
             for mode in PRUNING_MODES:
-                for use_table in (True, False):
-                    verdict, _ = solve(pos, pruning=mode, use_table=use_table)
-                    assert verdict == expected, (mode, use_table, pos)
+                verdict, _ = solve(pos, pruning=mode)
+                assert verdict == expected, (mode, pos)
 
 
 def dominated_cells(pos: Position) -> tuple[set[int], set[int]]:
@@ -363,7 +367,7 @@ class TestDominatedMoves:
     def test_skipping_keeps_the_minimax_verdict(self, spec):
         # Seeded positions with 5 to 10 empty cells, either side to move, in
         # which the one-live-group rule skips a cell at the root already;
-        # each is solved in every mode with and without the table.
+        # each is solved in every mode.
         rng = random.Random(23)
         checked = 0
         while checked < 16:
@@ -373,13 +377,11 @@ class TestDominatedMoves:
             checked += 1
             expected = verdict_of(pos, plain_minimax(pos))
             for mode in PRUNING_MODES:
-                for use_table in (True, False):
-                    verdict, _ = solve(pos, pruning=mode, use_table=use_table)
-                    assert verdict == expected, (mode, use_table, pos)
+                verdict, _ = solve(pos, pruning=mode)
+                assert verdict == expected, (mode, pos)
 
-    @pytest.mark.parametrize("use_table", [True, False])
     @pytest.mark.parametrize("mode", PRUNING_MODES)
-    def test_one_live_group_keeps_its_lowest_cell(self, mode, use_table):
+    def test_one_live_group_keeps_its_lowest_cell(self, mode):
         # The only live group is column e, White's, and it holds all three
         # empty cells: each lies in that group alone, so only e1, the lowest
         # bit, is searched at the root, then only e2, after which nothing is
@@ -389,19 +391,15 @@ class TestDominatedMoves:
         pos = parse_position("5 4 4 W\nOOOX.\nXXXOO\nOOXX.\nXOXX.\n")
         assert dominated_cells(pos) == (set(), {1 << 9, 1 << 19})
         assert verdict_of(pos, plain_minimax(pos)) == Verdict.DRAW
-        verdict, stats = solve(pos, pruning=mode, use_table=use_table)
+        verdict, stats = solve(pos, pruning=mode)
         assert (verdict, stats.nodes_examined) == (Verdict.DRAW, 3 if mode == "none" else 2)
 
 
-# (verdict, nodes_examined) of TestThreats' single-threat position per
-# (pruning mode, use_table).
+# (verdict, nodes_examined) of TestThreats' single-threat position per pruning mode.
 PINNED_BLOCK = {
-    ("none", True): ("Draw", 31),
-    ("none", False): ("Draw", 31),
-    ("hj", True): ("Draw", 10),
-    ("hj", False): ("Draw", 10),
-    ("setmatch", True): ("Draw", 10),
-    ("setmatch", False): ("Draw", 10),
+    "none": ("Draw", 31),
+    "hj": ("Draw", 10),
+    "setmatch": ("Draw", 10),
 }
 
 
@@ -423,28 +421,26 @@ class TestThreats:
         assert verdict == Verdict.WHITE_WIN
         assert (stats.nodes_examined, stats.cert_calls) == (1, 0)
 
-    @pytest.mark.parametrize("use_table", [True, False])
     @pytest.mark.parametrize("mode", PRUNING_MODES)
-    def test_single_threat_forces_the_block(self, mode, use_table):
+    def test_single_threat_forces_the_block(self, mode):
         # White threatens d1, so the root searches the block alone: its
         # subtree is the whole search of the position after the block.
         pos = parse_position("4 4 4 B\n..X.\n....\nXX..\nOOO.\n")
         blocked = apply_move(pos, (3, 0))
-        verdict, stats = solve(pos, pruning=mode, use_table=use_table)
-        child_verdict, child = solve(blocked, pruning=mode, use_table=use_table)
+        verdict, stats = solve(pos, pruning=mode)
+        child_verdict, child = solve(blocked, pruning=mode)
         assert verdict == child_verdict
         assert stats.nodes_examined == 1 + child.nodes_examined
         assert (stats.table_hits, stats.cert_calls) == (child.table_hits, child.cert_calls)
-        assert (str(verdict), stats.nodes_examined) == PINNED_BLOCK[mode, use_table]
+        assert (str(verdict), stats.nodes_examined) == PINNED_BLOCK[mode]
 
 
 class TestLiveBounds:
-    @pytest.mark.parametrize("use_table", [True, False])
     @pytest.mark.parametrize("mode", PRUNING_MODES)
-    def test_no_live_group_is_a_draw_at_one_node(self, mode, use_table):
+    def test_no_live_group_is_a_draw_at_one_node(self, mode):
         # Every group holds stones of both sides, so neither can win.
         pos = parse_position("4 4 4 B\n..XO\n.OXO\nX.O.\nOX.X\n")
-        verdict, stats = solve(pos, pruning=mode, use_table=use_table)
+        verdict, stats = solve(pos, pruning=mode)
         assert verdict == Verdict.DRAW
         assert (stats.nodes_examined, stats.cert_calls) == (1, 0)
 
@@ -618,20 +614,13 @@ class TestPruningConsistency:
         with pytest.raises(ValueError):
             solve(empty_position(BoardSpec(3, 3, 3)), pruning="psychic")
 
-    def test_table_off_same_verdict(self):
-        pos = parse_position(load_fixture("fig3.board"))
-        with_table, _ = solve(pos, pruning="hj")
-        without, _ = solve(pos, pruning="hj", use_table=False)
-        assert with_table == without
-
 
 class TestOpponentPairing:
     def test_cutoff_keeps_the_plain_verdict(self):
         # Seeded positions with at most 14 empty cells, either side to move,
-        # on k=3 and k=4 boards: hj and setmatch, with and without the table,
-        # must give the plain solver's verdict.  The pinned count of solves
-        # in which the opponent-pairing cutoff fired shows that the check
-        # exercises it.
+        # on k=3 and k=4 boards: hj and setmatch must give the plain
+        # solver's verdict.  The pinned count of solves in which the
+        # opponent-pairing cutoff fired shows that the check exercises it.
         specs = [
             BoardSpec(3, 3, 3), BoardSpec(4, 3, 3), BoardSpec(5, 3, 3),
             BoardSpec(4, 4, 3), BoardSpec(4, 4, 4), BoardSpec(5, 4, 4),
@@ -647,12 +636,11 @@ class TestOpponentPairing:
                 checked += 1
                 expected, _ = solve(pos)
                 for mode in ("hj", "setmatch"):
-                    for use_table in (True, False):
-                        verdict, stats = solve(pos, pruning=mode, use_table=use_table)
-                        assert verdict == expected, (mode, use_table, pos)
-                        solves += 1
-                        fired += stats.prune_events["opponent_pairing"] > 0
-        assert (solves, fired) == (3600, 1072)
+                    verdict, stats = solve(pos, pruning=mode)
+                    assert verdict == expected, (mode, pos)
+                    solves += 1
+                    fired += stats.prune_events["opponent_pairing"] > 0
+        assert (solves, fired) == (1800, 536)
 
     def test_paired_opponent_never_wins(self):
         # The cutoff's claim, checked by unpruned minimax: where the groups
