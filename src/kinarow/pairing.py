@@ -79,15 +79,21 @@ def pairing_exists(rooms: Sequence[int]) -> bool:
 def covering_exists(rooms: Sequence[int], free: int) -> bool:
     """Whether pairings prove that Black, to move on `free`, completes no room's group.
 
-    The rooms pair now, or one ply deep: after every Black move b some White
-    reply w leaves the rooms that miss w a pairing on free minus b and w.
-    Only a cell the failed root matching saw can be a useful w, and only when
-    the rooms that miss it fit in the cells left.  One pairing for (b, w)
-    also covers every other b off its reserved cells.
+    The rooms pair now, or one ply deep (`replies_cover`).
     """
     paired, hall = _match(rooms)
-    if paired:
-        return True
+    return paired or replies_cover(rooms, free, hall)
+
+
+def replies_cover(rooms: Sequence[int], free: int, hall: int) -> bool:
+    """Whether after every Black move b on free some White reply w leaves the
+    rooms that miss w a pairing on free minus b and w.
+
+    hall holds the cells that a failed `_match(rooms)` saw.  Only such a cell
+    can be a useful w, and only when the rooms that miss it fit in the cells
+    left.  One pairing for (b, w) also covers every other b off its reserved
+    cells.
+    """
     cells_left = free.bit_count() - 2
     replies = []
     while hall:

@@ -77,16 +77,18 @@ complete one, so it cannot win:
   result of 0 or less there is exactly 0.
 
 The table flag comes from the narrowed window, which still holds the value.
-The root sorts the empty cells once: most groups through the cell that are
-live for either side first, so cells in no such group go last, then nearest
-the centre, then by (row, col).
+The root sorts the empty cells once (`move_order`), heaviest first.  Each
+group through the cell that is live for either side adds 1 plus the stones it
+holds, so cells in no such group go last; ties go nearest the centre, then
+by (row, col).  On an empty board a cell weighs the number of groups through
+it.
 
-Every probe is one call of `_probe(groups, live, free, cover)`, whose rooms
-are the groups of a live set cut to the empty cells: Black's for the Black
-probe, the opponent's for the cutoff below.  It holds when a pairing reserves
-two empty cells of every room (`pairing.pairing_exists`, after a union
-count), or with cover, in the `setmatch` Black probe, on a whole-board
-matching set one ply deep (`pairing.covering_exists`): every empty cell is a
+Every probe is one call of `_probe(groups, live, free, cover, pairings)`,
+whose rooms are the groups of a live set cut to the empty cells: Black's for
+the Black probe, the opponent's for the cutoff below.  It holds when a
+pairing reserves two empty cells of every room (`pairing._match`, after a
+union count), or with cover, in the `setmatch` Black probe, on a whole-board
+matching set one ply deep (`pairing.replies_cover`): every empty cell is a
 marker, and each Black move has a White reply after which a pairing covers
 every live group the reply does not kill.  A room of fewer than two cells is
 a finished game or a threat of its holder, and no probe meets one: the root
@@ -94,6 +96,15 @@ takes the mover's threat as a win, no node below has one, and the cutoff
 runs only with no opponent threat (both matchers would answer False).
 `solve` reads `_probe` as a module global at each call, so a test can wrap
 it and check each claim where it fires.
+
+Each solve keeps, in `pairings`, the cells of the last pairing found for
+each live set, and a probe of that set whose stored cells all lie in free
+holds without matching.  The live set names the same groups, and each
+group's two reserved cells are still empty and still inside the group, so
+they are still in its room; the pairs stay disjoint.  So the old pairing is
+a pairing of the new rooms, and a pairing is also a covering.  A stored cell
+that was taken sends the probe to the matcher, whose new pairing replaces
+the stored one.
 
 The opponent-pairing cutoff is the same pairing with the roles turned: the
 mover defends.  Say the opponent's live groups (those free of the mover's
@@ -120,7 +131,7 @@ from time import perf_counter
 from typing import Sequence
 
 from .board import BLACK, BoardSpec, IllegalPositionError, Position, group_masks, live_groups
-from .pairing import covering_exists, pairing_exists
+from .pairing import _match, replies_cover
 
 
 class SearchGuardError(RuntimeError):
@@ -152,33 +163,71 @@ class SearchStats:
     cert_seconds: float = 0.0  # inside certificate probes
 
 
-def _probe(groups: Sequence[int], live: int, free: int, cover: bool) -> bool:
+def _probe(
+    groups: Sequence[int], live: int, free: int, cover: bool, pairings: dict[int, int]
+) -> bool:
     """Whether the groups named by the bits of live, each cut to its cells in
-    free, pair on free, or with cover have a one-ply covering on free."""
+    free, pair on free, or with cover have a one-ply covering on free.
+
+    pairings maps a live set to the cells reserved by the last pairing found
+    for it: one whose cells all lie in free answers at once, and each new
+    pairing replaces it."""
+    reserved = pairings.get(live)
+    if reserved is not None and not reserved & ~free:
+        return True
     rooms = []
     union = 0
-    while live:
-        low = live & -live
-        live ^= low
+    bits = live
+    while bits:
+        low = bits & -bits
+        bits ^= low
         room = groups[low.bit_length() - 1] & free
         rooms.append(room)
         union |= room
-    if cover:
-        return covering_exists(rooms, free)
-    return union.bit_count() >= 2 * len(rooms) and pairing_exists(rooms)
+    if not cover and union.bit_count() < 2 * len(rooms):
+        return False
+    paired, cells = _match(rooms)
+    if paired:
+        pairings[live] = cells
+        return True
+    return cover and replies_cover(rooms, free, cells)
 
 
 @lru_cache(maxsize=None)
-def _cell_tables(spec: BoardSpec) -> tuple[tuple[int, ...], tuple[tuple[int, tuple, int], ...]]:
+def _cell_tables(
+    spec: BoardSpec,
+) -> tuple[tuple[int, ...], tuple[tuple[int, tuple, int], ...], tuple[int, ...]]:
     """Per cell index, the groups through it as one bitset over their indices
     in `group_masks(spec)`, and the move there: its bit, the group masks
-    through it and the mask that clears those groups from a live set."""
+    through it and the mask that clears those groups from a live set.  Then
+    the cell indices nearest the centre first, ties in index order, which is
+    (row, col) order."""
     groups, cells = group_masks(spec), range(spec.m * spec.n)
     line_bits = tuple(sum(1 << j for j, g in enumerate(groups) if g >> i & 1) for i in cells)
     cell_moves = tuple(
         (1 << i, tuple(g for g in groups if g >> i & 1), ~line_bits[i]) for i in cells
     )
-    return line_bits, cell_moves
+    m, n = spec.m, spec.n
+    by_centre = tuple(
+        sorted(cells, key=lambda i: (i % m - (m - 1) / 2) ** 2 + (i // m - (n - 1) / 2) ** 2)
+    )
+    return line_bits, cell_moves, by_centre
+
+
+def move_order(pos: Position) -> list[int]:
+    """The empty cells of pos as bit indices, in the order `solve` tries them:
+    heaviest first (module docstring), then nearest the centre, then by (row, col)."""
+    black, white = pos.black, pos.white
+    stones = black | white
+    weight = {
+        g: 0 if g & black and g & white else 1 + (g & stones).bit_count()
+        for g in group_masks(pos.spec)
+    }
+    _, cell_moves, by_centre = _cell_tables(pos.spec)
+    return sorted(
+        (i for i in by_centre if pos.empty >> i & 1),
+        key=lambda i: -sum(map(weight.__getitem__, cell_moves[i][1])),
+    )
 
 
 def solve(pos: Position, pruning: str = "none") -> tuple[Verdict, SearchStats]:
@@ -208,22 +257,11 @@ def solve(pos: Position, pruning: str = "none") -> tuple[Verdict, SearchStats]:
     if n_empty > GUARD:
         raise SearchGuardError(f"{n_empty} empty cells exceeds guard of {GUARD}")
 
-    m, n = spec.m, spec.n
-    line_bits, cell_moves = _cell_tables(spec)
+    line_bits, cell_moves, _ = _cell_tables(spec)
     # Live groups, as bitsets: those holding no stone of the other side.
     black_live, white_live = live_groups(spec, white), live_groups(spec, black)
-    live = black_live | white_live
-    center = ((m - 1) / 2, (n - 1) / 2)
-    ordered = sorted(
-        (i for i in range(m * n) if empty >> i & 1),
-        key=lambda i: (
-            -(line_bits[i] & live).bit_count(),
-            (i % m - center[0]) ** 2 + (i // m - center[1]) ** 2,
-            (i // m, i % m),
-        ),
-    )
-    moves = [cell_moves[i] for i in ordered]
-    shift = m * n
+    moves = [cell_moves[i] for i in move_order(pos)]
+    shift = spec.m * spec.n
     probing = pruning != "none"
     # Black is to move at the nodes whose empty count has this parity.
     black_parity = n_empty & 1 ^ (pos.to_move != BLACK)
@@ -234,13 +272,14 @@ def solve(pos: Position, pruning: str = "none") -> tuple[Verdict, SearchStats]:
     events = stats.prune_events
     nodes = hits = probes = 0
     cert_seconds = 0.0
+    pairings: dict[int, int] = {}
 
     def probe(live: int, free: int, cover: bool, event: str) -> bool:
         """One counted and timed `_probe`; a hit counts under prune_events[event]."""
         nonlocal probes, cert_seconds
         probes += 1
         probed = perf_counter()
-        held = _probe(groups, live, free, cover)
+        held = _probe(groups, live, free, cover, pairings)
         cert_seconds += perf_counter() - probed
         if held:
             events[event] += 1

@@ -29,6 +29,7 @@ from kinarow.solver import (
     Verdict,
     _probe,
     format_report,
+    move_order,
     solve,
     verify_draw_claims,
 )
@@ -49,19 +50,19 @@ PINNED_COUNTERS = {
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig2": [
-        ("Draw", 103, 7, {}),
-        ("Draw", 43, 0, {"hj": 8, "opponent_pairing": 3}),
-        ("Draw", 43, 0, {"setmatch": 8, "opponent_pairing": 3}),
+        ("Draw", 70, 8, {}),
+        ("Draw", 25, 0, {"hj": 9, "opponent_pairing": 1}),
+        ("Draw", 25, 0, {"setmatch": 9, "opponent_pairing": 1}),
     ],
     "fig3": [
-        ("Draw", 41, 3, {}),
-        ("Draw", 19, 0, {"hj": 5}),
+        ("Draw", 29, 2, {}),
+        ("Draw", 11, 0, {"hj": 5}),
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig4": [
-        ("Draw", 120, 4, {}),
-        ("Draw", 50, 0, {"hj": 6, "opponent_pairing": 5}),
-        ("Draw", 50, 0, {"setmatch": 6, "opponent_pairing": 5}),
+        ("Draw", 105, 6, {}),
+        ("Draw", 46, 2, {"hj": 7, "opponent_pairing": 4}),
+        ("Draw", 46, 2, {"setmatch": 7, "opponent_pairing": 4}),
     ],
     "fig5": [
         ("Draw", 75, 6, {}),
@@ -69,7 +70,7 @@ PINNED_COUNTERS = {
         ("Draw", 36, 0, {"setmatch": 11, "opponent_pairing": 4}),
     ],
     "fig7": [
-        ("Draw", 99, 11, {}),
+        ("Draw", 93, 11, {}),
         ("Draw", 30, 0, {"hj": 9, "opponent_pairing": 2}),
         ("Draw", 30, 0, {"setmatch": 9, "opponent_pairing": 2}),
     ],
@@ -79,12 +80,12 @@ PINNED_COUNTERS = {
         ("Draw", 43, 0, {"setmatch": 11, "opponent_pairing": 6}),
     ],
     "fig9a": [
-        ("Draw", 128, 10, {}),
+        ("Draw", 136, 10, {}),
         ("Draw", 35, 0, {"hj": 13, "opponent_pairing": 3}),
         ("Draw", 35, 0, {"setmatch": 13, "opponent_pairing": 3}),
     ],
     "fig9b": [
-        ("Draw", 801, 109, {}),
+        ("Draw", 804, 102, {}),
         ("Draw", 45, 0, {"hj": 17, "opponent_pairing": 3}),
         ("Draw", 45, 0, {"setmatch": 17, "opponent_pairing": 3}),
     ],
@@ -99,9 +100,9 @@ PINNED_COUNTERS = {
         ("Draw", 27, 0, {"setmatch": 11}),
     ],
     "fig11": [
-        ("WhiteWin", 746, 164, {}),
-        ("WhiteWin", 725, 161, {"opponent_pairing": 23}),
-        ("WhiteWin", 725, 161, {"opponent_pairing": 23}),
+        ("WhiteWin", 612, 153, {}),
+        ("WhiteWin", 603, 150, {"opponent_pairing": 11}),
+        ("WhiteWin", 603, 150, {"opponent_pairing": 11}),
     ],
 }
 
@@ -110,26 +111,31 @@ PINNED_COUNTERS = {
 # prune_events, cert_calls) per board and pruning mode.  A table key that
 # confused the sides at a White-to-move root would move these.
 WHITE_4X4 = "4 4 4 W\n....\n..X.\nX...\n.O..\n"
+# White's first move makes a double threat at WHITE_5X4 and, since the root
+# order weighs the stones in each live group, at WHITE_WIN_5X4 too: their trees
+# stop before the table.  This White-to-move win reaches it in every mode.
 WHITE_5X4 = "5 4 4 W\n.....\n..X..\nXXXO.\n.OO..\n"
-# White's first move makes a double threat at WHITE_5X4, whose trees stop
-# before the table; this White-to-move win reaches it in every mode.
 WHITE_WIN_5X4 = "5 4 4 W\n...X.\n.O.O.\n.X...\n....X\n"
+WHITE_TABLE_5X4 = "5 4 4 W\n.XO..\n...O.\nXX..X\nX.O.O\n"
 PINNED_TREES = {
-    "white4x4-none": (WHITE_4X4, "none", ("Draw", 1850, 281, {}, 0)),
-    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 70, 0, {"hj": 12, "opponent_pairing": 34}, 48)),
+    "white4x4-none": (WHITE_4X4, "none", ("Draw", 1928, 313, {}, 0)),
+    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 73, 0, {"hj": 13, "opponent_pairing": 37}, 51)),
     "white4x4-setmatch": (
-        WHITE_4X4, "setmatch", ("Draw", 70, 0, {"setmatch": 12, "opponent_pairing": 34}, 48)
+        WHITE_4X4, "setmatch", ("Draw", 73, 0, {"setmatch": 13, "opponent_pairing": 37}, 51)
     ),
     "white5x4-none": (WHITE_5X4, "none", ("WhiteWin", 2, 0, {}, 0)),
     "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 2, 0, {}, 0)),
     "white5x4-setmatch": (WHITE_5X4, "setmatch", ("WhiteWin", 2, 0, {}, 0)),
-    "whitewin5x4-none": (WHITE_WIN_5X4, "none", ("WhiteWin", 258, 14, {}, 0)),
-    "whitewin5x4-hj": (
-        WHITE_WIN_5X4, "hj", ("WhiteWin", 67, 1, {"hj": 9, "opponent_pairing": 13}, 31)
+    "whitewin5x4-none": (WHITE_WIN_5X4, "none", ("WhiteWin", 2, 0, {}, 0)),
+    "whitewin5x4-hj": (WHITE_WIN_5X4, "hj", ("WhiteWin", 2, 0, {}, 0)),
+    "whitewin5x4-setmatch": (WHITE_WIN_5X4, "setmatch", ("WhiteWin", 2, 0, {}, 0)),
+    "whitetable5x4-none": (WHITE_TABLE_5X4, "none", ("WhiteWin", 63, 2, {}, 0)),
+    "whitetable5x4-hj": (
+        WHITE_TABLE_5X4, "hj", ("WhiteWin", 50, 2, {"hj": 1, "opponent_pairing": 7}, 13)
     ),
-    "whitewin5x4-setmatch": (
-        WHITE_WIN_5X4, "setmatch",
-        ("WhiteWin", 67, 1, {"setmatch": 9, "opponent_pairing": 13}, 31),
+    "whitetable5x4-setmatch": (
+        WHITE_TABLE_5X4, "setmatch",
+        ("WhiteWin", 50, 2, {"setmatch": 1, "opponent_pairing": 7}, 13),
     ),
     "empty4x4-hj": (
         "4 4 4 B\n....\n....\n....\n....\n", "hj",
@@ -143,9 +149,9 @@ PINNED_TREES = {
 PINNED_CERT_CALLS = {
     "empty4x4": [0, 83, 1],
     "fig1": [0, 4, 1],
-    "fig2": [0, 17, 17],
-    "fig3": [0, 10, 1],
-    "fig4": [0, 23, 23],
+    "fig2": [0, 11, 11],
+    "fig3": [0, 6, 1],
+    "fig4": [0, 18, 18],
     "fig5": [0, 26, 26],
     "fig7": [0, 11, 11],
     "fig8": [0, 18, 18],
@@ -153,7 +159,7 @@ PINNED_CERT_CALLS = {
     "fig9b": [0, 24, 24],
     "fig9c": [0, 11, 11],
     "fig10": [0, 11, 11],
-    "fig11": [0, 28, 28],
+    "fig11": [0, 15, 15],
 }
 
 
@@ -186,7 +192,9 @@ def black_can_complete(groups: tuple[int, ...], black: int, white: int, board: i
 def black_probe(pos: Position, mode: str) -> bool:
     """The solver's probe of pos with Black to move in pruning mode `mode`."""
     spec = pos.spec
-    return _probe(group_masks(spec), live_groups(spec, pos.white), pos.empty, mode == "setmatch")
+    return _probe(
+        group_masks(spec), live_groups(spec, pos.white), pos.empty, mode == "setmatch", {}
+    )
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -397,9 +405,9 @@ class TestDominatedMoves:
 
 # (verdict, nodes_examined) of TestThreats' single-threat position per pruning mode.
 PINNED_BLOCK = {
-    "none": ("Draw", 31),
-    "hj": ("Draw", 10),
-    "setmatch": ("Draw", 10),
+    "none": ("Draw", 49),
+    "hj": ("Draw", 14),
+    "setmatch": ("Draw", 14),
 }
 
 
@@ -558,8 +566,8 @@ class TestProbe:
         probe = kinarow.solver._probe
         hits = {False: 0, True: 0}
 
-        def checked(groups, live, free, cover):
-            held = probe(groups, live, free, cover)
+        def checked(groups, live, free, cover, pairings):
+            held = probe(groups, live, free, cover, pairings)
             if held:
                 probed = [g for i, g in enumerate(groups) if live >> i & 1]
                 holder = functools.reduce(int.__or__, probed) & ~free
@@ -583,7 +591,60 @@ class TestProbe:
                 for mode in ("hj", "setmatch"):
                     solve(pos, pruning=mode)
         # (pairing hits, covering hits), so the check is seen to run.
-        assert (hits[False], hits[True]) == (338, 128)
+        assert (hits[False], hits[True]) == (322, 128)
+
+    def test_reuse_never_changes_an_answer(self, monkeypatch):
+        # Each probe of seeded solves in every mode is asked again with an
+        # empty pairings dict, which reuses nothing, and must get the same
+        # answer.  The pinned counts show that stored pairings answer some.
+        probe = kinarow.solver._probe
+        probes = reused = 0
+
+        def checked(groups, live, free, cover, pairings):
+            nonlocal probes, reused
+            stored = pairings.get(live)
+            reused += stored is not None and not stored & ~free
+            held = probe(groups, live, free, cover, pairings)
+            assert held == probe(groups, live, free, cover, {}), (live, free, cover)
+            probes += 1
+            return held
+
+        monkeypatch.setattr(kinarow.solver, "_probe", checked)
+        specs = [BoardSpec(3, 3, 3), BoardSpec(4, 3, 3), BoardSpec(4, 4, 4), BoardSpec(5, 4, 4)]
+        rng = random.Random(30)
+        for spec in specs:
+            checked_positions = 0
+            while checked_positions < 25:
+                pos = random_fill(rng, spec, rng.randint(2, min(14, spec.m * spec.n)))
+                if winner(pos) is not None:
+                    continue
+                checked_positions += 1
+                for mode in PRUNING_MODES:
+                    solve(pos, pruning=mode)
+        assert (probes, reused) == (2309, 525)
+
+    def test_taken_reserved_cell_sends_the_probe_to_the_matcher(self, monkeypatch):
+        # Two groups on a row of five cells a-e: abc and cde.  The first probe
+        # stores the greedy pairing {a, b}, {c, d}, and asking again reuses it.
+        # With b taken, the matcher finds {a, c}, {d, e} and stores that.
+        # With d taken too, the stored pairing is stale, and the matcher (then
+        # the one-ply covering: Black's c makes two threats) says no.
+        match = kinarow.solver._match
+        matched = []
+
+        def counted(rooms):
+            matched.append(rooms)
+            return match(rooms)
+
+        monkeypatch.setattr(kinarow.solver, "_match", counted)
+        groups, live, pairings = (0b00111, 0b11100), 0b11, {}
+        assert _probe(groups, live, 0b11111, False, pairings)
+        assert _probe(groups, live, 0b11111, True, pairings)
+        assert (pairings, len(matched)) == ({live: 0b01111}, 1)
+        assert _probe(groups, live, 0b11101, False, pairings)
+        assert (pairings, len(matched)) == ({live: 0b11101}, 2)
+        assert not _probe(groups, live, 0b10101, True, pairings)
+        assert (pairings, matched[2:]) == ({live: 0b11101}, [[0b00101, 0b10100]])
 
     @pytest.mark.parametrize("board,expected", [
         ("4 4 4 B\n....\nO...\nOO..\nXXX.\n", True),  # d1 completes the row
@@ -594,6 +655,44 @@ class TestProbe:
         pos = parse_position(board)
         groups, board_mask = group_masks(pos.spec), (1 << pos.spec.m * pos.spec.n) - 1
         assert black_can_complete(groups, pos.black, pos.white, board_mask) == expected
+
+
+# Nodes over seeded_midgames(spec) per mode, in PRUNING_MODES order.  With
+# the live count alone as the root order's first key they were (43,534,
+# 2,852, 2,852) on 4x4 and (20,424, 8,213, 7,783) on 5x4: weighing the stones
+# raised the 4x4 pruned totals and lowered the rest.
+PINNED_MIDGAME_NODES = {"4x4": [39110, 3130, 2930], "5x4": [13800, 6331, 6097]}
+
+
+def seeded_midgames(spec: BoardSpec) -> list[Position]:
+    """60 unfinished random fills of spec with 10 to 13 empty cells, seed 777."""
+    rng = random.Random(777)
+    found = []
+    while len(found) < 60:
+        pos = random_fill(rng, spec, rng.randint(10, 13))
+        if winner(pos) is None:
+            found.append(pos)
+    return found
+
+
+class TestMoveOrder:
+    def test_stones_outweigh_the_centre(self):
+        # Black a1, White d1.  The corners a4 and d4 and the four centre
+        # cells each lie in three live groups, so the live count alone put
+        # b2 first, nearest the centre and lowest.  a4's column holds
+        # Black's stone and its diagonal White's, so a4 weighs 2 + 1 + 2 = 5
+        # against b2's 1 + 1 + 2 = 4, and a4 leads, then d4, then b2.
+        pos = parse_position("4 4 4 B\n....\n....\n....\nX..O\n")
+        assert move_order(pos)[:3] == [12, 15, 5]
+
+    @pytest.mark.parametrize("spec", [BoardSpec(4, 4, 4), BoardSpec(5, 4, 4)], ids=["4x4", "5x4"])
+    def test_pinned_node_totals(self, spec):
+        # seeded_midgames shares no position with perfbench/reference.json.
+        totals = [
+            sum(solve(pos, pruning=mode)[1].nodes_examined for pos in seeded_midgames(spec))
+            for mode in PRUNING_MODES
+        ]
+        assert totals == PINNED_MIDGAME_NODES[f"{spec.m}x{spec.n}"]
 
 
 class TestPruningConsistency:
@@ -640,7 +739,7 @@ class TestOpponentPairing:
                     assert verdict == expected, (mode, pos)
                     solves += 1
                     fired += stats.prune_events["opponent_pairing"] > 0
-        assert (solves, fired) == (1800, 536)
+        assert (solves, fired) == (1800, 518)
 
     def test_paired_opponent_never_wins(self):
         # The cutoff's claim, checked by unpruned minimax: where the groups
