@@ -32,12 +32,11 @@ from .configs import (
     prove_draw,
     template_by_name,
 )
-from .pairing import DeadGroupError, Pairing, find_hj_pairing, verify_pairing
+from .pairing import Pairing, verify_pairing
 from .setmatch import (
     Covering,
     MatchingSet,
     ProofResult,
-    coverage_ratio,
     verify_abstract,
     verify_matching_set,
 )

@@ -107,10 +107,6 @@ class Group:
     def __len__(self) -> int:
         return len(self.cells)
 
-    @property
-    def cell_set(self) -> frozenset[Cell]:
-        return frozenset(self.cells)
-
     def __str__(self) -> str:
         return "-".join(cell_name(c) for c in self.cells)
 
@@ -173,9 +169,6 @@ class Position:
 
     def is_empty(self, cell: Cell) -> bool:
         return self.at(cell) == EMPTY
-
-    def count(self, state: str) -> int:
-        return {BLACK: self.black, WHITE: self.white, EMPTY: self.empty}[state].bit_count()
 
     def empties(self) -> list[Cell]:
         m, empty = self.spec.m, self.empty

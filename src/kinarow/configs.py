@@ -34,13 +34,12 @@ from .board import (
     live_black_groups,
     live_groups,
 )
-from .pairing import Pairing, smallest_pairing, verify_pairing
+from .pairing import Pairing, pairing_exists, smallest_pairing, verify_pairing
 from .setmatch import (
     Covering,
     MatchingSet,
     ProofResult,
     symmetry_closure,
-    verify_abstract,
     verify_matching_set,
 )
 
@@ -730,12 +729,13 @@ def prove_draw(
 
     Every certificate comes from complete, which adds a residual pairing
     of the groups left over (smallest_pairing) to the chosen rows.  A plain
-    pairing of every live group is returned first.  Otherwise the
-    cover pass (exact_cover) seeks covers by embeddings alone and keeps the
-    least by (uncovered empty cells, sorted template names, sorted
-    bindings), so a full tiling of the empty cells wins whenever it finds
-    one.  Failing that, the residual pass (search) returns the first set of
-    embeddings whose leftover groups a residual pairing completes.
+    pairing of every live group is returned first, so templates=[] gives
+    the position's HJ pairing (a certificate with no entries) or None.
+    Otherwise the cover pass (exact_cover) seeks covers by embeddings alone
+    and keeps the least by (uncovered empty cells, sorted template names,
+    sorted bindings), so a full tiling of the empty cells wins whenever it
+    finds one.  Failing that, the residual pass (search) returns the first
+    set of embeddings whose leftover groups a residual pairing completes.
     max_attempts caps the nodes each of the two passes searches; there is no
     floor.  Both passes skip a child whose subtree cannot hold a better
     result (a cover that beats the best held, or any certificate), and a
@@ -1015,11 +1015,11 @@ def _places(template: ConfigTemplate, ms: MatchingSet) -> bool:
             if x in abstract:
                 cells &= set(g)
         options.append(cells)
-
-    def bind(i: int, used: frozenset) -> bool:
-        return i == len(options) or any(bind(i + 1, used | {c}) for c in options[i] - used)
-
-    return bind(0, frozenset())
+    # Each label's room holds its cells and a spare cell no other room has,
+    # so the rooms pair exactly when the labels can take distinct cells.
+    bit = {c: 1 << i for i, c in enumerate(ms.markers)}
+    spare = 1 << len(bit)
+    return pairing_exists([sum(map(bit.get, cells)) | spare << i for i, cells in enumerate(options)])
 
 
 def check_certificate(cert: DrawCertificate) -> ProofResult:
@@ -1036,6 +1036,7 @@ def check_certificate(cert: DrawCertificate) -> ProofResult:
             named = template_by_name(entry.template_name)
         except (KeyError, ValueError):
             v.append((loc, "not a catalog template name"))
+            named = None
         else:
             if not _places(named, ms):
                 v.append((loc, "markers and groups are no placement of the template"))
@@ -1050,14 +1051,15 @@ def check_certificate(cert: DrawCertificate) -> ProofResult:
             if g not in live:
                 v.append((loc, f"group {g} is not a live Black group"))
             seen_groups.add(g)
-        result = verify_matching_set(pos, ms)
-        v.extend((f"{loc}/{w}", r) for w, r in result.violations)
+        if named is not None:  # its automorphisms bound what the symmetry maps generate
+            result = verify_matching_set(pos, ms, len(named.automorphisms))
+            v.extend((f"{loc}/{w}", r) for w, r in result.violations)
     pair_cells = cert.residual.marker_cells()
     if pair_cells & seen_markers:
         v.append(("residual", "pair cells collide with embedding markers"))
     for msg in verify_pairing(pos, cert.residual):
         v.append(("residual", msg))
-    for g in cert.residual.groups():
+    for g, _ in cert.residual.assignments:
         if g in seen_groups:
             v.append(("residual", f"group {g} covered twice"))
         if g not in live:
@@ -1067,8 +1069,3 @@ def check_certificate(cert: DrawCertificate) -> ProofResult:
         if g not in seen_groups:
             v.append(("coverage", f"live group {g} is not covered"))
     return ProofResult(tuple(v))
-
-
-def validate_catalog() -> dict[str, ProofResult]:
-    """Abstract verification of every bundled template's matching set."""
-    return {t.name: verify_abstract(t.matching) for t in catalog()}

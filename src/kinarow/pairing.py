@@ -15,13 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .board import Cell, Group, MoveError, Position, EMPTY, cell_name
+from .board import Cell, Group, Position, EMPTY, cell_name
 
 T = TypeVar("T")
-
-
-class DeadGroupError(ValueError):
-    """Raised when a pairing is requested for a group already containing White."""
 
 
 def _match(rooms: Sequence[int]) -> tuple[bool, int]:
@@ -74,15 +70,6 @@ def _match(rooms: Sequence[int]) -> tuple[bool, int]:
 def pairing_exists(rooms: Sequence[int]) -> bool:
     """Whether two cells of each room (a bitmask of usable cells) can be reserved, none twice."""
     return _match(rooms)[0]
-
-
-def covering_exists(rooms: Sequence[int], free: int) -> bool:
-    """Whether pairings prove that Black, to move on `free`, completes no room's group.
-
-    The rooms pair now, or one ply deep (`replies_cover`).
-    """
-    paired, hall = _match(rooms)
-    return paired or replies_cover(rooms, free, hall)
 
 
 def replies_cover(rooms: Sequence[int], free: int, hall: int) -> bool:
@@ -144,41 +131,8 @@ class Pairing:
 
     assignments: tuple[tuple[Group, tuple[Cell, Cell]], ...]
 
-    def pair_for(self, group: Group) -> tuple[Cell, Cell] | None:
-        for g, pair in self.assignments:
-            if g == group:
-                return pair
-        return None
-
     def marker_cells(self) -> set[Cell]:
         return {c for _, pair in self.assignments for c in pair}
-
-    def groups(self) -> list[Group]:
-        return [g for g, _ in self.assignments]
-
-    def pairs(self) -> list[tuple[Cell, Cell]]:
-        return [pair for _, pair in self.assignments]
-
-
-def find_hj_pairing(pos: Position, groups: Sequence[Group]) -> Pairing | None:
-    """An exact HJ-pairing for the given live groups, or None if none exists.
-
-    Pairs are the smallest in cell_key order, which is ascending bit order.
-    """
-    m = pos.spec.m
-    masks = []
-    for g in groups:
-        if not all(map(pos.spec.in_bounds, g)):
-            raise MoveError(f"group {g} is off the board")
-        masks.append(sum(1 << (r * m + c) for c, r in g))
-        if masks[-1] & pos.white:
-            raise DeadGroupError(f"group {g} already contains a White stone")
-    pairs = smallest_pairing([mask & pos.empty for mask in masks])
-    if pairs is None:
-        return None
-    return Pairing(
-        tuple((g, ((a % m, a // m), (b % m, b // m))) for g, (a, b) in zip(groups, pairs))
-    )
 
 
 def verify_pairing(pos: Position, pairing: Pairing) -> list[str]:

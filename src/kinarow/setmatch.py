@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
 from .board import BLACK, WHITE, Group, Position, cell_name
@@ -50,13 +49,6 @@ class ProofResult:
         return not self.violations
 
 
-def coverage_ratio(m: MatchingSet) -> Fraction:
-    """Markers per group, as an exact rational (2 for a plain HJ-pairing)."""
-    if not m.groups:
-        raise ZeroDivisionError("matching set has no groups")
-    return Fraction(len(m.markers), len(m.groups))
-
-
 def _complete_perm(perm: SymmetryMap, nodes: frozenset) -> SymmetryMap | None:
     """Extend a partially written permutation with fixed points; None if invalid."""
     full = {n: perm.get(n, n) for n in nodes}
@@ -65,8 +57,19 @@ def _complete_perm(perm: SymmetryMap, nodes: frozenset) -> SymmetryMap | None:
     return full
 
 
-def symmetry_closure(nodes: frozenset, gens: Sequence[SymmetryMap]) -> list[SymmetryMap]:
-    """The permutation group generated by the given maps (identity included)."""
+def _compose(g: SymmetryMap, p: SymmetryMap) -> SymmetryMap:
+    """The permutation p followed by g."""
+    return {n: g[x] for n, x in p.items()}
+
+
+def symmetry_closure(
+    nodes: frozenset, gens: Sequence[SymmetryMap], limit: int | None = None
+) -> list[SymmetryMap]:
+    """The permutation group generated by the given maps (identity included).
+
+    Raises ValueError on a map that is no permutation of nodes, and as soon
+    as the group holds more than limit permutations, before building the rest.
+    """
     completed = []
     for g in gens:
         full = _complete_perm(g, nodes)
@@ -79,10 +82,12 @@ def symmetry_closure(nodes: frozenset, gens: Sequence[SymmetryMap]) -> list[Symm
     while frontier:
         p = frontier.pop()
         for g in completed:
-            q = {n: g[p[n]] for n in nodes}
+            q = _compose(g, p)
             key = tuple(sorted(q.items(), key=repr))
             if key not in seen:
                 seen[key] = q
+                if limit is not None and len(seen) > limit:
+                    raise ValueError(f"symmetry maps generate more than {limit} permutations")
                 frontier.append(q)
     return list(seen.values())
 
@@ -94,15 +99,18 @@ def _apply_perm_covering(cov: Covering, perm: SymmetryMap) -> Covering:
     return Covering(perm[cov.black_move], perm[cov.white_response], pairs)
 
 
-def expand_coverings(m: MatchingSet, name: Callable[[Node], str]) -> tuple[dict, list]:
+def expand_coverings(
+    m: MatchingSet, name: Callable[[Node], str], limit: int | None = None
+) -> tuple[dict, list]:
     """One covering per marker after symmetry expansion; also any expansion errors.
 
     Explicitly listed coverings win over expanded ones; among expanded
     candidates for the same first move the lexicographically-smallest is kept.
+    Symmetry maps generating more than limit permutations are an error.
     """
     violations: list[tuple[str, str]] = []
     try:
-        perms = symmetry_closure(m.markers, m.symmetry)
+        perms = symmetry_closure(m.markers, m.symmetry, limit)
     except ValueError as exc:
         return {}, [("symmetry", str(exc))]
     usable = []
@@ -142,6 +150,7 @@ def _verify(
     is_empty: Callable[[Node], bool],
     group_has_white: Callable[[object], bool],
     name: Callable[[Node], str],
+    limit: int | None = None,
 ) -> list[tuple[str, str]]:
     where = "matching set"
     v: list[tuple[str, str]] = []
@@ -169,7 +178,7 @@ def _verify(
 
     # expand_coverings keeps only coverings within the markers, and its
     # symmetry images permute markers, so every node below is a marker.
-    chosen, expansion_errors = expand_coverings(m, name)
+    chosen, expansion_errors = expand_coverings(m, name, limit)
     v.extend((where + "/" + loc, reason) for loc, reason in expansion_errors)
 
     for x, cov in sorted(chosen.items(), key=lambda kv: repr(kv[0])):
@@ -202,8 +211,11 @@ def _verify(
     return v
 
 
-def verify_matching_set(pos: Position, m: MatchingSet) -> ProofResult:
-    """Check a concrete matching set against a position; Black must be to move."""
+def verify_matching_set(pos: Position, m: MatchingSet, limit: int | None = None) -> ProofResult:
+    """Check a concrete matching set against a position; Black must be to move.
+
+    Symmetry maps that generate more than limit permutations are a violation.
+    """
     v: list[tuple[str, str]] = []
     if pos.to_move != BLACK:
         v.append(("position", "side to move is not Black"))
@@ -219,6 +231,7 @@ def verify_matching_set(pos: Position, m: MatchingSet) -> ProofResult:
         is_empty=lambda c: pos.spec.in_bounds(c) and pos.is_empty(c),
         group_has_white=lambda g: any(pos.at(c) == WHITE for c in g),
         name=cell_name,
+        limit=limit,
     )
     return ProofResult(tuple(v))
 

@@ -234,7 +234,7 @@ def solve(pos: Position, pruning: str = "none") -> tuple[Verdict, SearchStats]:
     """Exact game value of pos with perfect play, plus search statistics.
 
     Raises SearchGuardError past GUARD empty cells: the transposition table
-    is unbounded (ROADMAP item 5), so a larger search could exhaust memory.
+    is unbounded, so a larger search could exhaust memory.
     """
     started = perf_counter()
     if pruning not in PRUNING_MODES:

@@ -31,7 +31,7 @@ from kinarow.configs import (
     prove_draw,
     template_by_name,
 )
-from kinarow.pairing import find_hj_pairing
+from kinarow.pairing import verify_pairing
 from kinarow.setmatch import exhaustive_marker_adversary, verify_matching_set
 from kinarow.solver import PRUNING_MODES, Verdict, solve
 from tests.test_board import load_fixture
@@ -136,7 +136,7 @@ def test_4_pairing_failure_witness_with_valid_certificate():
     pos = parse_position(load_fixture("fig1.board"))
     live = live_black_groups(pos)
     assert len(live) == 3
-    assert find_hj_pairing(pos, live) is None
+    assert prove_draw(pos, templates=[]) is None
     cert = certificate_from_json(load_fixture("fig1.cert"))
     [entry] = cert.entries
     assert entry.template_name == "Triangle"
@@ -196,7 +196,8 @@ def test_6_pruning_consistency():
 
 
 def test_7_pairing_exactness_corpus():
-    """find_hj_pairing agrees with exhaustive assignment search, 500 cases."""
+    """The HJ pairing, prove_draw with no templates, agrees with exhaustive
+    assignment search, 500 Black-to-move cases."""
 
     def exhaustive(group_cells):
         def assign(i, used):
@@ -216,16 +217,18 @@ def test_7_pairing_exactness_corpus():
     while checked < 500:
         spec = rng.choice(specs)
         pos = random_legal_position(rng, spec, rng.randint(4, spec.m * spec.n))
-        if winner(pos) is not None:
+        if winner(pos) is not None or pos.to_move != BLACK:
             continue
         live = live_black_groups(pos)
         if len(live) > 6:
             continue
         checked += 1
-        got = find_hj_pairing(pos, live)
-        want = exhaustive([g.cell_set & frozenset(pos.empties()) for g in live])
+        got = prove_draw(pos, templates=[])
+        want = exhaustive([frozenset(g.cells) & frozenset(pos.empties()) for g in live])
         assert (got is not None) == want, pos
         if got is not None:
+            assert got.entries == () and verify_pairing(pos, got.residual) == []
+            assert [g for g, _ in got.residual.assignments] == live
             agreements_found += 1
     assert checked == 500
     assert agreements_found > 20

@@ -64,12 +64,12 @@ class TestParsing:
         pos = parse_position(text)
         assert pos.spec == BoardSpec(4, 4, 4)
         assert pos.to_move == BLACK
-        assert pos.count(EMPTY) == 16
+        assert pos.empty.bit_count() == 16
         assert render_position(pos) == text
 
     def test_fig1_fixture_contents(self):
         pos = parse_position(load_fixture("fig1.board"))
-        assert pos.count(BLACK) == pos.count(WHITE) == 7
+        assert pos.black.bit_count() == pos.white.bit_count() == 7
         for name in ("a1", "a4", "c1", "c2", "d1"):
             assert pos.is_empty(parse_cell(name)), name
 
@@ -131,7 +131,7 @@ class TestMoves:
         pos = empty_position(BoardSpec(4, 4, 4))
         nxt = apply_move(pos, (0, 0))
         assert nxt.at((0, 0)) == BLACK
-        assert nxt.count(BLACK) == 1 and nxt.to_move == WHITE
+        assert nxt.black.bit_count() == 1 and nxt.to_move == WHITE
         assert pos.is_empty((0, 0))  # original untouched
 
     def test_occupied_cell_rejected(self):
@@ -199,8 +199,8 @@ class TestMaskPosition:
         grid = grid_of(render_position(pos))
         cells = [(c, r) for r in range(n) for c in range(m)]
         assert [pos.at(cell) for cell in cells] == [grid[cell] for cell in cells]
-        for state in (EMPTY, BLACK, WHITE):
-            assert pos.count(state) == list(grid.values()).count(state)
+        for state, mask in ((EMPTY, pos.empty), (BLACK, pos.black), (WHITE, pos.white)):
+            assert mask.bit_count() == list(grid.values()).count(state)
         assert pos.empties() == [cell for cell in cells if grid[cell] == EMPTY]
         groups = enumerate_groups(spec)
         live = [g for g in groups if all(grid[cell] != WHITE for cell in g)]

@@ -15,6 +15,7 @@ import pytest
 
 from kinarow.board import (
     BoardSpec,
+    Group,
     apply_move,
     cell_key,
     cell_name,
@@ -26,7 +27,7 @@ from kinarow.board import (
     parse_position,
     winner,
 )
-from kinarow import configs
+from kinarow import configs, setmatch
 from kinarow.certio import certificate_from_json, certificate_to_json
 from kinarow.configs import (
     CertEntry,
@@ -39,8 +40,8 @@ from kinarow.configs import (
     detect,
     prove_draw,
     template_by_name,
-    validate_catalog,
 )
+from kinarow.pairing import Pairing
 from kinarow.setmatch import MatchingSet, expand_coverings, symmetry_closure, verify_abstract
 from tests.test_acceptance import random_legal_position, with_cycles
 from tests.test_board import load_fixture
@@ -360,7 +361,7 @@ class TestCatalog:
         assert cl.ratio == Fraction(2 * n, n + 1)
 
     def test_catalog_validates(self):
-        results = validate_catalog()
+        results = {t.name: verify_abstract(t.matching) for t in catalog()}
         assert all(r.valid for r in results.values()), {
             name: r.violations for name, r in results.items() if not r.valid
         }
@@ -1190,9 +1191,13 @@ class TestCheckCertificate:
                     entries = list(cert.entries)
                     entries[i] = CertEntry(name, entry.matching)
                     result = check_certificate(DrawCertificate(cert.position, tuple(entries), cert.residual))
-                    assert result.violations == (
-                        (f"embedding {i} ({name})", "markers and groups are no placement of the template"),
-                    )
+                    loc = f"embedding {i} ({name})"
+                    expected = [(loc, "markers and groups are no placement of the template")]
+                    # The named template's automorphisms also bound what the symmetry maps generate.
+                    bound = len(template_by_name(name).automorphisms)
+                    if len(symmetry_closure(entry.matching.markers, entry.matching.symmetry)) > bound:
+                        expected.append((f"{loc}/matching set/symmetry", f"symmetry maps generate more than {bound} permutations"))
+                    assert result.violations == tuple(expected)
 
     @pytest.mark.parametrize("fig", ["empty4x4", *sorted(FIXTURE_TEMPLATES)])
     def test_entry_listing_every_covering_is_valid(self, fig):
@@ -1230,6 +1235,106 @@ class TestCheckCertificate:
     def test_bundled_fixture_certificates_valid(self, fig):
         cert = certificate_from_json(load_fixture(f"{fig}.cert"))
         assert check_certificate(cert).valid
+
+    @pytest.mark.parametrize("fig", ["empty4x4", *sorted(FIXTURE_TEMPLATES)])
+    def test_one_closure_per_entry_within_the_automorphisms(self, fig, monkeypatch):
+        # The symmetry bound is tight on every bundled entry, and a valid
+        # certificate still builds each entry's closure once.
+        cert = certificate_from_json(load_fixture(f"{fig}.cert"))
+        for entry in cert.entries:
+            ms = entry.matching
+            closure = symmetry_closure(ms.markers, ms.symmetry)
+            assert len(closure) == len(template_by_name(entry.template_name).automorphisms)
+        calls = []
+        closure = setmatch.symmetry_closure
+        monkeypatch.setattr(setmatch, "symmetry_closure", lambda *args: calls.append(1) or closure(*args))
+        assert check_certificate(cert).valid
+        assert len(calls) == len(cert.entries)
+
+    def test_symmetry_maps_generating_too_much_stop_early(self, monkeypatch):
+        # A swap and an 8-cycle of a BiTriangle's 8 markers generate all
+        # 40,320 permutations; the check stops past the template's 4
+        # automorphisms, having built at most one permutation per map for
+        # each of the 4 it expanded.
+        cert = certificate_from_json(load_fixture("empty4x4.cert"))
+        ms = cert.entries[0].matching
+        m = sorted(ms.markers, key=cell_key)
+        symmetry = ({m[0]: m[1], m[1]: m[0]}, dict(zip(m, m[1:] + m[:1])))
+        crafted = CertEntry("BiTriangle", MatchingSet(ms.markers, ms.groups, ms.coverings, symmetry))
+        built = []
+        compose = setmatch._compose
+        monkeypatch.setattr(setmatch, "_compose", lambda g, p: built.append(1) or compose(g, p))
+        result = check_certificate(DrawCertificate(cert.position, (crafted,), cert.residual))
+        assert result.violations[0] == (
+            "embedding 0 (BiTriangle)/matching set/symmetry",
+            "symmetry maps generate more than 4 permutations",
+        )
+        assert len(built) <= 4 * len(symmetry)
+
+    def test_crafted_cycle_placement_is_refused(self):
+        # CycleN(13)'s 25 markers on a2..a26, every group the column a1-a40
+        # but the one holding the last two corners, which becomes row 1 and
+        # holds no marker.  Trying every map of the first labels takes
+        # exponential time; the matching refuses it at once.
+        t = cycle_template(13)
+        column = Group(tuple((0, r) for r in range(40)))
+        row = Group(tuple((c, 0) for c in range(26)))
+        groups = tuple(row if {"l", "m"} <= g else column for g in t.groups)
+        ms = MatchingSet(frozenset((0, r) for r in range(1, 26)), groups, ())
+        assert not configs._places(t, ms)
+        pos = empty_position(BoardSpec(26, 40, 40))
+        result = check_certificate(DrawCertificate(pos, (CertEntry(t.name, ms),), Pairing(())))
+        assert result.violations[0] == ("embedding 0 (CycleN(13))", "markers and groups are no placement of the template")
+
+    def test_places_agrees_with_backtracking(self):
+        # Seeded placements of every catalog template on a 6x6 grid, some
+        # with a group cut or grown: the matching must answer as the search
+        # over every one-to-one map of labels to markers does, also where
+        # every label has markers to take but no two labels may share one.
+        rng = random.Random(31)
+        cells = [(c, r) for r in range(6) for c in range(6)]
+        answers = []
+        clashes = 0
+        for _ in range(600):
+            t = rng.choice(catalog())
+            image = dict(zip(t.labels, rng.sample(cells, t.num_markers)))
+            groups = []
+            for abstract in t.groups:
+                g = {image[x] for x in abstract} | set(rng.sample(cells, rng.randrange(3)))
+                if rng.random() < 0.1:
+                    g.discard(image[rng.choice(sorted(abstract))])
+                groups.append(tuple(g))
+            ms = MatchingSet(frozenset(image.values()), tuple(groups), ())
+            answer = configs._places(t, ms)
+            assert answer == places_by_backtracking(t, ms), (t.name, ms)
+            answers.append(answer)
+            clashes += not answer and all(label_options(t, ms))
+        assert 100 <= sum(answers) <= len(answers) - 100
+        assert clashes >= 20
+
+
+def label_options(template, ms) -> list[set]:
+    """Per label, the markers in every group at the places of its template groups."""
+    options = []
+    for x in template.labels:
+        cells = set(ms.markers)
+        for abstract, g in zip(template.groups, ms.groups):
+            if x in abstract:
+                cells &= set(g)
+        options.append(cells)
+    return options
+
+
+def places_by_backtracking(template, ms) -> bool:
+    """_places by trying every one-to-one map of labels to markers in label order."""
+    if (len(ms.markers), len(ms.groups)) != (template.num_markers, template.num_groups):
+        return False
+    options = label_options(template, ms)
+
+    def bind(i: int, used: frozenset) -> bool:
+        return i == len(options) or any(bind(i + 1, used | {c}) for c in options[i] - used)
+
+    return bind(0, frozenset())
 
 
 def test_cycle_templates_prove_on_longer_boards():

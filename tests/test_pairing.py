@@ -6,25 +6,24 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kinarow import solver
 from kinarow.board import (
     BLACK,
     cell_key,
     BoardSpec,
     Group,
-    MoveError,
+    Position,
     apply_move,
     empty_position,
     group_masks,
     live_black_groups,
     parse_position,
 )
+from kinarow.configs import prove_draw
 from kinarow.pairing import (
-    DeadGroupError,
     Pairing,
     PairResponder,
     _match,
-    covering_exists,
-    find_hj_pairing,
     pairing_exists,
     smallest_pairing,
     verify_pairing,
@@ -50,52 +49,56 @@ def first_exhaustive_pairing(rooms: list[int]) -> list[tuple[int, int]] | None:
     return assign(0, 0)
 
 
+def pairing_of(pos: Position, groups: list[Group]) -> Pairing | None:
+    """smallest_pairing of the given groups' empty cells, as a Pairing."""
+    m = pos.spec.m
+    rooms = [sum(1 << (r * m + c) for c, r in g) & pos.empty for g in groups]
+    pairs = smallest_pairing(rooms)
+    if pairs is None:
+        return None
+    cell = lambda bit: (bit % m, bit // m)
+    return Pairing(tuple((g, (cell(a), cell(b))) for g, (a, b) in zip(groups, pairs)))
+
+
+def hj_pairing(pos: Position) -> Pairing | None:
+    """The position's HJ pairing: prove_draw with no templates, or None."""
+    cert = prove_draw(pos, templates=[])
+    return None if cert is None else cert.residual
+
+
 class TestFindPairing:
     def test_fig1_has_no_pairing(self):
         pos = parse_position(load_fixture("fig1.board"))
         live = live_black_groups(pos)
         assert len(live) == 3
         # 3 groups demand 6 distinct markers but only 5 empty cells serve them
-        assert find_hj_pairing(pos, live) is None
+        assert hj_pairing(pos) is None
 
     def test_single_group_gets_lowest_pair(self):
         pos = empty_position(BoardSpec(4, 1, 4))
         [group] = live_black_groups(pos)
-        pairing = find_hj_pairing(pos, [group])
-        assert pairing.pair_for(group) == ((0, 0), (1, 0))
+        cert = prove_draw(pos, templates=[])
+        assert cert.entries == ()
+        assert cert.residual.assignments == ((group, ((0, 0), (1, 0))),)
 
     def test_empty_4x4_full_board_pairing_fails(self):
         # 10 groups demand 20 markers; only 16 cells exist
         pos = empty_position(BoardSpec(4, 4, 4))
-        assert find_hj_pairing(pos, live_black_groups(pos)) is None
-
-    def test_dead_group_rejected(self):
-        pos = parse_position("3 3 3 B\n...\n...\nXO.\n")
-        dead = next(g for g in __import__("kinarow").enumerate_groups(pos.spec)
-                    if (1, 0) in g)
-        with pytest.raises(DeadGroupError):
-            find_hj_pairing(pos, [dead])
-
-    def test_off_board_group_rejected(self):
-        # (4, 0) lies off the 4-wide board, and its bit 0*4+4 would be a2's.
-        pos = empty_position(BoardSpec(4, 2, 4))
-        with pytest.raises(MoveError):
-            find_hj_pairing(pos, [Group(tuple((c, 0) for c in range(1, 5)))])
+        assert hj_pairing(pos) is None
 
 
 class TestVerifyPairing:
     def test_valid_pairing_has_no_violations(self):
         pos = empty_position(BoardSpec(4, 2, 4))
         live = live_black_groups(pos)
-        pairing = find_hj_pairing(pos, live)
+        pairing = hj_pairing(pos)
         assert pairing is not None
         assert verify_pairing(pos, pairing) == []
         assert {g for g, _ in pairing.assignments} == set(live)
 
     def test_occupied_marker_reported(self):
         pos = empty_position(BoardSpec(4, 1, 4))
-        [group] = live_black_groups(pos)
-        pairing = find_hj_pairing(pos, [group])
+        pairing = hj_pairing(pos)
         occupied = apply_move(pos, (0, 0))
         assert any("not empty" in v for v in verify_pairing(occupied, pairing))
 
@@ -103,12 +106,10 @@ class TestVerifyPairing:
         pos = empty_position(BoardSpec(5, 2, 4))
         groups = live_black_groups(pos)
         row0 = next(g for g in groups if all(r == 0 for _, r in g))
-        pairing = find_hj_pairing(pos, [row0])
+        [(_, pair)] = pairing_of(pos, [row0]).assignments
         # borrow the pairing but verify it against a different group
         row1 = next(g for g in groups if all(r == 1 for _, r in g))
-        from kinarow.pairing import Pairing
-
-        wrong = Pairing(((row1, pairing.pair_for(row0)),))
+        wrong = Pairing(((row1, pair),))
         assert any("outside" in v for v in verify_pairing(pos, wrong))
 
     @pytest.mark.parametrize(
@@ -201,6 +202,11 @@ def naive_covering(rooms: list[int], free: int) -> bool:
     )
 
 
+def covered_by_probe(rooms: list[int], free: int) -> bool:
+    """The setmatch probe of the solver, on every room and with no stored pairing."""
+    return solver._probe(rooms, (1 << len(rooms)) - 1, free, True, {})
+
+
 class TestCovering:
     SPECS = [
         BoardSpec(4, 4, 3),
@@ -227,7 +233,7 @@ class TestCovering:
             if any(r.bit_count() < 2 for r in rooms) or pairing_exists(rooms):
                 continue
             expected = naive_covering(rooms, free)
-            assert covering_exists(rooms, free) == expected, (spec, black, white)
+            assert covered_by_probe(rooms, free) == expected, (spec, black, white)
             checked += 1
             covered += expected
             if checked == 1000:
@@ -235,11 +241,11 @@ class TestCovering:
         assert 100 <= covered <= checked - 100
 
     def test_pairing_is_a_covering(self):
-        assert covering_exists([0b0011, 0b1100], 0b1111)
+        assert covered_by_probe([0b0011, 0b1100], 0b1111)
 
     def test_group_one_cell_from_done_is_not_covered(self):
         # Black completes the room {bit 0} at once; no reply can follow.
-        assert not covering_exists([0b0001, 0b0110], 0b0111)
+        assert not covered_by_probe([0b0001, 0b0110], 0b0111)
 
 
 class TestStrategySoundness:
@@ -251,7 +257,7 @@ class TestStrategySoundness:
             Group(tuple((c + off, r) for c in range(4)))
             for r, off in ((0, 0), (1, 1), (2, 2), (3, 2))
         ]
-        pairing = find_hj_pairing(pos, groups)
+        pairing = pairing_of(pos, groups)
         assert pairing is not None
         assert len(pairing.marker_cells()) == 8
         return pos, groups, pairing
@@ -279,14 +285,14 @@ class TestStrategySoundness:
                 nxt = apply_move(nxt, mirror.respond(move, empties))
                 black_turn(nxt, mirror)
 
-        black_turn(pos, PairResponder(pairing.pairs(), key=cell_key))
+        black_turn(pos, PairResponder([pair for _, pair in pairing.assignments], key=cell_key))
         assert failures == []
 
     def test_responder_always_answers_within_board(self):
         pos, groups, pairing = self.pairing_instance()
         first = sorted(pairing.marker_cells())[0]
         cur = apply_move(pos, first)
-        responder = PairResponder(pairing.pairs(), key=cell_key)
+        responder = PairResponder([pair for _, pair in pairing.assignments], key=cell_key)
         reply = responder.respond(first, cur.empties())
         assert reply in cur.empties()
 
@@ -296,7 +302,7 @@ def test_pairing_strategy_on_drawable_board():
     # but a live subset away from White stones pairs fine.
     pos = parse_position("5 5 4 B\nOOOXX\nXXOOO\nOOXXX\nXXOO.\n.XX.O\n")
     live = live_black_groups(pos)
-    pairing = find_hj_pairing(pos, live)
+    pairing = hj_pairing(pos)
     if pairing is not None:
         assert verify_pairing(pos, pairing) == []
         assert {g for g, _ in pairing.assignments} == set(live)

@@ -10,7 +10,6 @@ from kinarow.setmatch import (
     Covering,
     MatchingSet,
     MatchResponder,
-    coverage_ratio,
     exhaustive_marker_adversary,
     expand_coverings,
     symmetry_closure,
@@ -138,15 +137,11 @@ class TestSymmetry:
 
 class TestCoverageRatio:
     def test_triangle_ratio(self):
-        assert coverage_ratio(triangle_set()) == Fraction(5, 3)
-
-    def test_no_groups_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            coverage_ratio(MatchingSet(frozenset("a"), (), (), ()))
+        assert template_by_name("Triangle").ratio == Fraction(5, 3)
 
     def test_every_template_beats_plain_pairing(self):
         for template in with_cycles(3, 5, 8):
-            assert coverage_ratio(template.matching) < 2
+            assert template.ratio < 2
 
 
 class TestConcreteVerification:

@@ -16,12 +16,11 @@ from kinarow.board import (
     apply_move,
     empty_position,
     group_masks,
-    live_black_groups,
     live_groups,
     parse_position,
     winner,
 )
-from kinarow.pairing import find_hj_pairing, pairing_exists
+from kinarow.pairing import pairing_exists
 from kinarow.solver import (
     GUARD,
     PRUNING_MODES,
@@ -485,9 +484,10 @@ class TestProbe:
         BoardSpec(6, 6, 5),
     ]
 
-    def test_hj_probe_matches_find_hj_pairing(self):
-        # The mask probe must agree with the Position-level matcher on seeded
-        # random Black-to-move positions of every stone count.
+    def test_hj_probe_matches_prove_draw_without_templates(self):
+        # The mask probe must agree with the position's HJ pairing, prove_draw
+        # with no templates, on seeded random Black-to-move positions of
+        # every stone count.
         rng = random.Random(6)
         outcomes = []
         for i in range(1200):
@@ -495,7 +495,7 @@ class TestProbe:
             pos = random_position(rng, spec, 2 * rng.randrange(spec.m * spec.n // 2))
             if pos.to_move != BLACK:
                 continue
-            expected = find_hj_pairing(pos, live_black_groups(pos)) is not None
+            expected = kinarow.configs.prove_draw(pos, templates=[]) is not None
             assert black_probe(pos, "hj") == expected, pos
             outcomes.append(expected)
         assert len(outcomes) >= 1000
