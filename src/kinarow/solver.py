@@ -13,8 +13,9 @@ identical across pruning modes:
   for a draw certificate, which proves Black cannot win (value at most 0):
   a sound fail-low;
 - a node of either side whose window asks only for a non-loss (beta at most
-  0) asks whether the opponent's live groups pair on the empty cells, which
-  proves the mover cannot lose (value at least 0): a sound fail-high.
+  0) looks one move ahead: it asks whether some move leaves the opponent's
+  live groups a pairing on the empty cells, which proves the mover cannot
+  lose (value at least 0): a sound fail-high.
 
 Neither probe's result is written to the table.
 
@@ -85,14 +86,14 @@ it.
 
 Every probe is one call of `_probe(groups, live, free, cover, pairings)`,
 whose rooms are the groups of a live set cut to the empty cells: Black's for
-the Black probe, the opponent's for the cutoff below.  It holds when a
+the Black probe, the opponent's for the lookahead below.  It holds when a
 pairing reserves two empty cells of every room (`pairing._match`, after a
 union count), or with cover, in the `setmatch` Black probe, on a whole-board
 matching set one ply deep (`pairing.replies_cover`): every empty cell is a
 marker, and each Black move has a White reply after which a pairing covers
 every live group the reply does not kill.  A room of fewer than two cells is
 a finished game or a threat of its holder, and no probe meets one: the root
-takes the mover's threat as a win, no node below has one, and the cutoff
+takes the mover's threat as a win, no node below has one, and the lookahead
 runs only with no opponent threat (both matchers would answer False).
 `solve` reads `_probe` as a module global at each call, so a test can wrap
 it and check each claim where it fires.
@@ -106,19 +107,29 @@ a pairing of the new rooms, and a pairing is also a covering.  A stored cell
 that was taken sends the probe to the matcher, whose new pairing replaces
 the stored one.
 
-The opponent-pairing cutoff is the same pairing with the roles turned: the
-mover defends.  Say the opponent's live groups (those free of the mover's
-stones) have a pairing on the empty cells.  The mover makes any move, then
-answers each opponent move on a reserved cell with its partner, and any
-other opponent move anywhere.  Every live group of the opponent keeps a
-reserved cell out of the opponent's hands, so the opponent never completes
+The opponent-pairing lookahead is the same pairing with the roles turned:
+the mover defends, one move ahead.  It tries the mover's moves in the root
+order, and returns 0 at the first move m after which the opponent's live
+groups (those free of the mover's stones), less those through m, pair on
+the empty cells less m.  The mover plays m, which kills every opponent group
+through m, then answers each opponent move on a reserved cell with its
+partner, and any other opponent move anywhere.  Every remaining group keeps
+a reserved cell out of the opponent's hands, so the opponent never completes
 one, and the mover's value is at least 0.  The mover's extra stones never
 hurt: one on a reserved cell kills the group that cell was reserved for, so
-that pair needs no answer any more, and one elsewhere touches no pair.  The
-"opponent not live" bound above is the case with no groups.  A group with
-one empty cell has no pair, so a lone threat rules the cutoff out, and so
-do fewer than two empty cells per live group of the opponent; the probe
-runs only past these free checks.
+that pair needs no answer any more, and one elsewhere touches no pair.  So
+a pairing before any move holds after every move: the lookahead's first
+try finds it, and it needs no probe of its own.  Three checks skip a probe:
+
+- moves that kill the same opponent groups leave the same rooms, since no
+  remaining group holds m, so each remaining set is tried once per node;
+- a move that leaves the opponent no live group needs no pairing, and
+  returns 0 at once, as the "opponent not live" bound above does;
+- fewer than two empty cells per remaining group rule a pairing out.
+
+The lookahead runs only when the mover faces no threat.  Facing a lone
+threat, every move but the block leaves that group one cell and no pair, and
+the node searches the block alone anyway.
 """
 
 from __future__ import annotations
@@ -224,8 +235,9 @@ def move_order(pos: Position) -> list[int]:
         for g in group_masks(pos.spec)
     }
     _, cell_moves, by_centre = _cell_tables(pos.spec)
+    empty = pos.empty
     return sorted(
-        (i for i in by_centre if pos.empty >> i & 1),
+        (i for i in by_centre if empty >> i & 1),
         key=lambda i: -sum(map(weight.__getitem__, cell_moves[i][1])),
     )
 
@@ -330,11 +342,22 @@ def solve(pos: Position, pruning: str = "none") -> tuple[Verdict, SearchStats]:
             if alpha >= 0:
                 if empties_left & 1 == black_parity and probe(own_live, full ^ taken, setmatch, pruning):
                     return 0
-            elif (
-                beta <= 0 and not threats and 2 * opp_live.bit_count() <= empties_left
-                and probe(opp_live, full ^ taken, False, "opponent_pairing")
-            ):
-                return 0
+            elif beta <= 0 and not threats:
+                # One ply ahead: a move after which the opponent's live groups
+                # pair.  Moves that kill the same groups leave the same rooms.
+                tried = set()
+                for bit, _, keep in moves:
+                    after = opp_live & keep
+                    if taken & bit or after in tried:
+                        continue
+                    tried.add(after)
+                    if not after:
+                        events["opponent_pairing"] += 1
+                        return 0
+                    if 2 * after.bit_count() < empties_left and probe(
+                        after, full ^ taken ^ bit, False, "opponent_pairing"
+                    ):
+                        return 0
         orig_alpha = alpha
         best = -2
         live = own_live | opp_live
