@@ -6,18 +6,16 @@ The search state is two ints, the stone masks (`Position.black` and
 is one int, `own << m*n | opp`: each move adds one stone, so within one search
 the stone count fixes the side to move and the key names the same position as
 the (Black, White) pair.  Scores are from the side to move: +1 win, 0 draw, -1
-loss.  With pruning enabled, two probes cut nodes off, and verdicts are
-identical across pruning modes:
+loss.  With pruning enabled, two probes cut nodes off, neither written to the
+table, and verdicts are identical across pruning modes:
 
-- a Black-to-move node whose window admits a draw (alpha at least 0) asks
-  for a draw certificate, which proves Black cannot win (value at most 0):
-  a sound fail-low;
 - a node of either side whose window asks only for a non-loss (beta at most
   0) looks one move ahead: it asks whether some move leaves the opponent's
   live groups a pairing on the empty cells, which proves the mover cannot
-  lose (value at least 0): a sound fail-high.
-
-Neither probe's result is written to the table.
+  lose (value at least 0): a sound fail-high;
+- with `setmatch`, a Black-to-move node whose window admits a draw (alpha
+  at least 0) asks for a one-ply covering of Black's live groups, which
+  proves Black cannot win (value at most 0): a sound fail-low.
 
 The search follows the threat rules of k-in-a-row solvers.  A side's threats
 are the empty cells that would complete a group holding no stone of the other
@@ -91,12 +89,12 @@ pairing reserves two empty cells of every room (`pairing._match`, after a
 union count), or with cover, in the `setmatch` Black probe, on a whole-board
 matching set one ply deep (`pairing.replies_cover`): every empty cell is a
 marker, and each Black move has a White reply after which a pairing covers
-every live group the reply does not kill.  A room of fewer than two cells is
-a finished game or a threat of its holder, and no probe meets one: the root
+every live group the reply does not kill.  A room of fewer than two cells is a
+finished game or a threat of its holder, and no probe meets one: the root
 takes the mover's threat as a win, no node below has one, and the lookahead
-runs only with no opponent threat (both matchers would answer False).
-`solve` reads `_probe` as a module global at each call, so a test can wrap
-it and check each claim where it fires.
+blocks an opponent threat with its move (both matchers would answer False).
+`solve` reads `_probe` as a module global at each call, so a test can wrap it
+and check each claim where it fires.
 
 Each solve keeps, in `pairings`, the cells of the last pairing found for
 each live set, and a probe of that set whose stored cells all lie in free
@@ -107,19 +105,18 @@ a pairing of the new rooms, and a pairing is also a covering.  A stored cell
 that was taken sends the probe to the matcher, whose new pairing replaces
 the stored one.
 
-The opponent-pairing lookahead is the same pairing with the roles turned:
-the mover defends, one move ahead.  It tries the mover's moves in the root
-order, and returns 0 at the first move m after which the opponent's live
-groups (those free of the mover's stones), less those through m, pair on
-the empty cells less m.  The mover plays m, which kills every opponent group
-through m, then answers each opponent move on a reserved cell with its
-partner, and any other opponent move anywhere.  Every remaining group keeps
-a reserved cell out of the opponent's hands, so the opponent never completes
-one, and the mover's value is at least 0.  The mover's extra stones never
-hurt: one on a reserved cell kills the group that cell was reserved for, so
-that pair needs no answer any more, and one elsewhere touches no pair.  So
-a pairing before any move holds after every move: the lookahead's first
-try finds it, and it needs no probe of its own.  Three checks skip a probe:
+The opponent-pairing lookahead is the same pairing with the roles turned: the
+mover defends, one move ahead.  It tries the mover's moves in the root order,
+and returns 0 at the first move m after which the opponent's live groups
+(those free of the mover's stones), less those through m, pair on the empty
+cells less m.  The mover plays m, which kills every opponent group through m,
+then answers each opponent move on a reserved cell with its partner, and any
+other opponent move anywhere.  Every remaining group keeps a reserved cell out
+of the opponent's hands, so the opponent never completes one, and the mover's
+value is at least 0.  A pairing before any move holds after every move, since
+a stone on a reserved cell kills that cell's group, so the lookahead needs no
+probe before the move.  Facing a lone threat, it tries the block, which kills
+every group that threat lies in.  Three checks skip a probe:
 
 - moves that kill the same opponent groups leave the same rooms, since no
   remaining group holds m, so each remaining set is tried once per node;
@@ -127,9 +124,12 @@ try finds it, and it needs no probe of its own.  Three checks skip a probe:
   returns 0 at once, as the "opponent not live" bound above does;
 - fewer than two empty cells per remaining group rule a pairing out.
 
-The lookahead runs only when the mover faces no threat.  Facing a lone
-threat, every move but the block leaves that group one cell and no pair, and
-the node searches the block alone anyway.
+So `hj` makes no Black probe, which would always fail below the root.  A Black
+node with alpha at least 0 has a White parent with beta at most 0 (the
+window's, or set by its "mover not live" bound), which faced at most one
+threat and so looked ahead over the move m to the node, asking `_probe` (whose
+answer rests on live and free alone) of the same two: no pairing held, or it
+would have returned.  So `setmatch`'s probe there holds only by a covering.
 """
 
 from __future__ import annotations
@@ -338,30 +338,30 @@ def solve(pos: Position, pruning: str = "none") -> tuple[Verdict, SearchStats]:
                 hits += 1
                 return value
         taken = own | opp
-        if probing:
-            if alpha >= 0:
-                if empties_left & 1 == black_parity and probe(own_live, full ^ taken, setmatch, pruning):
+        candidates = (cell_moves[threats.bit_length() - 1],) if threats else moves
+        if setmatch and alpha >= 0 and empties_left & 1 == black_parity:
+            if probe(own_live, full ^ taken, True, "setmatch"):
+                return 0
+        elif probing and beta <= 0:
+            # One ply ahead: a move after which the opponent's live groups
+            # pair.  Moves that kill the same groups leave the same rooms.
+            tried = set()
+            for bit, _, keep in candidates:
+                after = opp_live & keep
+                if taken & bit or after in tried:
+                    continue
+                tried.add(after)
+                if not after:
+                    events["opponent_pairing"] += 1
                     return 0
-            elif beta <= 0 and not threats:
-                # One ply ahead: a move after which the opponent's live groups
-                # pair.  Moves that kill the same groups leave the same rooms.
-                tried = set()
-                for bit, _, keep in moves:
-                    after = opp_live & keep
-                    if taken & bit or after in tried:
-                        continue
-                    tried.add(after)
-                    if not after:
-                        events["opponent_pairing"] += 1
-                        return 0
-                    if 2 * after.bit_count() < empties_left and probe(
-                        after, full ^ taken ^ bit, False, "opponent_pairing"
-                    ):
-                        return 0
+                if 2 * after.bit_count() < empties_left and probe(
+                    after, full ^ taken ^ bit, False, "opponent_pairing"
+                ):
+                    return 0
         orig_alpha = alpha
         best = -2
         live = own_live | opp_live
-        for bit, through, keep in (cell_moves[threats.bit_length() - 1],) if threats else moves:
+        for bit, through, keep in candidates:
             if taken & bit:
                 continue
             if not threats:

@@ -66,7 +66,7 @@ class TestSolve:
 
     def test_cert_calls_line(self, capsys):
         assert main(["solve", "--board", fixture_path("fig1.board"), "--method", "hj"]) == 0
-        assert "cert_calls: 4\n" in capsys.readouterr().out
+        assert "cert_calls: 3\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("method", ["none", "hj", "setmatch"])
     def test_timing_lines(self, capsys, method):

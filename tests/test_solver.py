@@ -40,68 +40,68 @@ from tests.test_board import load_fixture
 PINNED_COUNTERS = {
     "empty4x4": [
         ("Draw", 24556, 6540, {}),
-        ("Draw", 108, 0, {"hj": 4, "opponent_pairing": 78}),
+        ("Draw", 88, 0, {"opponent_pairing": 76}),
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig1": [
         ("Draw", 13, 0, {}),
-        ("Draw", 6, 0, {"hj": 2, "opponent_pairing": 1}),
+        ("Draw", 4, 0, {"opponent_pairing": 3}),
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig2": [
         ("Draw", 70, 8, {}),
-        ("Draw", 18, 0, {"hj": 2, "opponent_pairing": 8}),
-        ("Draw", 18, 0, {"setmatch": 2, "opponent_pairing": 8}),
+        ("Draw", 15, 0, {"opponent_pairing": 11}),
+        ("Draw", 15, 0, {"opponent_pairing": 11}),
     ],
     "fig3": [
         ("Draw", 29, 2, {}),
-        ("Draw", 8, 0, {"hj": 2, "opponent_pairing": 3}),
+        ("Draw", 6, 0, {"opponent_pairing": 5}),
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig4": [
         ("Draw", 105, 6, {}),
-        ("Draw", 28, 0, {"hj": 3, "opponent_pairing": 11}),
-        ("Draw", 28, 0, {"setmatch": 3, "opponent_pairing": 11}),
+        ("Draw", 25, 0, {"opponent_pairing": 14}),
+        ("Draw", 25, 0, {"opponent_pairing": 14}),
     ],
     "fig5": [
         ("Draw", 75, 6, {}),
-        ("Draw", 24, 0, {"hj": 1, "opponent_pairing": 14}),
-        ("Draw", 24, 0, {"setmatch": 1, "opponent_pairing": 14}),
+        ("Draw", 23, 0, {"opponent_pairing": 15}),
+        ("Draw", 23, 0, {"opponent_pairing": 15}),
     ],
     "fig7": [
         ("Draw", 93, 11, {}),
-        ("Draw", 25, 0, {"hj": 4, "opponent_pairing": 7}),
-        ("Draw", 25, 0, {"setmatch": 4, "opponent_pairing": 7}),
+        ("Draw", 19, 0, {"opponent_pairing": 13}),
+        ("Draw", 19, 0, {"opponent_pairing": 13}),
     ],
     "fig8": [
         ("Draw", 128, 11, {}),
-        ("Draw", 29, 0, {"hj": 4, "opponent_pairing": 12}),
-        ("Draw", 29, 0, {"setmatch": 4, "opponent_pairing": 12}),
+        ("Draw", 22, 0, {"opponent_pairing": 17}),
+        ("Draw", 22, 0, {"opponent_pairing": 17}),
     ],
     "fig9a": [
         ("Draw", 136, 10, {}),
-        ("Draw", 25, 0, {"hj": 3, "opponent_pairing": 13}),
-        ("Draw", 25, 0, {"setmatch": 3, "opponent_pairing": 13}),
+        ("Draw", 22, 0, {"opponent_pairing": 16}),
+        ("Draw", 22, 0, {"opponent_pairing": 16}),
     ],
     "fig9b": [
         ("Draw", 804, 102, {}),
-        ("Draw", 31, 0, {"hj": 5, "opponent_pairing": 15}),
-        ("Draw", 31, 0, {"setmatch": 5, "opponent_pairing": 15}),
+        ("Draw", 26, 0, {"opponent_pairing": 20}),
+        ("Draw", 26, 0, {"opponent_pairing": 20}),
     ],
     "fig9c": [
         ("Draw", 111, 17, {}),
-        ("Draw", 24, 0, {"hj": 3, "opponent_pairing": 8}),
-        ("Draw", 24, 0, {"setmatch": 3, "opponent_pairing": 8}),
+        ("Draw", 19, 0, {"opponent_pairing": 13}),
+        ("Draw", 19, 0, {"opponent_pairing": 13}),
     ],
     "fig10": [
         ("Draw", 118, 11, {}),
-        ("Draw", 21, 0, {"hj": 5, "opponent_pairing": 6}),
-        ("Draw", 21, 0, {"setmatch": 5, "opponent_pairing": 6}),
+        ("Draw", 16, 0, {"opponent_pairing": 11}),
+        ("Draw", 16, 0, {"opponent_pairing": 11}),
     ],
     "fig11": [
         ("WhiteWin", 612, 153, {}),
-        ("WhiteWin", 522, 115, {"opponent_pairing": 29}),
-        ("WhiteWin", 522, 115, {"opponent_pairing": 29}),
+        ("WhiteWin", 475, 109, {"opponent_pairing": 53}),
+        ("WhiteWin", 475, 109, {"opponent_pairing": 53}),
     ],
 }
 
@@ -119,9 +119,9 @@ WHITE_TABLE_5X4 = "5 4 4 W\n.XO..\n...O.\nXX..X\nX.O.O\n"
 EMPTY_5X4 = "5 4 4 B\n.....\n.....\n.....\n.....\n"
 PINNED_TREES = {
     "white4x4-none": (WHITE_4X4, "none", ("Draw", 1928, 313, {}, 0)),
-    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 62, 0, {"hj": 2, "opponent_pairing": 48}, 50)),
+    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 46, 0, {"opponent_pairing": 40}, 40)),
     "white4x4-setmatch": (
-        WHITE_4X4, "setmatch", ("Draw", 62, 0, {"setmatch": 2, "opponent_pairing": 48}, 50)
+        WHITE_4X4, "setmatch", ("Draw", 46, 0, {"opponent_pairing": 40}, 40)
     ),
     "white5x4-none": (WHITE_5X4, "none", ("WhiteWin", 2, 0, {}, 0)),
     "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 2, 0, {}, 0)),
@@ -131,24 +131,24 @@ PINNED_TREES = {
     "whitewin5x4-setmatch": (WHITE_WIN_5X4, "setmatch", ("WhiteWin", 2, 0, {}, 0)),
     "whitetable5x4-none": (WHITE_TABLE_5X4, "none", ("WhiteWin", 63, 2, {}, 0)),
     "whitetable5x4-hj": (
-        WHITE_TABLE_5X4, "hj", ("WhiteWin", 47, 2, {"hj": 1, "opponent_pairing": 10}, 23)
+        WHITE_TABLE_5X4, "hj", ("WhiteWin", 33, 2, {"opponent_pairing": 8}, 26)
     ),
     "whitetable5x4-setmatch": (
         WHITE_TABLE_5X4, "setmatch",
-        ("WhiteWin", 47, 2, {"setmatch": 1, "opponent_pairing": 10}, 23),
+        ("WhiteWin", 33, 2, {"opponent_pairing": 8}, 26),
     ),
     "empty4x4-hj": (
         "4 4 4 B\n....\n....\n....\n....\n", "hj",
-        ("Draw", 108, 0, {"hj": 4, "opponent_pairing": 78}, 76),
+        ("Draw", 88, 0, {"opponent_pairing": 76}, 74),
     ),
     # The largest pruned solves here, about 0.1 s each; the plain one takes
     # 276,974 nodes.
     "empty5x4-hj": (
-        EMPTY_5X4, "hj", ("Draw", 7085, 664, {"hj": 278, "opponent_pairing": 1965}, 10089)
+        EMPTY_5X4, "hj", ("Draw", 6767, 629, {"opponent_pairing": 2298}, 9051)
     ),
     "empty5x4-setmatch": (
         EMPTY_5X4, "setmatch",
-        ("Draw", 6342, 636, {"setmatch": 313, "opponent_pairing": 1370}, 8642),
+        ("Draw", 6088, 621, {"setmatch": 94, "opponent_pairing": 1619}, 9185),
     ),
 }
 
@@ -156,19 +156,19 @@ PINNED_TREES = {
 # Certificate probes per fixture, in PRUNING_MODES order: how often solve asks
 # for a certificate, whatever the answer.
 PINNED_CERT_CALLS = {
-    "empty4x4": [0, 76, 1],
-    "fig1": [0, 4, 1],
+    "empty4x4": [0, 74, 1],
+    "fig1": [0, 3, 1],
     "fig2": [0, 10, 10],
-    "fig3": [0, 6, 1],
-    "fig4": [0, 16, 16],
+    "fig3": [0, 5, 1],
+    "fig4": [0, 16, 18],
     "fig5": [0, 14, 14],
     "fig7": [0, 10, 10],
-    "fig8": [0, 15, 15],
+    "fig8": [0, 16, 16],
     "fig9a": [0, 16, 16],
     "fig9b": [0, 20, 20],
-    "fig9c": [0, 9, 9],
+    "fig9c": [0, 10, 10],
     "fig10": [0, 11, 11],
-    "fig11": [0, 69, 69],
+    "fig11": [0, 88, 88],
 }
 
 
@@ -415,8 +415,8 @@ class TestDominatedMoves:
 # (verdict, nodes_examined) of TestThreats' single-threat position per pruning mode.
 PINNED_BLOCK = {
     "none": ("Draw", 49),
-    "hj": ("Draw", 14),
-    "setmatch": ("Draw", 14),
+    "hj": ("Draw", 13),
+    "setmatch": ("Draw", 13),
 }
 
 
@@ -602,7 +602,7 @@ class TestProbe:
                 for mode in ("hj", "setmatch"):
                     solve(pos, pruning=mode)
         # (pairing hits, covering hits), so the check is seen to run.
-        assert (hits[False], hits[True]) == (413, 65)
+        assert (hits[False], hits[True]) == (502, 9)
 
     def test_reuse_never_changes_an_answer(self, monkeypatch):
         # Each probe of seeded solves in every mode is asked again with an
@@ -632,7 +632,43 @@ class TestProbe:
                 checked_positions += 1
                 for mode in PRUNING_MODES:
                     solve(pos, pruning=mode)
-        assert (probes, reused) == (2163, 437)
+        assert (probes, reused) == (2073, 442)
+
+    def test_black_probe_never_asks_what_the_lookahead_refuted(self, monkeypatch):
+        # Below the root, a Black node with alpha at least 0 has a White parent
+        # with beta at most 0, whose lookahead probed the same live set on the
+        # same free cells and found no pairing.  So a setmatch covering there
+        # must not hold as a plain pairing, and hj makes no covering probe.
+        # The pinned counts (hj probes, coverings below the root) show that
+        # the check runs.
+        probe = kinarow.solver._probe
+        calls = []
+
+        def recorded(groups, live, free, cover, pairings):
+            calls.append((groups, live, free, cover))
+            return probe(groups, live, free, cover, pairings)
+
+        monkeypatch.setattr(kinarow.solver, "_probe", recorded)
+        rng = random.Random(33)
+        hj_probes = coverings = 0
+        for spec in (BoardSpec(4, 4, 4), BoardSpec(5, 4, 4), BoardSpec(4, 4, 3)):
+            openings = 0
+            while openings < 30:
+                pos = random_position(rng, spec, rng.randint(2, 6))
+                if winner(pos) is not None:
+                    continue
+                openings += 1
+                calls.clear()
+                solve(pos, pruning="hj")
+                assert not any(cover for *_, cover in calls), pos
+                hj_probes += len(calls)
+                calls.clear()
+                solve(pos, pruning="setmatch")
+                for groups, live, free, cover in calls:
+                    if cover and free != pos.empty:
+                        assert not _probe(groups, live, free, False, {}), (pos, live, free)
+                        coverings += 1
+        assert (hj_probes, coverings) == (98653, 15257)
 
     def test_taken_reserved_cell_sends_the_probe_to_the_matcher(self, monkeypatch):
         # Two groups on a row of five cells a-e: abc and cde.  The first probe
@@ -673,8 +709,9 @@ class TestProbe:
 # 2,852, 2,852) on 4x4 and (20,424, 8,213, 7,783) on 5x4: weighing the stones
 # raised the 4x4 pruned totals and lowered the rest.  With the opponent's
 # pairing asked for before the mover's move only, the pruned totals were
-# (3,130, 2,930) on 4x4 and (6,331, 6,097) on 5x4.
-PINNED_MIDGAME_NODES = {"4x4": [39110, 2295, 2295], "5x4": [13800, 2395, 2309]}
+# (3,130, 2,930) on 4x4 and (6,331, 6,097) on 5x4; with the lookahead and a
+# Black pairing probe in hj, (2,295, 2,295) and (2,395, 2,309).
+PINNED_MIDGAME_NODES = {"4x4": [39110, 1925, 1925], "5x4": [13800, 1834, 1777]}
 
 
 def seeded_midgames(spec: BoardSpec) -> list[Position]:
@@ -752,7 +789,7 @@ class TestOpponentPairing:
                     assert verdict == expected, (mode, pos)
                     solves += 1
                     fired += stats.prune_events["opponent_pairing"] > 0
-        assert (solves, fired) == (1800, 554)
+        assert (solves, fired) == (1800, 653)
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -816,7 +853,7 @@ class TestDeterminism:
         # or pruning are visible here before anywhere else.
         pos = parse_position(load_fixture("fig1.board"))
         counts = [solve(pos, pruning=m)[1].nodes_examined for m in PRUNING_MODES]
-        assert counts == [13, 6, 1]
+        assert counts == [13, 4, 1]
 
     @pytest.mark.parametrize(
         "fixture,mode,expected",
