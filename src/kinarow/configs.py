@@ -188,6 +188,7 @@ def derive_coverings(
     return tuple(coverings)
 
 
+@functools.cache
 def cycle_template(n: int) -> ConfigTemplate:
     """Cycle of n groups: all corners marked, all sides but one carry an extra marker."""
     if n < 3:
@@ -208,6 +209,7 @@ def cycle_template(n: int) -> ConfigTemplate:
     return ConfigTemplate(f"CycleN({n})", tuple(groups), (a, b))
 
 
+@functools.cache
 def cycle_line_template(n: int) -> ConfigTemplate:
     """Cycle of n groups plus a line through the two edge markers nearest the main side."""
     base = cycle_template(n)

@@ -6,13 +6,14 @@ The search state is two ints, the stone masks (`Position.black` and
 is one int, `own << m*n | opp`: each move adds one stone, so within one search
 the stone count fixes the side to move and the key names the same position as
 the (Black, White) pair.  Scores are from the side to move: +1 win, 0 draw, -1
-loss.  With pruning enabled, two probes cut nodes off, neither written to the
-table, and verdicts are identical across pruning modes:
+loss.  With pruning enabled, two probes bound a node's value, neither written
+to the table, and verdicts are identical across pruning modes:
 
-- a node of either side whose window asks only for a non-loss (beta at most
-  0) looks one move ahead: it asks whether some move leaves the opponent's
-  live groups a pairing on the empty cells, which proves the mover cannot
-  lose (value at least 0): a sound fail-high;
+- a node of either side whose window admits a loss (alpha below 0) looks one
+  move ahead: it asks whether some move leaves the opponent's live groups a
+  pairing on the empty cells, which proves the mover cannot lose (value at
+  least 0); a hit cuts at beta at most 0, a sound fail-high, and otherwise
+  raises alpha to 0;
 - with `setmatch`, a Black-to-move node whose window admits a draw (alpha
   at least 0) asks for a one-ply covering of Black's live groups, which
   proves Black cannot win (value at most 0): a sound fail-low.
@@ -107,29 +108,34 @@ the stored one.
 
 The opponent-pairing lookahead is the same pairing with the roles turned: the
 mover defends, one move ahead.  It tries the mover's moves in the root order,
-and returns 0 at the first move m after which the opponent's live groups
-(those free of the mover's stones), less those through m, pair on the empty
-cells less m.  The mover plays m, which kills every opponent group through m,
+and hits at the first move m after which the opponent's live groups (those
+free of the mover's stones), less those through m, pair on the empty cells
+less m.  The mover plays m, which kills every opponent group through m,
 then answers each opponent move on a reserved cell with its partner, and any
 other opponent move anywhere.  Every remaining group keeps a reserved cell out
 of the opponent's hands, so the opponent never completes one, and the mover's
-value is at least 0.  A pairing before any move holds after every move, since
-a stone on a reserved cell kills that cell's group, so the lookahead needs no
-probe before the move.  Facing a lone threat, it tries the block, which kills
-every group that threat lies in.  Three checks skip a probe:
+value is at least 0.  So a hit is the "opponent not live" bound above: at beta
+0 or less it returns 0; otherwise the node searches with alpha 0, a result of
+0 or less there is exactly 0, and the table flag comes from that window.
+`prune_events["opponent_pairing"]` counts every hit, cut or narrowed.  A
+pairing before any move holds after every move, since a stone on a reserved
+cell kills that cell's group, so the lookahead needs no probe before the
+move.  Facing a lone threat, it tries the block, which kills every group that
+threat lies in.  Three checks skip a probe:
 
 - moves that kill the same opponent groups leave the same rooms, since no
   remaining group holds m, so each remaining set is tried once per node;
 - a move that leaves the opponent no live group needs no pairing, and
-  returns 0 at once, as the "opponent not live" bound above does;
+  hits at once;
 - fewer than two empty cells per remaining group rule a pairing out.
 
 So `hj` makes no Black probe, which would always fail below the root.  A Black
 node with alpha at least 0 has a White parent with beta at most 0 (the
-window's, or set by its "mover not live" bound), which faced at most one
-threat and so looked ahead over the move m to the node, asking `_probe` (whose
-answer rests on live and free alone) of the same two: no pairing held, or it
-would have returned.  So `setmatch`'s probe there holds only by a covering.
+window's, or set by its "mover not live" bound), so with alpha below 0, which
+faced at most one threat and so looked ahead over the move m to the node,
+asking `_probe` (whose answer rests on live and free alone) of the same two:
+no pairing held, or it would have returned.  So `setmatch`'s probe there
+holds only by a covering.
 """
 
 from __future__ import annotations
@@ -342,7 +348,7 @@ def solve(pos: Position, pruning: str = "none") -> tuple[Verdict, SearchStats]:
         if setmatch and alpha >= 0 and empties_left & 1 == black_parity:
             if probe(own_live, full ^ taken, True, "setmatch"):
                 return 0
-        elif probing and beta <= 0:
+        elif probing and alpha < 0:
             # One ply ahead: a move after which the opponent's live groups
             # pair.  Moves that kill the same groups leave the same rooms.
             tried = set()
@@ -353,11 +359,14 @@ def solve(pos: Position, pruning: str = "none") -> tuple[Verdict, SearchStats]:
                 tried.add(after)
                 if not after:
                     events["opponent_pairing"] += 1
-                    return 0
-                if 2 * after.bit_count() < empties_left and probe(
+                elif 2 * after.bit_count() >= empties_left or not probe(
                     after, full ^ taken ^ bit, False, "opponent_pairing"
                 ):
+                    continue
+                if beta <= 0:
                     return 0
+                alpha = 0
+                break
         orig_alpha = alpha
         best = -2
         live = own_live | opp_live

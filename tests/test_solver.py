@@ -40,7 +40,7 @@ from tests.test_board import load_fixture
 PINNED_COUNTERS = {
     "empty4x4": [
         ("Draw", 24556, 6540, {}),
-        ("Draw", 88, 0, {"opponent_pairing": 76}),
+        ("Draw", 17, 0, {"opponent_pairing": 17}),
         ("Draw", 1, 0, {"setmatch": 1}),
     ],
     "fig1": [
@@ -50,8 +50,8 @@ PINNED_COUNTERS = {
     ],
     "fig2": [
         ("Draw", 70, 8, {}),
-        ("Draw", 15, 0, {"opponent_pairing": 11}),
-        ("Draw", 15, 0, {"opponent_pairing": 11}),
+        ("Draw", 9, 0, {"opponent_pairing": 9}),
+        ("Draw", 9, 0, {"opponent_pairing": 9}),
     ],
     "fig3": [
         ("Draw", 29, 2, {}),
@@ -60,48 +60,48 @@ PINNED_COUNTERS = {
     ],
     "fig4": [
         ("Draw", 105, 6, {}),
-        ("Draw", 25, 0, {"opponent_pairing": 14}),
-        ("Draw", 25, 0, {"opponent_pairing": 14}),
+        ("Draw", 9, 0, {"opponent_pairing": 9}),
+        ("Draw", 9, 0, {"opponent_pairing": 9}),
     ],
     "fig5": [
         ("Draw", 75, 6, {}),
-        ("Draw", 23, 0, {"opponent_pairing": 15}),
-        ("Draw", 23, 0, {"opponent_pairing": 15}),
+        ("Draw", 13, 0, {"opponent_pairing": 13}),
+        ("Draw", 13, 0, {"opponent_pairing": 13}),
     ],
     "fig7": [
         ("Draw", 93, 11, {}),
-        ("Draw", 19, 0, {"opponent_pairing": 13}),
-        ("Draw", 19, 0, {"opponent_pairing": 13}),
+        ("Draw", 8, 0, {"opponent_pairing": 8}),
+        ("Draw", 8, 0, {"opponent_pairing": 8}),
     ],
     "fig8": [
         ("Draw", 128, 11, {}),
-        ("Draw", 22, 0, {"opponent_pairing": 17}),
-        ("Draw", 22, 0, {"opponent_pairing": 17}),
+        ("Draw", 9, 0, {"opponent_pairing": 9}),
+        ("Draw", 9, 0, {"opponent_pairing": 9}),
     ],
     "fig9a": [
         ("Draw", 136, 10, {}),
-        ("Draw", 22, 0, {"opponent_pairing": 16}),
-        ("Draw", 22, 0, {"opponent_pairing": 16}),
+        ("Draw", 13, 0, {"opponent_pairing": 13}),
+        ("Draw", 13, 0, {"opponent_pairing": 13}),
     ],
     "fig9b": [
         ("Draw", 804, 102, {}),
-        ("Draw", 26, 0, {"opponent_pairing": 20}),
-        ("Draw", 26, 0, {"opponent_pairing": 20}),
+        ("Draw", 13, 0, {"opponent_pairing": 13}),
+        ("Draw", 13, 0, {"opponent_pairing": 13}),
     ],
     "fig9c": [
         ("Draw", 111, 17, {}),
-        ("Draw", 19, 0, {"opponent_pairing": 13}),
-        ("Draw", 19, 0, {"opponent_pairing": 13}),
+        ("Draw", 8, 0, {"opponent_pairing": 8}),
+        ("Draw", 8, 0, {"opponent_pairing": 8}),
     ],
     "fig10": [
         ("Draw", 118, 11, {}),
-        ("Draw", 16, 0, {"opponent_pairing": 11}),
-        ("Draw", 16, 0, {"opponent_pairing": 11}),
+        ("Draw", 9, 0, {"opponent_pairing": 9}),
+        ("Draw", 9, 0, {"opponent_pairing": 9}),
     ],
     "fig11": [
         ("WhiteWin", 612, 153, {}),
-        ("WhiteWin", 475, 109, {"opponent_pairing": 53}),
-        ("WhiteWin", 475, 109, {"opponent_pairing": 53}),
+        ("WhiteWin", 462, 105, {"opponent_pairing": 61}),
+        ("WhiteWin", 462, 105, {"opponent_pairing": 61}),
     ],
 }
 
@@ -119,36 +119,38 @@ WHITE_TABLE_5X4 = "5 4 4 W\n.XO..\n...O.\nXX..X\nX.O.O\n"
 EMPTY_5X4 = "5 4 4 B\n.....\n.....\n.....\n.....\n"
 PINNED_TREES = {
     "white4x4-none": (WHITE_4X4, "none", ("Draw", 1928, 313, {}, 0)),
-    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 46, 0, {"opponent_pairing": 40}, 40)),
+    "white4x4-hj": (WHITE_4X4, "hj", ("Draw", 14, 0, {"opponent_pairing": 14}, 14)),
     "white4x4-setmatch": (
-        WHITE_4X4, "setmatch", ("Draw", 46, 0, {"opponent_pairing": 40}, 40)
+        WHITE_4X4, "setmatch", ("Draw", 14, 0, {"opponent_pairing": 14}, 14)
     ),
     "white5x4-none": (WHITE_5X4, "none", ("WhiteWin", 2, 0, {}, 0)),
-    "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 2, 0, {}, 0)),
-    "white5x4-setmatch": (WHITE_5X4, "setmatch", ("WhiteWin", 2, 0, {}, 0)),
+    "white5x4-hj": (WHITE_5X4, "hj", ("WhiteWin", 2, 0, {"opponent_pairing": 1}, 1)),
+    "white5x4-setmatch": (
+        WHITE_5X4, "setmatch", ("WhiteWin", 2, 0, {"opponent_pairing": 1}, 1)
+    ),
     "whitewin5x4-none": (WHITE_WIN_5X4, "none", ("WhiteWin", 2, 0, {}, 0)),
     "whitewin5x4-hj": (WHITE_WIN_5X4, "hj", ("WhiteWin", 2, 0, {}, 0)),
     "whitewin5x4-setmatch": (WHITE_WIN_5X4, "setmatch", ("WhiteWin", 2, 0, {}, 0)),
     "whitetable5x4-none": (WHITE_TABLE_5X4, "none", ("WhiteWin", 63, 2, {}, 0)),
     "whitetable5x4-hj": (
-        WHITE_TABLE_5X4, "hj", ("WhiteWin", 33, 2, {"opponent_pairing": 8}, 26)
+        WHITE_TABLE_5X4, "hj", ("WhiteWin", 25, 2, {"opponent_pairing": 6}, 28)
     ),
     "whitetable5x4-setmatch": (
         WHITE_TABLE_5X4, "setmatch",
-        ("WhiteWin", 33, 2, {"opponent_pairing": 8}, 26),
+        ("WhiteWin", 25, 2, {"opponent_pairing": 6}, 28),
     ),
     "empty4x4-hj": (
         "4 4 4 B\n....\n....\n....\n....\n", "hj",
-        ("Draw", 88, 0, {"opponent_pairing": 76}, 74),
+        ("Draw", 17, 0, {"opponent_pairing": 17}, 18),
     ),
     # The largest pruned solves here, about 0.1 s each; the plain one takes
     # 276,974 nodes.
     "empty5x4-hj": (
-        EMPTY_5X4, "hj", ("Draw", 6767, 629, {"opponent_pairing": 2298}, 9051)
+        EMPTY_5X4, "hj", ("Draw", 6690, 629, {"opponent_pairing": 2244}, 8966)
     ),
     "empty5x4-setmatch": (
         EMPTY_5X4, "setmatch",
-        ("Draw", 6088, 621, {"setmatch": 94, "opponent_pairing": 1619}, 9185),
+        ("Draw", 5998, 621, {"setmatch": 94, "opponent_pairing": 1552}, 9083),
     ),
 }
 
@@ -156,19 +158,19 @@ PINNED_TREES = {
 # Certificate probes per fixture, in PRUNING_MODES order: how often solve asks
 # for a certificate, whatever the answer.
 PINNED_CERT_CALLS = {
-    "empty4x4": [0, 74, 1],
+    "empty4x4": [0, 18, 1],
     "fig1": [0, 3, 1],
-    "fig2": [0, 10, 10],
+    "fig2": [0, 9, 9],
     "fig3": [0, 5, 1],
-    "fig4": [0, 16, 18],
-    "fig5": [0, 14, 14],
-    "fig7": [0, 10, 10],
-    "fig8": [0, 16, 16],
-    "fig9a": [0, 16, 16],
-    "fig9b": [0, 20, 20],
-    "fig9c": [0, 10, 10],
-    "fig10": [0, 11, 11],
-    "fig11": [0, 88, 88],
+    "fig4": [0, 13, 13],
+    "fig5": [0, 13, 13],
+    "fig7": [0, 8, 8],
+    "fig8": [0, 9, 9],
+    "fig9a": [0, 13, 13],
+    "fig9b": [0, 13, 13],
+    "fig9c": [0, 8, 8],
+    "fig10": [0, 9, 9],
+    "fig11": [0, 112, 112],
 }
 
 
@@ -412,11 +414,12 @@ class TestDominatedMoves:
         assert (verdict, stats.nodes_examined) == (Verdict.DRAW, 3 if mode == "none" else 2)
 
 
-# (verdict, nodes_examined) of TestThreats' single-threat position per pruning mode.
+# (verdict, nodes_examined, cert_calls) of TestThreats' single-threat position
+# per pruning mode.
 PINNED_BLOCK = {
-    "none": ("Draw", 49),
-    "hj": ("Draw", 13),
-    "setmatch": ("Draw", 13),
+    "none": ("Draw", 49, 0),
+    "hj": ("Draw", 2, 2),
+    "setmatch": ("Draw", 2, 2),
 }
 
 
@@ -440,16 +443,22 @@ class TestThreats:
 
     @pytest.mark.parametrize("mode", PRUNING_MODES)
     def test_single_threat_forces_the_block(self, mode):
-        # White threatens d1, so the root searches the block alone: its
-        # subtree is the whole search of the position after the block.
+        # White threatens d1, so the root searches the block alone.  Unpruned,
+        # its subtree is the whole search of the position after the block.
+        # Pruned, the root's lookahead first finds White's groups paired after
+        # the block, which raises the root's alpha to 0: the block's subtree
+        # then searches a narrower window than a solve of the position after
+        # the block, in 1 node against 7.
         pos = parse_position("4 4 4 B\n..X.\n....\nXX..\nOOO.\n")
         blocked = apply_move(pos, (3, 0))
         verdict, stats = solve(pos, pruning=mode)
         child_verdict, child = solve(blocked, pruning=mode)
         assert verdict == child_verdict
-        assert stats.nodes_examined == 1 + child.nodes_examined
-        assert (stats.table_hits, stats.cert_calls) == (child.table_hits, child.cert_calls)
-        assert (str(verdict), stats.nodes_examined) == PINNED_BLOCK[mode]
+        if mode == "none":
+            assert stats.nodes_examined == 1 + child.nodes_examined
+            assert stats.table_hits == child.table_hits
+        got = (str(verdict), stats.nodes_examined, stats.cert_calls)
+        assert got == PINNED_BLOCK[mode]
 
 
 class TestLiveBounds:
@@ -602,7 +611,7 @@ class TestProbe:
                 for mode in ("hj", "setmatch"):
                     solve(pos, pruning=mode)
         # (pairing hits, covering hits), so the check is seen to run.
-        assert (hits[False], hits[True]) == (502, 9)
+        assert (hits[False], hits[True]) == (491, 10)
 
     def test_reuse_never_changes_an_answer(self, monkeypatch):
         # Each probe of seeded solves in every mode is asked again with an
@@ -632,7 +641,7 @@ class TestProbe:
                 checked_positions += 1
                 for mode in PRUNING_MODES:
                     solve(pos, pruning=mode)
-        assert (probes, reused) == (2073, 442)
+        assert (probes, reused) == (1824, 282)
 
     def test_black_probe_never_asks_what_the_lookahead_refuted(self, monkeypatch):
         # Below the root, a Black node with alpha at least 0 has a White parent
@@ -668,7 +677,39 @@ class TestProbe:
                     if cover and free != pos.empty:
                         assert not _probe(groups, live, free, False, {}), (pos, live, free)
                         coverings += 1
-        assert (hj_probes, coverings) == (98653, 15257)
+        assert (hj_probes, coverings) == (95972, 15286)
+
+    def test_lookahead_runs_at_the_root(self, monkeypatch):
+        # The root's window (-1, 1) admits a loss, so a root where both sides
+        # have live groups looks one move ahead, and a hit raises its alpha
+        # to 0.  In hj the lookahead probes at the root are the only probes
+        # whose free cells are the root's empty cells less one.  The pinned
+        # counts (root probes, root hits) show that they run.
+        probe = kinarow.solver._probe
+        root_probes = root_hits = empty = 0
+
+        def recorded(groups, live, free, cover, pairings):
+            nonlocal root_probes, root_hits
+            held = probe(groups, live, free, cover, pairings)
+            if not free & ~empty and (empty ^ free).bit_count() == 1:
+                root_probes += 1
+                root_hits += held
+            return held
+
+        monkeypatch.setattr(kinarow.solver, "_probe", recorded)
+        rng = random.Random(34)
+        for spec in (BoardSpec(4, 4, 4), BoardSpec(5, 4, 4), BoardSpec(4, 4, 3)):
+            solved = 0
+            while solved < 20:
+                pos = random_fill(rng, spec, rng.randint(4, 12))
+                if winner(pos) is not None or not (
+                    live_groups(spec, pos.white) and live_groups(spec, pos.black)
+                ):
+                    continue
+                solved += 1
+                empty = pos.empty
+                solve(pos, pruning="hj")
+        assert (root_probes, root_hits) == (36, 24)
 
     def test_taken_reserved_cell_sends_the_probe_to_the_matcher(self, monkeypatch):
         # Two groups on a row of five cells a-e: abc and cde.  The first probe
@@ -710,8 +751,9 @@ class TestProbe:
 # raised the 4x4 pruned totals and lowered the rest.  With the opponent's
 # pairing asked for before the mover's move only, the pruned totals were
 # (3,130, 2,930) on 4x4 and (6,331, 6,097) on 5x4; with the lookahead and a
-# Black pairing probe in hj, (2,295, 2,295) and (2,395, 2,309).
-PINNED_MIDGAME_NODES = {"4x4": [39110, 1925, 1925], "5x4": [13800, 1834, 1777]}
+# Black pairing probe in hj, (2,295, 2,295) and (2,395, 2,309); with the
+# lookahead at beta 0 or less only, (1,925, 1,925) and (1,834, 1,777).
+PINNED_MIDGAME_NODES = {"4x4": [39110, 660, 660], "5x4": [13800, 1219, 1150]}
 
 
 def seeded_midgames(spec: BoardSpec) -> list[Position]:
@@ -789,7 +831,7 @@ class TestOpponentPairing:
                     assert verdict == expected, (mode, pos)
                     solves += 1
                     fired += stats.prune_events["opponent_pairing"] > 0
-        assert (solves, fired) == (1800, 653)
+        assert (solves, fired) == (1800, 797)
 
     @pytest.mark.parametrize(
         "text,expected",
